@@ -15,7 +15,6 @@ from .linalg import (
     mat_mul,
     mat_pow,
     nullspace_mod,
-    rank_kernel_image,
     rank_mod,
     rref,
     solve_right,

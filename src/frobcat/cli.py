@@ -17,7 +17,6 @@ from math import isqrt
 
 from .frobenius import (
     DIM_CAPS,
-    _witness_type,
     check_additivity,
     check_monoidality,
     fpdim_of_F,
@@ -26,7 +25,7 @@ from .frobenius import (
     six_periodic_check,
     sp_multiplicity_spaces,
 )
-from .linalg import BudgetError, is_prime
+from .linalg import BudgetError, budget_bytes, is_prime
 from .nilmod import (
     extension_survey,
     functor_B,
@@ -35,7 +34,15 @@ from .nilmod import (
     random_nil_module,
     random_partition,
 )
-from .repcat import GroupRep, cyclic_rep, decompose_cyclic, random_cyclic_rep, rep_from_json, tensor
+from .repcat import (
+    GroupRep,
+    cyclic_rep,
+    decompose_cyclic,
+    random_cyclic_rep,
+    rep_from_json,
+    tensor,
+    witness_type,
+)
 from .seeding import mix64, rng_for
 from .series import growth_check, hilbert_coeffs
 from .verlinde import FusionElement, fpdim_simple, fusion_tensor, semisimplify, _fuse_simples
@@ -181,7 +188,7 @@ def _cmd_frob(args) -> tuple[dict, list[str], int]:
                     "kind": kind,
                     "i": i,
                     "dim": c.dim,
-                    "type": list(_witness_type(c).parts),
+                    "type": list(witness_type(c).parts),
                 }
             )
     val = fpdim_of_F(rep)
@@ -531,6 +538,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        budget_bytes()  # a malformed FROBCAT_BUDGET_MB is a usage error for every command
         report, lines, status = _HANDLERS[args.command](args)
     except (CliError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

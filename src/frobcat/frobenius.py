@@ -7,8 +7,11 @@ functors) and G_i (stable functors), each inheriting the diagonal G-action.
 
 The shift's fixed words are exactly the diagonal ones and every other orbit
 has length p, so the component quotients have canonical bases along the
-diagonal coordinates; `_free_orbit_facts` re-verifies the single-orbit
-subquotient collapse per prime before any read-off is trusted.
+diagonal words, where g^(tensor p) has entries g^p = g over F_p. The
+functors are therefore the Frobenius twist in closed form: F_1 = G_i = X,
+F_i = 0 for i >= 2. The six-periodic chase still needs the power space
+(`cyclic_power`) for its mixed words; `_free_orbit_facts` re-verifies the
+single-orbit subquotient collapse per prime before it reads any class off.
 """
 from __future__ import annotations
 
@@ -29,11 +32,10 @@ from .linalg import (
     mat_mul,
     nullspace_mod,
     random_invertible,
-    rank_mod,
     solve_right,
 )
 from .nilmod import (
-    JordanType,
+    _check_ses_maps,
     _rank_sequence_arr,
     _type_from_ranks,
     functor_B,
@@ -45,11 +47,11 @@ from .repcat import (
     GroupRep,
     GroupSpec,
     direct_sum,
-    evaluate_word,
     random_cyclic_rep,
     symmetric_group,
     tensor,
     validate,
+    witness_type,
 )
 from .seeding import rng_for
 from .verlinde import FusionElement, fpdim_simple
@@ -75,7 +77,7 @@ __all__ = [
     "frobenius_on_simple",
 ]
 
-# dim X caps keeping dim(X)^p at permutation-sparse desk scale
+# dim X caps keeping the dim(X)^p words of the six-periodic chase at desk scale
 DIM_CAPS = {2: 64, 3: 20, 5: 6, 7: 4}
 
 
@@ -157,11 +159,10 @@ def _free_orbit_facts(p: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CyclicPower:
-    """X^(tensor p) with the factor rotation; the shift is never dense."""
+    """X^(tensor p) with the factor rotation as a word permutation."""
 
     base: GroupRep
     shift: np.ndarray
-    D: PrimeMatrix
 
     @property
     def p(self) -> int:
@@ -174,24 +175,9 @@ class CyclicPower:
     def apply_generator(self, k: int, vec: np.ndarray) -> np.ndarray:
         return _apply_kron_power(self.base.matrices[k].entries, vec, self.p, self.p)
 
-    @property
-    def power_rep(self) -> GroupRep:
-        """Dense diagonal action on the power space; budget-checked."""
-        n = self.size
-        check_budget(
-            n * n * 8 * max(1, self.base.group.generators), "dense power representation"
-        )
-        mats = []
-        for k in range(self.base.group.generators):
-            cols = np.eye(n, dtype=np.int64)
-            out = np.zeros((n, n), np.int64)
-            for j in range(n):
-                out[:, j] = self.apply_generator(k, cols[:, j])
-            mats.append(PrimeMatrix.dense(out, self.p))
-        return GroupRep(group=self.base.group, p=self.p, dim=n, matrices=tuple(mats))
-
 
 def cyclic_power(x: GroupRep) -> CyclicPower:
+    """X^(tensor p) with its rotation checked; refuses dim X above the cap."""
     p, d = x.p, x.dim
     cap = _dim_cap(p)
     if d > cap:
@@ -201,7 +187,6 @@ def cyclic_power(x: GroupRep) -> CyclicPower:
         )
     check_budget((d**p) * 8 * (p + 2), "cyclic power index arrays")
     sigma = _shift_perm(d, p)
-    dmat = PrimeMatrix.identity_minus_permutation(sigma, p)
     # order-p check: the rotation composed p times is the identity
     composed = np.arange(len(sigma), dtype=np.int64)
     for _ in range(p):
@@ -211,7 +196,7 @@ def cyclic_power(x: GroupRep) -> CyclicPower:
     fixed = np.nonzero(sigma == np.arange(len(sigma)))[0]
     if not np.array_equal(fixed, _diag_indices(d, p)):
         raise AssertionError("fixed words must be exactly the diagonal ones")
-    cp = CyclicPower(base=x, shift=sigma, D=dmat)
+    cp = CyclicPower(base=x, shift=sigma)
     inv = np.argsort(sigma)
     rng = rng_for(0x5EED, d * p)
     for k in range(x.group.generators):
@@ -249,50 +234,18 @@ def _zero_rep(group: GroupSpec, p: int) -> GroupRep:
 
 
 def frobenius_components(x: GroupRep) -> FrobeniusImage:
-    """All F_i and G_i of X with the induced diagonal action.
+    """All F_i and G_i of X with the induced diagonal action, in closed form.
 
-    Classes are read off the diagonal coordinates; denominators never touch
-    them (the image of D has zero diagonal entries), which is re-verified
-    by _free_orbit_facts and the explicit membership checks below.
+    Reading a class off the diagonal words raises each matrix entry to the
+    p-th power, a no-op over F_p: F_1 and every G_i are X with X's own
+    matrices, and F_i = 0 for i >= 2.
     """
-    p, d = x.p, x.dim
-    cp = cyclic_power(x)
-    _free_orbit_facts(p)
-    diag = _diag_indices(d, p)
-    inv = np.argsort(cp.shift)
-
-    induced = []
-    for k in range(x.group.generators):
-        g = x.matrices[k].entries
-        cols = np.zeros((d, d), np.int64)
-        for c in range(d):
-            y = _column_power(g[:, c], p, p)
-            if not np.array_equal(y, y[inv]):
-                raise AssertionError("power of a column must be shift-invariant")
-            cols[:, c] = y[diag]
-        induced.append(cols)
-
-    f_comps, g_comps = [], []
-    for i in range(1, p):
-        gi = GroupRep(
-            group=x.group,
-            p=p,
-            dim=d,
-            matrices=tuple(PrimeMatrix.dense(m, p) for m in induced),
-        )
-        g_comps.append(gi)
-        if i == 1:
-            f_comps.append(
-                GroupRep(
-                    group=x.group,
-                    p=p,
-                    dim=d,
-                    matrices=tuple(PrimeMatrix.dense(m, p) for m in induced),
-                )
-            )
-        else:
-            f_comps.append(_zero_rep(x.group, p))
-    image = FrobeniusImage(base=x, components=tuple(f_comps), g_components=tuple(g_comps))
+    p = x.p
+    image = FrobeniusImage(
+        base=x,
+        components=(x,) + (_zero_rep(x.group, p),) * (p - 2),
+        g_components=(x,) * (p - 1),
+    )
     for i in range(1, p):
         expected = sum(
             min(i, j, p - i, p - j) * image.f(j).dim for j in range(1, p)
@@ -307,7 +260,11 @@ def _as_matrix(f, p: int) -> np.ndarray:
 
 
 def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
-    """Induced maps on all components of an intertwiner src -> dst."""
+    """Induced maps on all components of an intertwiner src -> dst.
+
+    Like the components, in closed form: f itself on F_1 and on every G_i,
+    the 0 x 0 map on F_i for i >= 2.
+    """
     p = src.p
     fm = _as_matrix(f, p)
     if fm.shape != (dst.dim, src.dim):
@@ -315,31 +272,9 @@ def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
     for gs, gd in zip(src.matrices, dst.matrices):
         if np.any((mat_mul(fm, gs.entries, p) - mat_mul(gd.entries, fm, p)) % p):
             raise ValueError("not an intertwiner")
-    cp_dst = cyclic_power(dst)
-    _free_orbit_facts(p)
-    diag_dst = _diag_indices(dst.dim, p)
-    inv_dst = np.argsort(cp_dst.shift)
-    cols = np.zeros((dst.dim, src.dim), np.int64)
-    for c in range(src.dim):
-        y = _column_power(fm[:, c], p, p) if dst.dim else np.zeros(0, np.int64)
-        if dst.dim and not np.array_equal(y, y[inv_dst]):
-            raise AssertionError("power of a column must be shift-invariant")
-        cols[:, c] = y[diag_dst]
-    f_maps = [PrimeMatrix.dense(cols, p)]
-    g_maps = [PrimeMatrix.dense(cols, p)]
-    for i in range(2, p):
-        f_maps.append(PrimeMatrix.dense(np.zeros((0, 0), np.int64), p))
-        g_maps.append(PrimeMatrix.dense(cols, p))
-    return {"f_maps": tuple(f_maps), "g_maps": tuple(g_maps)}
-
-
-def _witness_type(rep: GroupRep) -> JordanType:
-    """Jordan type of 1 - rho(witness), the cyclic-restriction invariant."""
-    if rep.dim == 0:
-        return JordanType(())
-    u = evaluate_word(rep, rep.group.sylow_witness)
-    dmat = (np.eye(rep.dim, dtype=np.int64) - u) % rep.p
-    return _type_from_ranks(_rank_sequence_arr(dmat, rep.p, rep.p), rep.p)
+    fmat = PrimeMatrix.dense(fm, p)
+    zero = PrimeMatrix.dense(np.zeros((0, 0), np.int64), p)
+    return {"f_maps": (fmat,) + (zero,) * (p - 2), "g_maps": (fmat,) * (p - 1)}
 
 
 def check_additivity(x: GroupRep, y: GroupRep) -> dict:
@@ -355,7 +290,7 @@ def check_additivity(x: GroupRep, y: GroupRep) -> dict:
             ("G", whole.g(i), left.g(i), right.g(i)),
         ):
             dims_ok = big.dim == a.dim + b.dim
-            types_ok = _witness_type(big) == _witness_type(a).merge(_witness_type(b))
+            types_ok = witness_type(big) == witness_type(a).merge(witness_type(b))
             if not (dims_ok and types_ok):
                 mismatches.append({"component": f"{tag}_{i}", "dims_ok": dims_ok, "types_ok": types_ok})
     return {"check": "additivity", "p": p, "ok": not mismatches, "mismatches": mismatches}
@@ -379,7 +314,7 @@ def check_monoidality(x: GroupRep, y: GroupRep) -> dict:
             expected = _zero_rep(x.group, p)
         actual = whole.f(i)
         dims_ok = actual.dim == expected.dim
-        types_ok = _witness_type(actual) == _witness_type(expected)
+        types_ok = witness_type(actual) == witness_type(expected)
         if not (dims_ok and types_ok):
             mismatches.append({"component": f"F_{i}", "dims_ok": dims_ok, "types_ok": types_ok})
     return {"check": "monoidality", "p": p, "ok": not mismatches, "mismatches": mismatches}
@@ -402,24 +337,7 @@ class RepSES:
         x, y, z = self.x, self.y, self.z
         if x.group != y.group or y.group != z.group or not (x.p == y.p == z.p):
             raise ValueError("sequence must stay inside one category")
-        if self.inj.shape != (y.dim, x.dim) or self.surj.shape != (z.dim, y.dim):
-            raise ValueError("map shapes do not match")
-        if y.dim != x.dim + z.dim:
-            raise ValueError("middle dimension must be the sum")
-        p = x.p
-        a, b = self.inj.entries, self.surj.entries
-        if rank_mod(a, p) != x.dim:
-            raise ValueError("injection is not injective")
-        if rank_mod(b, p) != z.dim:
-            raise ValueError("surjection is not surjective")
-        if np.any(mat_mul(b, a, p)):
-            raise ValueError("composition is not zero")
-        for k in range(x.group.generators):
-            gx, gy, gz = x.matrices[k].entries, y.matrices[k].entries, z.matrices[k].entries
-            if np.any((mat_mul(a, gx, p) - mat_mul(gy, a, p)) % p):
-                raise ValueError("injection does not intertwine the action")
-            if np.any((mat_mul(b, gy, p) - mat_mul(gz, b, p)) % p):
-                raise ValueError("surjection does not intertwine the action")
+        _check_ses_maps(self, zip(x.matrices, y.matrices, z.matrices), "the action")
 
 
 @lru_cache(maxsize=512)
@@ -508,9 +426,7 @@ def six_periodic_check(s: RepSES) -> dict:
     """
     p = s.x.p
     dx, dy, dz = s.x.dim, s.y.dim, s.z.dim
-    cap = _dim_cap(p)
-    if dy > cap:
-        raise BudgetError(f"dim {dy} exceeds the p = {p} cap {cap}")
+    sigma = cyclic_power(s.y).shift
     _free_orbit_facts(p)
 
     a, b = s.inj.entries, s.surj.entries
@@ -524,7 +440,6 @@ def six_periodic_check(s: RepSES) -> dict:
     if np.any(a_ad[dx:, :]) or np.any(b_ad[:, :dx]) or np.any(s_ad[:dx, :]):
         raise AssertionError("adapted basis did not block-align the sequence")
 
-    sigma = _shift_perm(dy, p)
     digits = _word_digits(dy, p)
     pure_x = np.all(digits < dx, axis=0)
     pure_z = np.all(digits >= dx, axis=0)
@@ -750,7 +665,7 @@ def sp_multiplicity_spaces(p: int, m: int) -> dict:
         if problems:
             raise AssertionError("induced action is not a representation: " + "; ".join(problems))
         comps.append(rep)
-        t = _witness_type(rep)
+        t = witness_type(rep)
         projective.append(all(k == p for k in t.parts))
         core_dims.append(sum(k for k in t.parts if k < p))
     exceptional = 1 if m % 2 else p - 1

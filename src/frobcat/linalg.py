@@ -20,14 +20,12 @@ __all__ = [
     "rref",
     "rank_mod",
     "nullspace_mod",
-    "row_space_mod",
     "mat_mul",
     "mat_pow",
     "solve_right",
     "inverse_mod",
     "kron_arrays",
     "kron",
-    "rank_kernel_image",
     "induced_on_subquotient",
     "check_budget",
 ]
@@ -40,12 +38,13 @@ class BudgetError(RuntimeError):
 
 
 def budget_bytes() -> int:
+    """The allocation ceiling; FROBCAT_BUDGET_MB must be a positive integer when set."""
     mb = os.environ.get("FROBCAT_BUDGET_MB", "")
-    try:
-        limit = int(mb) if mb else DEFAULT_BUDGET_MB
-    except ValueError:
-        limit = DEFAULT_BUDGET_MB
-    return limit * 1024 * 1024
+    if not mb:
+        return DEFAULT_BUDGET_MB * 1024 * 1024
+    if not mb.isdecimal() or int(mb) < 1:
+        raise ValueError(f"FROBCAT_BUDGET_MB must be a positive integer, got {mb!r}")
+    return int(mb) * 1024 * 1024
 
 
 def check_budget(nbytes: int, what: str) -> None:
@@ -77,34 +76,6 @@ def as_residues(a, p: int) -> np.ndarray:
     """Coerce to an int64 array of residues in [0, p)."""
     arr = np.asarray(a, dtype=np.int64) % p
     return arr
-
-
-def _rref_naive(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reference elimination, one full-width outer product per pivot."""
-    r = as_residues(a, p).copy()
-    rows, cols = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
-        if row == rows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        k = row + int(nz[0])
-        if k != row:
-            r[[row, k]] = r[[k, row]]
-        inv = pow(int(r[row, col]), p - 2, p)
-        if inv != 1:
-            r[row] = r[row] * inv % p
-        colvals = r[:, col].copy()
-        colvals[row] = 0
-        hit = np.nonzero(colvals)[0]
-        if hit.size:
-            r[hit] = (r[hit] - np.outer(colvals[hit], r[row])) % p
-        pivots.append(col)
-        row += 1
-    return r[:row], tuple(pivots)
 
 
 def rref(
@@ -176,10 +147,6 @@ def rref(
 
 def rank_mod(a, p: int) -> int:
     return len(rref(a, p, reduced=False)[1])
-
-
-def row_space_mod(a, p: int) -> np.ndarray:
-    return rref(a, p)[0]
 
 
 def nullspace_mod(a, p: int) -> np.ndarray:
@@ -275,51 +242,20 @@ def kron_arrays(a, b, p: int) -> np.ndarray:
     return np.kron(a, b) % p
 
 
-def _perm_cycles(perm: np.ndarray) -> list[list[int]]:
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = int(perm[j])
-        cycles.append(cyc)
-    return cycles
-
-
 @dataclass(frozen=True, eq=False)
 class PrimeMatrix:
-    """Matrix over F_p; dense entries, or the sparse form I - P for a permutation P.
-
-    The sparse form stores only the index map j -> perm[j] (column j of P is
-    e_perm[j]); elimination and application never materialize it.
-    """
+    """Dense matrix over F_p with read-only residue entries."""
 
     p: int
     rows: int
     cols: int
-    _dense: np.ndarray | None = None
-    _perm: np.ndarray | None = None
+    _dense: np.ndarray
 
     def __post_init__(self):
         _check_prime(self.p)
-        if (self._dense is None) == (self._perm is None):
-            raise ValueError("exactly one of dense entries or permutation data required")
-        if self._dense is not None:
-            if self._dense.shape != (self.rows, self.cols):
-                raise ValueError("entry array shape mismatch")
-            self._dense.flags.writeable = False
-        else:
-            if self.rows != self.cols or len(self._perm) != self.rows:
-                raise ValueError("permutation form must be square")
-            if sorted(self._perm.tolist()) != list(range(self.rows)):
-                raise ValueError("not a permutation")
-            self._perm.flags.writeable = False
+        if self._dense.shape != (self.rows, self.cols):
+            raise ValueError("entry array shape mismatch")
+        self._dense.flags.writeable = False
 
     @classmethod
     def dense(cls, entries, p: int) -> "PrimeMatrix":
@@ -328,49 +264,20 @@ class PrimeMatrix:
             raise ValueError("dense entries must be 2-dimensional")
         return cls(p=p, rows=arr.shape[0], cols=arr.shape[1], _dense=arr)
 
-    @classmethod
-    def identity_minus_permutation(cls, perm, p: int) -> "PrimeMatrix":
-        arr = np.asarray(perm, dtype=np.int64).copy()
-        return cls(p=p, rows=len(arr), cols=len(arr), _perm=arr)
-
-    @property
-    def is_sparse(self) -> bool:
-        return self._perm is not None
-
-    @property
-    def perm(self) -> np.ndarray | None:
-        return self._perm
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     @property
     def entries(self) -> np.ndarray:
-        """Dense residue array; materializes the sparse form (budget-checked)."""
-        if self._dense is not None:
-            return self._dense
-        n = self.rows
-        check_budget(n * n * 8, "dense expansion of sparse matrix")
-        out = np.eye(n, dtype=np.int64)
-        idx = np.arange(n)
-        out[self._perm, idx] = (out[self._perm, idx] - 1) % self.p
-        return out
+        return self._dense
 
     def apply(self, vecs: np.ndarray) -> np.ndarray:
         """Matrix times column vector(s); vecs has shape (cols,) or (cols, k)."""
-        v = as_residues(vecs, self.p)
-        if self._dense is not None:
-            return mat_mul(self._dense, v, self.p)
-        inv = np.argsort(self._perm)
-        return (v - v[inv]) % self.p
+        return mat_mul(self._dense, as_residues(vecs, self.p), self.p)
 
     def rank(self) -> int:
-        if self._dense is not None:
-            return rank_mod(self._dense, self.p)
-        # each length-l cycle of the permutation yields l-1 pivots: the
-        # columns e_c - e_{perm[c]} eliminate telescopically along the cycle
-        return self.rows - len(_perm_cycles(self._perm))
+        return rank_mod(self._dense, self.p)
 
 
 def kron(a: PrimeMatrix, b: PrimeMatrix) -> PrimeMatrix:
@@ -492,35 +399,6 @@ class Quotient:
         if self.dim == 0:
             return np.zeros(v.shape[:-1] + (0,), dtype=np.int64)
         return reduced[..., list(self.coord_columns)]
-
-
-def rank_kernel_image(m: PrimeMatrix) -> tuple[int, Subspace, Subspace]:
-    """Rank, right kernel {x : Mx = 0}, and column space, all canonical."""
-    p = m.p
-    if m.is_sparse:
-        # kernel = one constant vector per permutation cycle; image = the
-        # sum-zero vectors on each cycle's support. Both sets of rows are
-        # already reduced echelon: supports are disjoint across cycles and
-        # each in-cycle row is {pivot: 1, max coord: -1}.
-        cycles = sorted(_perm_cycles(m.perm), key=min)
-        n = m.rows
-        check_budget(len(cycles) * n * 8 + (n - len(cycles)) * n * 8, "sparse kernel/image bases")
-        kernel_rows = np.zeros((len(cycles), n), np.int64)
-        for k, cyc in enumerate(cycles):
-            kernel_rows[k, cyc] = 1
-        kernel = Subspace(p=p, ambient=n, basis=kernel_rows, pivots=tuple(min(c) for c in cycles))
-        img_pivots = sorted(c for cyc in cycles for c in sorted(cyc)[:-1])
-        image_rows = np.zeros((len(img_pivots), n), np.int64)
-        top = {c: max(cyc) for cyc in cycles for c in cyc}
-        for k, c in enumerate(img_pivots):
-            image_rows[k, c] = 1
-            image_rows[k, top[c]] = p - 1
-        image = Subspace(p=p, ambient=n, basis=image_rows, pivots=tuple(img_pivots))
-        return n - len(cycles), kernel, image
-    a = m.entries
-    kernel = Subspace.from_rows(nullspace_mod(a, p), p, m.cols)
-    image = Subspace.from_rows(a.T, p, m.rows)
-    return image.dim, kernel, image
 
 
 def _apply_any(m, vec: np.ndarray, p: int) -> np.ndarray:

@@ -256,22 +256,34 @@ class ShortExactSeq:
         x, y, z = self.x, self.y, self.z
         if not (x.p == y.p == z.p and x.n == y.n == z.n):
             raise ValueError("all three modules must share p and n")
-        if self.inj.shape != (y.dim, x.dim) or self.surj.shape != (z.dim, y.dim):
-            raise ValueError("map shapes do not match")
-        if y.dim != x.dim + z.dim:
-            raise ValueError("middle dimension must be the sum")
-        p = x.p
-        a, b = self.inj.entries, self.surj.entries
-        if rank_mod(a, p) != x.dim:
-            raise ValueError("injection is not injective")
-        if rank_mod(b, p) != z.dim:
-            raise ValueError("surjection is not surjective")
-        if np.any(mat_mul(b, a, p)):
-            raise ValueError("composition is not zero")
-        if np.any((mat_mul(a, x.D.entries, p) - mat_mul(y.D.entries, a, p)) % p):
-            raise ValueError("injection does not intertwine D")
-        if np.any((mat_mul(b, y.D.entries, p) - mat_mul(z.D.entries, b, p)) % p):
-            raise ValueError("surjection does not intertwine D")
+        _check_ses_maps(self, [(x.D, y.D, z.D)], "D")
+
+
+def _check_ses_maps(s, operators, acting: str) -> None:
+    """Raise ValueError unless s.inj, s.surj make 0 -> X -> Y -> Z -> 0 exact.
+
+    `s` has x, y, z (each with p and dim) and the PrimeMatrix maps inj and
+    surj; both maps must intertwine every (X, Y, Z) triple of PrimeMatrix
+    operators in `operators`, which `acting` names in the messages.
+    """
+    x, y, z = s.x, s.y, s.z
+    if s.inj.shape != (y.dim, x.dim) or s.surj.shape != (z.dim, y.dim):
+        raise ValueError("map shapes do not match")
+    if y.dim != x.dim + z.dim:
+        raise ValueError("middle dimension must be the sum")
+    p = x.p
+    a, b = s.inj.entries, s.surj.entries
+    if rank_mod(a, p) != x.dim:
+        raise ValueError("injection is not injective")
+    if rank_mod(b, p) != z.dim:
+        raise ValueError("surjection is not surjective")
+    if np.any(mat_mul(b, a, p)):
+        raise ValueError("composition is not zero")
+    for ox, oy, oz in operators:
+        if np.any((mat_mul(a, ox.entries, p) - mat_mul(oy.entries, a, p)) % p):
+            raise ValueError(f"injection does not intertwine {acting}")
+        if np.any((mat_mul(b, oy.entries, p) - mat_mul(oz.entries, b, p)) % p):
+            raise ValueError(f"surjection does not intertwine {acting}")
 
 
 def _e_dims(ranks: tuple[int, ...], dim: int, n: int) -> tuple[int, ...]:

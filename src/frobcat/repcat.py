@@ -8,12 +8,14 @@ uppercase means inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .linalg import (
     PrimeMatrix,
     as_residues,
+    check_budget,
     inverse_mod,
     kron_arrays,
     mat_mul,
@@ -21,7 +23,6 @@ from .linalg import (
     nullspace_mod,
     random_invertible,
     rank_mod,
-    rref,
 )
 from .nilmod import JordanType, NilModule, _type_from_ranks, _rank_sequence_arr, nil_module, random_partition, jordan_matrix
 from .seeding import rng_for
@@ -46,6 +47,7 @@ __all__ = [
     "symmetric_power",
     "restrict_to_nilmodule",
     "decompose_cyclic",
+    "witness_type",
     "is_projective",
     "hom_basis",
     "rep_to_json",
@@ -89,7 +91,7 @@ class GroupRep:
 def evaluate_word(rep: GroupRep, word: str) -> np.ndarray:
     """Left-to-right product of generator matrices; uppercase = inverse."""
     _check_word(word, rep.group.generators)
-    out = np.eye(rep.dim, dtype=np.int64)
+    out = None
     inverses: dict[int, np.ndarray] = {}
     for ch in word:
         idx = ord(ch.lower()) - 97
@@ -99,8 +101,8 @@ def evaluate_word(rep: GroupRep, word: str) -> np.ndarray:
             mat = inverses[idx]
         else:
             mat = rep.matrices[idx].entries
-        out = mat_mul(out, mat, rep.p)
-    return out
+        out = mat if out is None else mat_mul(out, mat, rep.p)
+    return np.eye(rep.dim, dtype=np.int64) if out is None else out
 
 
 def validate(rep: GroupRep) -> list[str]:
@@ -235,12 +237,13 @@ def direct_sum(a: GroupRep, b: GroupRep) -> GroupRep:
 
 
 class SymmetricTower:
-    """Symmetric powers S^0, S^1, ... computed incrementally.
+    """Symmetric powers S^0, S^1, ... computed incrementally on monomials.
 
-    S^m is the coinvariant quotient of S^{m-1} tensor X by the relations
-    q(w tensor e_i) tensor e_j = q(w tensor e_j) tensor e_i, where q is the
-    previous quotient map; this reproduces the usual monomial basis, so
-    dim S^m(X) = C(m + d - 1, d - 1).
+    The basis of S^m is the monomials x_{j_1} ... x_{j_m}, j_1 <= ... <= j_m,
+    in lexicographic order of (j_1, ..., j_m), so dim S^m(X) = C(m + d - 1,
+    d - 1). The quotient map S^{m-1} tensor X -> S^m is the merge
+    (w, i) -> w * x_i, and g sends the monomial w * x_i, with x_i its last
+    variable, to the product g(w) * g(x_i).
     """
 
     def __init__(self, rep: GroupRep):
@@ -248,8 +251,8 @@ class SymmetricTower:
         self.p = rep.p
         self.d = rep.dim
         self._reps = [trivial_rep(rep.group, rep.p), rep]
-        # quotient map S^{m-1} tensor X -> S^m as a matrix; starts at m = 1
-        self._mu = np.eye(self.d, dtype=np.int64)
+        # basis index of each monomial of the top degree built so far
+        self._index = {(j,): j for j in range(self.d)}
 
     def power(self, m: int) -> GroupRep:
         if m < 0:
@@ -264,37 +267,23 @@ class SymmetricTower:
 
     def _step(self):
         p, d = self.p, self.d
-        prev = self._reps[-1]
-        prev2_dim = self._reps[-2].dim
-        s_prev = prev.dim
-        q = s_prev * d
-        u = self._mu.reshape(s_prev, prev2_dim, d)
-        blocks = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                block = np.zeros((prev2_dim, s_prev, d), np.int64)
-                block[:, :, j] = u[:, :, i].T
-                block[:, :, i] = (block[:, :, i] - u[:, :, j].T) % p
-                blocks.append(block.reshape(prev2_dim, q))
-        rels = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, q), np.int64)
-        red, piv = rref(rels, p)
-        pivset = set(piv)
-        nonpiv = [c for c in range(q) if c not in pivset]
-        s_new = len(nonpiv)
-        cmat = np.zeros((s_new, q), np.int64)
-        cmat[np.arange(s_new), nonpiv] = 1
-        if piv:
-            cmat[:, list(piv)] = (-red[:, nonpiv].T) % p
-        ws = np.asarray([c // d for c in nonpiv], dtype=np.int64)
-        comps = np.asarray([c % d for c in nonpiv], dtype=np.int64)
+        prev, old = self._reps[-1], self._index
+        degree = len(self._reps)
+        new = {v: k for k, v in enumerate(combinations_with_replacement(range(d), degree))}
+        check_budget(3 * len(new) ** 2 * 8, "symmetric power matrices")
+        # merge[a, i]: index of (monomial a) * x_i; injective in a for each i
+        merge = np.array([[new[tuple(sorted(w + (i,)))] for i in range(d)] for w in old])
+        ws = np.array([old[v[:-1]] for v in new])
+        last = np.array([v[-1] for v in new])
         mats = []
-        for k in range(self.rep.group.generators):
-            gp = prev.matrices[k].entries
-            gx = self.rep.matrices[k].entries
-            cols = (gp[:, ws][:, None, :] * gx[:, comps][None, :, :]).reshape(q, s_new) % p
-            mats.append(PrimeMatrix.dense(mat_mul(cmat, cols, p), p))
-        self._reps.append(GroupRep(group=self.rep.group, p=p, dim=s_new, matrices=tuple(mats)))
-        self._mu = cmat
+        for gp, gx in zip(prev.matrices, self.rep.matrices):
+            g_of_w = gp.entries[:, ws]
+            out = np.zeros((len(new), len(new)), np.int64)
+            for i in range(d):
+                out[merge[:, i]] += g_of_w * gx.entries[i, last] % p
+            mats.append(PrimeMatrix.dense(out % p, p))
+        self._reps.append(GroupRep(group=self.rep.group, p=p, dim=len(new), matrices=tuple(mats)))
+        self._index = new
 
 
 def symmetric_power(rep: GroupRep, m: int) -> GroupRep:
@@ -304,41 +293,46 @@ def symmetric_power(rep: GroupRep, m: int) -> GroupRep:
 # ----------------------------------------------------- restriction and Green ring
 
 
-def restrict_to_nilmodule(rep: GroupRep, element: str, n: int) -> NilModule:
-    """NilModule with D = 1 - rho(element); element must have order dividing p."""
-    u = evaluate_word(rep, element)
+def _one_minus(rep: GroupRep, word: str, error: str) -> np.ndarray:
+    """1 - rho(word) mod p; raises ValueError(error) unless rho(word)^p = 1."""
+    u = evaluate_word(rep, word)
     eye = np.eye(rep.dim, dtype=np.int64)
     if not np.array_equal(mat_pow(u, rep.p, rep.p), eye):
-        raise ValueError(f"element {element!r} does not have order dividing {rep.p}")
-    return nil_module((eye - u) % rep.p, rep.p, n)
+        raise ValueError(error)
+    return (eye - u) % rep.p
+
+
+def _jordan_type_at(rep: GroupRep, word: str, error: str) -> JordanType:
+    """Jordan type of 1 - rho(word), after the order-p check of _one_minus."""
+    d = _one_minus(rep, word, error)
+    return _type_from_ranks(_rank_sequence_arr(d, rep.p, rep.p), rep.p)
+
+
+def restrict_to_nilmodule(rep: GroupRep, element: str, n: int) -> NilModule:
+    """NilModule with D = 1 - rho(element); element must have order dividing p."""
+    error = f"element {element!r} does not have order dividing {rep.p}"
+    return nil_module(_one_minus(rep, element, error), rep.p, n)
 
 
 def decompose_cyclic(rep: GroupRep) -> JordanType:
     """Jordan type of 1 - rho(a) for a rep of the cyclic group of order p."""
     if rep.group.generators != 1:
         raise ValueError("decompose_cyclic expects a one-generator (cyclic) group")
-    u = rep.matrices[0].entries
-    eye = np.eye(rep.dim, dtype=np.int64)
-    if not np.array_equal(mat_pow(u, rep.p, rep.p), eye):
-        raise ValueError("generator does not have order dividing p; group is not Z/p")
-    d = (eye - u) % rep.p
-    t = _type_from_ranks(_rank_sequence_arr(d, rep.p, rep.p), rep.p)
+    t = _jordan_type_at(rep, "a", "generator does not have order dividing p; group is not Z/p")
     assert t.dim == rep.dim
     return t
 
 
+def witness_type(rep: GroupRep) -> JordanType:
+    """Jordan type of 1 - rho(w) for the Sylow witness w; a complete invariant
+    of the restriction to the cyclic subgroup it generates."""
+    w = rep.group.sylow_witness
+    return _jordan_type_at(rep, w, f"sylow witness {w!r} does not have order dividing {rep.p}")
+
+
 def is_projective(rep: GroupRep) -> bool:
     """Free over the order-p witness: all Jordan blocks of 1 - rho(w) have size p."""
-    if rep.dim == 0:
-        return True
-    w = rep.group.sylow_witness
-    u = evaluate_word(rep, w)
-    eye = np.eye(rep.dim, dtype=np.int64)
-    if not np.array_equal(mat_pow(u, rep.p, rep.p), eye):
-        raise ValueError(f"sylow witness {w!r} does not have order dividing {rep.p}")
-    d = (eye - u) % rep.p
-    t = _type_from_ranks(_rank_sequence_arr(d, rep.p, rep.p), rep.p)
-    return all(k == rep.p for k in t.parts)
+    return all(k == rep.p for k in witness_type(rep).parts)
 
 
 def hom_basis(a: GroupRep, b: GroupRep) -> list[PrimeMatrix]:

@@ -8,8 +8,9 @@ not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .repcat import GroupRep, SymmetricTower
+from .repcat import GroupRep
 
 __all__ = ["TruncSeries", "hilbert_coeffs", "growth_check"]
 
@@ -34,20 +35,13 @@ class TruncSeries:
 
 
 def hilbert_coeffs(x: GroupRep, up_to: int) -> TruncSeries:
-    """dim of the symmetric powers S^0 X .. S^T X, computed incrementally.
-
-    Each step also checks the quotient inequality d_{i+1} <= d_1 * d_i
-    (S^{i+1} is a quotient of X tensor S^i).
-    """
+    """dim of the symmetric powers S^0 X .. S^T X: the monomial counts
+    C(m + d - 1, d - 1), which are 1, 0, 0, ... when d = dim X = 0."""
     if up_to < 0:
         raise ValueError("truncation order must be nonnegative")
-    tower = SymmetricTower(x)
-    dims = [1]
-    for m in range(1, up_to + 1):
-        dims.append(tower.power(m).dim)
-        if dims[m] > x.dim * dims[m - 1]:
-            raise AssertionError("symmetric power exceeds its defining quotient")
-    return TruncSeries(coeffs=tuple(dims), order=up_to)
+    d = x.dim
+    dims = tuple(comb(m + d - 1, d - 1) if d else int(m == 0) for m in range(up_to + 1))
+    return TruncSeries(coeffs=dims, order=up_to)
 
 
 def growth_check(s: TruncSeries) -> dict:

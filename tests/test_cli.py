@@ -127,6 +127,18 @@ def test_load_rep_direct(tmp_path):
     assert rep.p == 5 and rep.dim == 4
 
 
+def test_malformed_budget_is_a_usage_error(monkeypatch, capsys):
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("FROBCAT_BUDGET_MB", bad)
+        assert run(["fusion", "--p", "3"]) == 2
+        out, err = lines_of(capsys)
+        assert out == [""]
+        assert "FROBCAT_BUDGET_MB must be a positive integer" in err
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "64")
+    assert run(["fusion", "--p", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_check_usage_errors(capsys):
     assert run(["check", "--p", "3"]) == 2
     _, err = lines_of(capsys)

@@ -4,7 +4,6 @@ import pytest
 
 from frobcat.frobenius import (
     DIM_CAPS,
-    CyclicPower,
     _diag_indices,
     _free_orbit_facts,
     _multiplicity_quotients,
@@ -27,7 +26,7 @@ from frobcat.frobenius import (
     sp_multiplicity_spaces,
 )
 from frobcat.linalg import BudgetError, PrimeMatrix, induced_on_subquotient
-from frobcat.nilmod import JordanType, functor_B, functor_E, jordan_matrix, nil_module
+from frobcat.nilmod import JordanType, functor_B, jordan_matrix
 from frobcat.repcat import (
     GroupRep,
     cyclic_group,
@@ -41,6 +40,7 @@ from frobcat.repcat import (
     validate,
 )
 from frobcat.verlinde import simple
+from oracles import power_rep, subquotient_components
 
 
 def witness_jordan(rep):
@@ -90,7 +90,7 @@ def test_power_rep_dense_budget(monkeypatch):
     monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
     cp = cyclic_power(random_cyclic_rep(5, 6, seed=1))
     with pytest.raises(BudgetError):
-        cp.power_rep
+        power_rep(cp)
 
 
 def test_first_component_is_the_identity_functor():
@@ -107,32 +107,21 @@ def test_first_component_is_the_identity_functor():
 
 
 def test_components_match_dense_subquotient_route():
-    # independent route: build the power space densely and take the honest
-    # block and kernel subquotients of 1 - shift, with the full diagonal
-    # action pushed into each of them
-    for p, dim, seed in ((2, 4, 0), (3, 3, 1), (5, 2, 2)):
-        x = random_cyclic_rep(p, dim, seed)
-        cp = cyclic_power(x)
+    # independent route: the honest block and kernel subquotients of
+    # 1 - shift on the dense power space, with the diagonal action induced
+    for x in (
+        random_cyclic_rep(2, 4, 0),
+        random_cyclic_rep(3, 3, 1),
+        random_cyclic_rep(5, 2, 2),
+        symmetric_perm_rep(3),
+    ):
         image = frobenius_components(x)
-        n = cp.size
-        shift_mat = np.zeros((n, n), np.int64)
-        shift_mat[cp.shift, np.arange(n)] = 1
-        m = nil_module((np.eye(n, dtype=np.int64) - shift_mat) % p, p, p)
-        dense_gen = cp.power_rep.matrices[0].entries
-        for i in range(1, p):
-            b = functor_B(m, i)
-            e = functor_E(m, i)
-            assert b.dim == image.f(i).dim
-            assert e.dim == image.g(i).dim
-            for q, target in ((b, image.f(i)), (e, image.g(i))):
-                if q.dim == 0:
-                    continue
-                ind = induced_on_subquotient(dense_gen, q.sup, q.sub)
-                dense_rep = GroupRep(
-                    group=x.group, p=p, dim=q.dim, matrices=(ind,)
-                )
-                assert validate(dense_rep) == []
-                assert witness_jordan(dense_rep) == witness_jordan(target)
+        fs, gs = subquotient_components(x)
+        for i in range(1, x.p):
+            for honest, target in ((fs[i - 1], image.f(i)), (gs[i - 1], image.g(i))):
+                assert honest.dim == target.dim
+                assert validate(honest) == []
+                assert witness_jordan(honest) == witness_jordan(target)
 
 
 def test_morphism_functoriality():

@@ -29,7 +29,10 @@ from frobcat.repcat import (
     validate,
 )
 
+from itertools import combinations_with_replacement
 from math import comb
+
+from oracles import quotient_symmetric_powers
 
 
 def test_validate_messages():
@@ -146,6 +149,27 @@ def test_symmetric_tower_dims():
         assert validate(s) == []
     with pytest.raises(ValueError):
         tower.power(-1)
+
+
+def test_symmetric_tower_matches_quotient_construction():
+    # the monomial tower equals the relation-matrix quotient construction
+    # after sorting the oracle's basis into lexicographic monomial order
+    reps = [
+        random_cyclic_rep(5, 4, seed=7),
+        random_cyclic_rep(3, 3, seed=8),
+        random_cyclic_rep(2, 2, seed=9),
+        symmetric_perm_rep(3),
+        direct_sum(symmetric_perm_rep(3), trivial_rep(symmetric_group(3), 3)),
+    ]
+    for r in reps:
+        tower = SymmetricTower(r)
+        for m, (honest, monos) in enumerate(quotient_symmetric_powers(r, 6)):
+            order = {v: k for k, v in enumerate(combinations_with_replacement(range(r.dim), m))}
+            perm = [order[v] for v in monos]
+            assert sorted(perm) == list(range(len(order)))
+            got = tower.power(m)
+            for g, h in zip(got.matrices, honest.matrices):
+                assert np.array_equal(g.entries[np.ix_(perm, perm)], h.entries)
 
 
 def test_symmetric_tower_two_generators():
