@@ -25,7 +25,7 @@ from .frobenius import (
     six_periodic_check,
     sp_multiplicity_spaces,
 )
-from .linalg import BudgetError, budget_bytes, is_prime
+from .linalg import BudgetError, budget_bytes, check_modulus
 from .nilmod import (
     extension_survey,
     functor_B,
@@ -115,8 +115,10 @@ def _fmt_fusion(e: FusionElement) -> str:
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise CliError(f"p = {p} is not prime")
+    try:
+        check_modulus(p)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 # ------------------------------------------------------------------ commands
@@ -262,6 +264,7 @@ def _cmd_hilbert(args) -> tuple[dict, list[str], int]:
         lines.append(f"verdict\t{growth['verdict']}")
         lines.append(f"max_root_estimate\t{_fmt_float(growth['max_root_estimate'])}")
         lines.append(f"final_root_estimate\t{_fmt_float(growth['final_root_estimate'])}")
+        lines.append(f"ratio_estimate\t{_fmt_float(growth['ratio_estimate'])}")
         lines.append(f"threshold\t{_fmt_float(growth['threshold'])}")
         lines.append(f"flagged\t{str(growth['flagged']).lower()}")
     return report, lines, 0

@@ -387,7 +387,7 @@ def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) ->
     rng = rng_for(seed, index)
     if basis.shape[0]:
         coeffs = rng.integers(0, p, size=basis.shape[0])
-        phi = (coeffs @ basis % p).reshape(x.dim, z.dim)
+        phi = mat_mul(coeffs, basis, p).reshape(x.dim, z.dim)
     else:
         phi = np.zeros((x.dim, z.dim), np.int64)
     ses = rep_extension_from_phi(x, z, phi)

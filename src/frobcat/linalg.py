@@ -1,8 +1,15 @@
 """Exact linear algebra over prime fields F_p.
 
 All matrices are numpy int64 arrays with entries reduced into [0, p).
-Products routed through float64 BLAS stay exact because every partial sum
-is bounded by cols * (p-1)^2, far below 2^53 for the primes used here.
+Every matrix product goes through `mat_mul`: one float64 GEMM, exact while
+every partial sum is an integer below 2^53, that is (p-1)^2 * k < 2^53 for
+inner size k, then an int64 remainder; past that bound the product runs in
+Python ints. `rref` splits rows recursively so that its work is a few such
+products; only blocks of at most 16 rows are eliminated one pivot at a time,
+with entrywise residue products in int64 while (p-1)^2 < 2^63 and in Python
+ints beyond. So the kernels are exact for every p; `check_modulus` refuses,
+at the `PrimeMatrix` and CLI boundary, the p whose residue products would
+overflow int64 in the rest of the library.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ __all__ = [
     "kron",
     "induced_on_subquotient",
     "check_budget",
+    "check_modulus",
 ]
 
 DEFAULT_BUDGET_MB = 512
@@ -67,9 +75,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
+def check_modulus(p: int) -> None:
+    """Refuse a modulus that is not prime, or too large for exact int64 work.
+
+    Entrywise products of two residues are formed in int64, so (p-1)^2
+    must stay below 2^63; the kernels (rref, mat_mul, Subspace) take
+    Python ints past their own bounds and are exact for every p.
+    """
+    if (p - 1) * (p - 1) >= 2**63:
+        raise ValueError(f"p = {p} is too large: products of residues would overflow int64")
     if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+        raise ValueError(f"p = {p} is not prime")
 
 
 def as_residues(a, p: int) -> np.ndarray:
@@ -78,71 +94,109 @@ def as_residues(a, p: int) -> np.ndarray:
     return arr
 
 
-def rref(
-    a, p: int, window: int = 32, reduced: bool = True
-) -> tuple[np.ndarray, tuple[int, ...]]:
+def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
     """Row echelon form over F_p; returns (nonzero rows, pivot cols).
 
-    Elimination is panel-blocked: pivots are cleared at full vector speed
-    inside a column window while the row operations are accumulated against
-    the window's pivot rows, then applied to the trailing columns as one
-    matrix product. Row sources are always pivot rows, so the accumulated
-    coefficients capture the whole panel exactly.
-
-    reduced=True gives the canonical reduced form (unit pivots, zeros above);
-    reduced=False stops at an echelon basis, which is all a rank or an image
-    span needs and skips half the elimination work.
+    reduced=True gives the canonical reduced form (unit pivots, zeros above
+    and below). reduced=False gives an echelon basis with unit pivots and
+    zeros below them only, which is all a rank or an image span needs.
     """
-    arr = as_residues(a, p).copy()
-    rows, cols = arr.shape
-    pivots: list[int] = []
-    row = 0
-    col = 0
-    while row < rows and col < cols:
-        w = min(window, cols - col)
-        win = arr[:, col : col + w]
-        coeff = np.zeros((rows, w), dtype=np.int64)
-        r = row
-        for cc in range(w):
-            if r == rows:
+    rows, cols = np.shape(a)
+    # the residue copy, the operands of the largest products and the merged
+    # result: measured at under four words per entry
+    check_budget(4 * rows * cols * 8, "row reduction")
+    arr = as_residues(a, p)
+    if arr.size == 0:
+        return np.zeros((0, cols), np.int64), ()
+    red, pivots = _eliminate(arr, p, reduced)
+    return red, tuple(pivots.tolist())
+
+
+# Blocks of at most this many rows are eliminated one pivot at a time: below
+# it, numpy's per-call cost outweighs the row work a split into products saves.
+_LEAF_ROWS = 16
+
+
+def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Echelon rows and pivot array of the residue matrix a, which it may overwrite.
+
+    Row-recursive: R1 = RREF(top half); the bottom half minus
+    bottom[:, P1] @ R1 vanishes on the pivot columns P1, so only its other
+    columns are eliminated, recursively; R1 is then cleared on the new
+    pivots with one more product, and the rows are merged by pivot. Only
+    the first product is needed for an echelon form, so reduced=False skips
+    the second along the bottom halves. Both products go through mat_mul.
+    """
+    m, n = a.shape
+    if m <= _LEAF_ROWS:
+        return _eliminate_rows(a, p, reduced)
+    h = m // 2
+    top, ptop = _eliminate(a[:h], p, True)
+    if not ptop.size:
+        return _eliminate(a[h:], p, reduced)
+    free = np.ones(n, bool)
+    free[ptop] = False
+    rest = np.flatnonzero(free)
+    low = _sub(a[h:, rest], mat_mul(a[h:, ptop], top[:, rest], p), p)
+    low = low[low.any(axis=1)]
+    if not low.size:
+        return top, ptop
+    low, plow = _eliminate(low, p, reduced)
+    plow = rest[plow]
+    if reduced:
+        top[:, rest] = _sub(top[:, rest], mat_mul(top[:, plow], low, p), p)
+    r1 = top.shape[0]
+    out = np.zeros((r1 + low.shape[0], n), np.int64)
+    out[:r1] = top
+    out[r1:, rest] = low
+    pivots = np.concatenate([ptop, plow])
+    order = np.argsort(pivots)
+    return out[order], pivots[order]
+
+
+def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The base case of _eliminate: one pivot at a time over all of a's rows.
+
+    Residue products are exact in int64 while (p-1)^2 < 2^63, and in
+    Python ints (an object array) beyond.
+    """
+    work = a if (p - 1) * (p - 1) < 2**63 else a.astype(object)
+    rows, cols = work.shape
+    pivots = []
+    r = c = 0
+    while r < rows and c < cols:
+        if not work[r:, c].any():
+            live = work[r:, c:].any(axis=0)
+            if not live.any():
                 break
-            nz = np.nonzero(win[r:, cc])[0]
-            if nz.size == 0:
-                continue
-            k = r + int(nz[0])
-            if k != r:
-                arr[[r, k]] = arr[[k, r]]
-                coeff[[r, k]] = coeff[[k, r]]
-            i = r - row
-            coeff[r, i] = (coeff[r, i] + 1) % p
-            if reduced:
-                inv = pow(int(win[r, cc]), p - 2, p)
-                if inv != 1:
-                    win[r] = win[r] * inv % p
-                    coeff[r] = coeff[r] * inv % p
-                colvals = win[:, cc].copy()
-                colvals[r] = 0
-            else:
-                # clear below only, against the unnormalized pivot
-                inv = pow(int(win[r, cc]), p - 2, p)
-                colvals = win[:, cc] * inv % p
-                colvals[: r + 1] = 0
-            hit = np.nonzero(colvals)[0]
-            if hit.size:
-                win[hit] = (win[hit] - np.outer(colvals[hit], win[r])) % p
-                coeff[hit] = (coeff[hit] - np.outer(colvals[hit], coeff[r])) % p
-            pivots.append(col + cc)
-            r += 1
-        k = r - row
-        if k and col + w < cols:
-            trail = arr[:, col + w :]
-            update = mat_mul(coeff[:, :k], trail[row : row + k].copy(), p)
-            trail[row : row + k] = 0
-            trail += update
-            trail %= p
-        row = r
-        col += w
-    return arr[:row].copy(), tuple(pivots)
+            c += int(live.argmax())
+        tail = work[:, c:]
+        k = r + int(tail[r:, 0].nonzero()[0][0])
+        if k != r:
+            work[[r, k]] = work[[k, r]]
+        inv = pow(int(tail[r, 0]), -1, p)
+        if inv != 1:
+            tail[r] *= inv
+            tail[r] %= p
+        # rows to clear: all others, or in echelon form only those below
+        hit = tail if reduced else tail[r + 1 :]
+        col = hit[:, :1].copy()
+        if reduced:
+            col[r] = 0
+        if col.any():
+            hit -= col * tail[r]
+            hit %= p
+        pivots.append(c)
+        r += 1
+        c += 1
+    return work[:r].astype(np.int64, copy=False), np.array(pivots, dtype=np.intp)
+
+
+def _sub(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x - y mod p for int64 residues: p is added where the difference is negative."""
+    d = x - y
+    d += p & (d >> 63)
+    return d
 
 
 def rank_mod(a, p: int) -> int:
@@ -166,15 +220,21 @@ def nullspace_mod(a, p: int) -> np.ndarray:
 
 
 def mat_mul(a, b, p: int) -> np.ndarray:
-    """Exact modular product, through BLAS when the bound permits."""
+    """Exact modular product of residue arrays.
+
+    One float64 GEMM while every partial sum is an integer below 2^53, that
+    is (p-1)^2 * k < 2^53 for inner size k, then an int64 remainder; Python
+    ints (object arrays) beyond.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
     if inner == 0 or a.size == 0 or b.size == 0:
         return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     if (p - 1) * (p - 1) * inner < 2**53:
-        c = (a.astype(np.float64) @ b.astype(np.float64)) % p
-        return c.astype(np.int64)
+        c = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        c %= p
+        return c
     return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
 
 
@@ -229,6 +289,7 @@ def random_invertible(p: int, dim: int, rng) -> np.ndarray:
     """Uniform invertible matrix by rejection; fine at these sizes."""
     if dim == 0:
         return np.zeros((0, 0), np.int64)
+    check_budget(dim * dim * 8, "random invertible matrix")
     while True:
         cand = rng.integers(0, p, size=(dim, dim)).astype(np.int64)
         if rank_mod(cand, p) == dim:
@@ -252,7 +313,7 @@ class PrimeMatrix:
     _dense: np.ndarray
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_modulus(self.p)
         if self._dense.shape != (self.rows, self.cols):
             raise ValueError("entry array shape mismatch")
         self._dense.flags.writeable = False
@@ -325,7 +386,7 @@ class Subspace:
         if self.dim == 0:
             return v
         coeff = v[..., list(self.pivots)]
-        return (v - coeff @ self.basis) % self.p
+        return _sub(v, mat_mul(coeff, self.basis, self.p), self.p)
 
     def contains_vectors(self, vecs) -> bool:
         return not np.any(self.reduce(vecs))

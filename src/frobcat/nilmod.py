@@ -356,7 +356,7 @@ def _phi_for_trial(x: NilModule, z: NilModule, seed: int, index: int) -> np.ndar
     if basis.shape[0] == 0:
         return np.zeros((x.dim, z.dim), np.int64)
     coeffs = rng.integers(0, x.p, size=basis.shape[0])
-    return (coeffs @ basis % x.p).reshape(x.dim, z.dim)
+    return mat_mul(coeffs, basis, x.p).reshape(x.dim, z.dim)
 
 
 def random_extension(x: NilModule, z: NilModule, seed: int, index: int = 0) -> ShortExactSeq:
@@ -414,9 +414,7 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     for t in range(trials):
         if basis.shape[0]:
             coeffs[t] = rng_for(seed, t).integers(0, p, size=basis.shape[0])
-    phis = (coeffs @ basis % p).reshape(trials, dx, dz) if basis.shape[0] else np.zeros(
-        (trials, dx, dz), np.int64
-    )
+    phis = mat_mul(coeffs, basis, p).reshape(trials, dx, dz)
 
     stages = []
     for j in range(1, n):
@@ -431,10 +429,11 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     rank_rows[:, 0] = dim_y
     flat = phis.reshape(trials, dx * dz)
     for j, base_rank, left, right, coupling in stages:
-        tops = (flat @ coupling.T % p).reshape(trials, dx, dz)
+        tops = mat_mul(flat, coupling.T, p).reshape(trials, dx, dz)
         if left.shape[0] and right.shape[1]:
-            small = np.einsum("ia,tab->tib", left, tops) % p
-            small = np.einsum("tib,bj->tij", small, right) % p
+            # left @ tops[t] @ right for every trial t, as two stacked products
+            small = mat_mul(tops.transpose(0, 2, 1), left.T, p).transpose(0, 2, 1)
+            small = mat_mul(small, right, p)
             extra = [_tiny_rank(small[t], p) for t in range(trials)]
         else:
             extra = [0] * trials

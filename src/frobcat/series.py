@@ -1,9 +1,9 @@
 """Hilbert series of symmetric powers with desk-scale growth diagnostics.
 
 The radius-of-convergence statement is asymptotic; what is computable here
-is a root test on the tail of a truncated series, with tolerance shrinking
-in the truncation order. The report says so: the check is a diagnostic,
-not a proof.
+is a root test and a ratio-method estimate on the tail of a truncated series,
+with tolerance shrinking in the truncation order. The report says so: the
+check is a diagnostic, not a proof.
 """
 from __future__ import annotations
 
@@ -45,20 +45,27 @@ def hilbert_coeffs(x: GroupRep, up_to: int) -> TruncSeries:
 
 
 def growth_check(s: TruncSeries) -> dict:
-    """Root-test diagnostics on the tail of a truncated series.
+    """Growth diagnostics on the tail (indices from T/2 on) of a truncated series.
 
-    Verdict is "polynomial" when the entire tail (indices above T/2)
-    vanishes; otherwise the i-th root of each positive tail coefficient is
-    reported and the maximum is flagged if it exceeds 1 + 10/T.
+    Verdict is "polynomial" when the entire tail vanishes. Otherwise the
+    i-th root of each positive tail coefficient is reported, and the growth
+    rate r is estimated by the ratio method (Domb-Sykes): for coefficients
+    growing like i^k r^i the ratio c_i / c_{i-1} is r (1 + k/i) + o(1/i),
+    so i c_i / c_{i-1} - (i-1) c_{i-1} / c_{i-2} tends to r. It is exactly 1
+    for the binomials C(i+d-1, d-1), whose root estimates stay far above 1
+    at short truncations. The series is flagged when that estimate, taken
+    at the last two ratios of the tail, exceeds 1 + 10/T; without two
+    ratios (zeros in the tail) the largest root estimate stands in for it.
     """
     t = s.order
     if t < 10:
         raise ValueError("truncation order below 10 says nothing about growth")
     tail_start = t // 2
     tail = {i: s.coeffs[i] for i in range(tail_start, t + 1)}
+    threshold = 1.0 + 10.0 / t
     note = (
-        "root test on the computed tail; a finite prefix cannot prove the "
-        "radius of convergence, this is a growth diagnostic only"
+        "root test and ratio method on the computed tail; a finite prefix cannot "
+        "prove the radius of convergence, this is a growth diagnostic only"
     )
     if all(c == 0 for i, c in tail.items() if i > 0):
         return {
@@ -67,22 +74,30 @@ def growth_check(s: TruncSeries) -> dict:
             "root_estimates": [],
             "max_root_estimate": 0.0,
             "final_root_estimate": 0.0,
-            "threshold": 1.0 + 10.0 / t,
+            "ratio_estimate": 0.0,
+            "threshold": threshold,
             "flagged": False,
             "note": note,
         }
     estimates = [c ** (1.0 / i) for i, c in tail.items() if i > 0 and c > 0]
     positive = [i for i, c in tail.items() if i > 0 and c > 0]
     final = tail[positive[-1]] ** (1.0 / positive[-1])
-    threshold = 1.0 + 10.0 / t
     max_est = max(estimates)
+    # i * c_i / c_{i-1} for every i in the tail whose predecessor is positive
+    scaled = [(i, i * c / s.coeffs[i - 1]) for i, c in tail.items() if i > tail_start and s.coeffs[i - 1] > 0]
+    if len(scaled) >= 2:
+        (j, sj), (i, si) = scaled[-2:]
+        ratio_est = (si - sj) / (i - j)
+    else:
+        ratio_est = max_est
     return {
         "verdict": "non-polynomial",
         "order": t,
         "root_estimates": estimates,
         "max_root_estimate": max_est,
         "final_root_estimate": final,
+        "ratio_estimate": ratio_est,
         "threshold": threshold,
-        "flagged": max_est > threshold,
+        "flagged": ratio_est > threshold,
         "note": note,
     }

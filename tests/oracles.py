@@ -14,8 +14,9 @@ from frobcat.repcat import GroupRep, trivial_rep
 
 
 def rref_naive(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reference elimination, one full-width outer product per pivot."""
-    r = as_residues(a, p).copy()
+    """Reference elimination in Python ints, exact for every p: one
+    full-width outer product per pivot."""
+    r = np.asarray(a).astype(object) % p
     rows, cols = r.shape
     pivots: list[int] = []
     row = 0
@@ -38,7 +39,12 @@ def rref_naive(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
             r[hit] = (r[hit] - np.outer(colvals[hit], r[row])) % p
         pivots.append(col)
         row += 1
-    return r[:row], tuple(pivots)
+    return r[:row].astype(np.int64), tuple(pivots)
+
+
+def mat_mul_naive(a, b, p: int) -> np.ndarray:
+    """Modular product in Python ints."""
+    return (np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p).astype(np.int64)
 
 
 def power_rep(cp: CyclicPower) -> GroupRep:

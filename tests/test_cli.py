@@ -1,5 +1,6 @@
 """Command-line interface: parsing, reports, suites, replay."""
 import json
+import time
 
 import pytest
 
@@ -35,6 +36,15 @@ def test_fusion_rejects_composite(capsys):
     assert run(["fusion", "--p", "4"]) == 2
     _, err = lines_of(capsys)
     assert "error: p = 4 is not prime" in err
+
+
+def test_modulus_too_large_for_int64_is_refused_at_once(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would take minutes
+    start = time.perf_counter()
+    assert run(["check", "--suite", "nilmod", "--p", str(2**61 - 1), "--trials", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    _, err = lines_of(capsys)
+    assert "too large" in err
 
 
 def test_green_command(capsys):

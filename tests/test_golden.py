@@ -56,6 +56,7 @@ INVOCATIONS = [
     ["check", "--suite", "fpdim", "--p", "5", "--trials", "4"],
     ["check", "--suite", "fpdim", "--p", "7", "--trials", "3"],
     ["check", "--suite", "lemm1", "--p", "3"],
+    ["hilbert", "--p", "3", "--module", "J2 + J2", "--terms", "20"],
 ]
 
 

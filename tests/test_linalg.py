@@ -1,4 +1,7 @@
 """Exact linear algebra over F_p: elimination, subspaces, quotients."""
+import functools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,7 @@ from frobcat.linalg import (
     solve_right,
 )
 from frobcat.seeding import rng_for
-from oracles import rref_naive
+from oracles import mat_mul_naive, rref_naive
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 13])
 
@@ -53,13 +56,14 @@ def test_rref_known_values():
 @settings(max_examples=150, deadline=None)
 @given(st.data(), PRIMES)
 def test_rref_blocked_matches_reference(data, p):
-    a = random_matrix(data.draw, p)
-    got_r, got_p = rref(a, p, window=3)
+    # up to 40 rows: the one-pivot base case alone, and one or two splits
+    a = random_matrix(data.draw, p, max_dim=40)
+    got_r, got_p = rref(a, p)
     want_r, want_p = rref_naive(a, p)
     assert got_p == want_p
     assert np.array_equal(got_r, want_r)
     # the echelon-only variant finds the same pivots and row space
-    ech, piv = rref(a, p, window=3, reduced=False)
+    ech, piv = rref(a, p, reduced=False)
     assert piv == want_p
     assert np.array_equal(rref(ech, p)[0], want_r)
 
@@ -214,3 +218,135 @@ def test_budget_guards_dense_kron(monkeypatch):
     big = np.ones((200, 200), dtype=int)
     with pytest.raises(BudgetError):
         kron_arrays(big, big, 3)
+
+
+# Differential tests at the sizes where rref splits into products, at the
+# default settings: every result is checked against the Python-int oracles.
+# The two largest moduli take mat_mul's object path, and the last one also
+# the object base case, since (p-1)^2 passes 2^63 there.
+BIG_PRIMES = (2, 3, 7, 65521, 2**31 - 1, 4294967311)
+
+
+def thin_product(rng, p, rows, cols, rank):
+    """A rows x cols matrix of rank at most `rank`: a product of thin factors."""
+    left = rng.integers(0, p, size=(rows, rank))
+    right = rng.integers(0, p, size=(rank, cols))
+    return mat_mul_naive(left, right, p)
+
+
+@functools.lru_cache(maxsize=None)
+def blocked_cases(p):
+    """Square and wide, full and deficient rank, 64 to 300 rows or columns,
+    each with its oracle RREF."""
+    rng = rng_for(p, 0)
+    cases = [
+        rng.integers(0, p, size=(64, 64)),
+        rng.integers(0, p, size=(70, 300)),
+        thin_product(rng, p, 300, 300, 37),
+        thin_product(rng, p, 256, 90, 60),
+        thin_product(rng, p, 120, 200, 119),
+    ]
+    return [(a, *rref_naive(a, p)) for a in cases]
+
+
+def leading_columns(rows):
+    return [int(np.flatnonzero(row)[0]) for row in rows]
+
+
+def is_echelon(rows, pivots):
+    return leading_columns(rows) == list(pivots) and all(rows[i, c] == 1 for i, c in enumerate(pivots))
+
+
+def is_rref(rows):
+    pivots = leading_columns(rows)
+    return pivots == sorted(set(pivots)) and np.array_equal(rows[:, pivots], np.eye(len(pivots)))
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_rref_and_rank_match_oracle_at_blocked_sizes(p):
+    for a, want_r, want_p in blocked_cases(p):
+        got_r, got_p = rref(a, p)
+        assert got_p == want_p
+        assert np.array_equal(got_r, want_r)
+        ech, piv = rref(a, p, reduced=False)
+        assert piv == want_p and is_echelon(ech, piv)
+        assert np.array_equal(rref_naive(ech, p)[0], want_r)
+        assert rank_mod(a, p) == len(want_p)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_nullspace_matches_oracle_at_blocked_sizes(p):
+    # the canonical kernel basis is the one RREF basis of nullity rows in the kernel
+    for a, _, want_p in blocked_cases(p):
+        ns = nullspace_mod(a, p)
+        assert ns.shape == (a.shape[1] - len(want_p), a.shape[1])
+        assert not np.any(mat_mul_naive(a, ns.T, p))
+        assert is_rref(ns)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_subspace_reduce_and_intersect_match_oracle(p):
+    rng = rng_for(p, 1)
+    n = 160
+    a_rows = thin_product(rng, p, 90, n, 70)
+    b_rows = np.concatenate([a_rows[:30], thin_product(rng, p, 60, n, 60)])
+    a, b = Subspace.from_rows(a_rows, p), Subspace.from_rows(b_rows, p)
+    assert np.array_equal(a.basis, rref_naive(a_rows, p)[0])
+    vecs = rng.integers(0, p, size=(40, n))
+    want = (vecs.astype(object) - mat_mul_naive(vecs[:, list(a.pivots)], a.basis, p)) % p
+    assert np.array_equal(a.reduce(vecs), want.astype(np.int64))
+    assert np.array_equal(a.reduce(vecs[0]), want[0].astype(np.int64))
+    # the intersection is the RREF basis of the right dimension inside both
+    meet = a.intersect(b)
+    dim_sum = len(rref_naive(np.concatenate([a_rows, b_rows]), p)[1])
+    assert meet.dim == a.dim + b.dim - dim_sum
+    assert is_rref(meet.basis)
+    for rows in (a_rows, b_rows):
+        span = len(rref_naive(rows, p)[1])
+        assert len(rref_naive(np.concatenate([rows, meet.basis]), p)[1]) == span
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_rank_is_invariant_under_invertible_row_and_column_operations(p):
+    rng = rng_for(p, 2)
+
+    def unit_triangular(n):
+        # L @ U with unit diagonals: invertible by construction
+        low = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        up = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        return mat_mul(low, up, p)
+
+    for rows, cols, rank in ((96, 96, 50), (80, 140, 80), (140, 72, 33)):
+        a = thin_product(rng, p, rows, cols, rank)
+        paq = mat_mul(mat_mul(unit_triangular(rows), a, p), unit_triangular(cols), p)
+        assert rank_mod(paq, p) == rank_mod(a, p) == len(rref_naive(a, p)[1])
+
+
+def test_rank_is_exact_past_the_int64_product_bound():
+    # (p-1)^2 > 2^63: int64 products of residues would wrap
+    p = 4294967311
+    rng = rng_for(5, 0)
+    for _ in range(30):
+        a = thin_product(rng, p, 6, 6, 3)
+        assert rank_mod(a, p) == len(rref_naive(a, p)[1]) == 3
+
+
+def test_oversize_rref_is_refused_before_allocating(monkeypatch):
+    monkeypatch.delenv("FROBCAT_BUDGET_MB", raising=False)
+    # a zero-stride view: 10^10 entries that take no memory until copied
+    huge = np.broadcast_to(np.int8(1), (10**5, 10**5))
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="row reduction"):
+        rref(huge, 7)
+    with pytest.raises(BudgetError, match="random invertible"):
+        random_invertible(7, 10**5, rng_for(0, 0))
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
+    with pytest.raises(BudgetError, match="row reduction"):
+        rank_mod(np.ones((400, 400), np.int64), 7)
+
+
+def test_modulus_past_the_int64_product_bound_is_refused():
+    with pytest.raises(ValueError, match="too large"):
+        PrimeMatrix.dense(np.eye(2, dtype=np.int64), 4294967311)
+    PrimeMatrix.dense(np.eye(2, dtype=np.int64), 2**31 - 1)

@@ -62,6 +62,26 @@ def test_growth_check_flags_geometric_growth():
     assert abs(report["max_root_estimate"] - 2.0) < 1e-12
 
 
+def test_growth_check_never_flags_binomial_growth():
+    # C(m+d-1, d-1) grows like m^(d-1); its root estimates once passed the threshold
+    for d in range(1, 9):
+        for t in range(10, 401):
+            report = growth_check(TruncSeries(tuple(comb(m + d - 1, d - 1) for m in range(t + 1)), t))
+            assert not report["flagged"], (d, t)
+            assert abs(report["ratio_estimate"] - 1.0) < 1e-9
+
+
+def test_growth_check_flags_doubling_and_fibonacci_growth():
+    fib = [1, 1]
+    while len(fib) <= 400:
+        fib.append(fib[-1] + fib[-2])
+    for t in range(20, 401):
+        for coeffs, rate in (([2**m for m in range(t + 1)], 2.0), (fib[: t + 1], (1 + 5**0.5) / 2)):
+            report = growth_check(TruncSeries(tuple(coeffs), t))
+            assert report["flagged"], t
+            assert abs(report["ratio_estimate"] - rate) < 1e-3
+
+
 def test_growth_check_rejects_short_series():
     with pytest.raises(ValueError):
         growth_check(TruncSeries((1,) * 9, 8))
