@@ -84,7 +84,9 @@ def growth_check(s: TruncSeries) -> dict:
     final = tail[positive[-1]] ** (1.0 / positive[-1])
     max_est = max(estimates)
     # i * c_i / c_{i-1} for every i in the tail whose predecessor is positive
-    scaled = [(i, i * c / s.coeffs[i - 1]) for i, c in tail.items() if i > tail_start and s.coeffs[i - 1] > 0]
+    scaled = [
+        (i, i * c / s.coeffs[i - 1]) for i, c in tail.items() if i > tail_start and s.coeffs[i - 1] > 0
+    ]
     if len(scaled) >= 2:
         (j, sj), (i, si) = scaled[-2:]
         ratio_est = (si - sj) / (i - j)

@@ -254,7 +254,8 @@ def leading_columns(rows):
 
 
 def is_echelon(rows, pivots):
-    return leading_columns(rows) == list(pivots) and all(rows[i, c] == 1 for i, c in enumerate(pivots))
+    units = all(rows[i, c] == 1 for i, c in enumerate(pivots))
+    return leading_columns(rows) == list(pivots) and units
 
 
 def is_rref(rows):

@@ -76,7 +76,8 @@ def test_growth_check_flags_doubling_and_fibonacci_growth():
     while len(fib) <= 400:
         fib.append(fib[-1] + fib[-2])
     for t in range(20, 401):
-        for coeffs, rate in (([2**m for m in range(t + 1)], 2.0), (fib[: t + 1], (1 + 5**0.5) / 2)):
+        doubling = [2**m for m in range(t + 1)]
+        for coeffs, rate in ((doubling, 2.0), (fib[: t + 1], (1 + 5**0.5) / 2)):
             report = growth_check(TruncSeries(tuple(coeffs), t))
             assert report["flagged"], t
             assert abs(report["ratio_estimate"] - rate) < 1e-3
