@@ -165,16 +165,16 @@ def _cmd_green(args) -> tuple[dict, list[str], int]:
 
 
 def _module_rep(args) -> tuple[GroupRep, int, str]:
-    if getattr(args, "rep_file", None):
+    if args.rep_file:
         rep = load_rep(args.rep_file)
         if args.p is not None and args.p != rep.p:
             raise CliError(f"--p {args.p} does not match the file's modulus {rep.p}")
         return rep, rep.p, f"file:{args.rep_file}"
+    if not args.module:
+        raise CliError("one of --module or --rep-file is required")
     if args.p is None:
         raise CliError("--p is required with --module")
     _require_prime(args.p)
-    if not getattr(args, "module", None):
-        raise CliError("one of --module or --rep-file is required")
     parts = parse_module_spec(args.module, args.p)
     return cyclic_rep(args.p, parts), args.p, _fmt_jordan(parts)
 
@@ -214,17 +214,8 @@ def _cmd_frob(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_semisimplify(args) -> tuple[dict, list[str], int]:
-    if getattr(args, "rep_file", None):
-        rep, p, label = _module_rep(args)
-        image = semisimplify(rep)
-    else:
-        if args.p is None:
-            raise CliError("--p is required with --module")
-        _require_prime(args.p)
-        p = args.p
-        parts = parse_module_spec(args.module, p)
-        label = _fmt_jordan(parts)
-        image = semisimplify(jordan_module(p, p, parts))
+    rep, p, label = _module_rep(args)
+    image = semisimplify(rep)
     report = {
         "schema": 1,
         "command": "semisimplify",
@@ -319,43 +310,37 @@ def _trial_sixper(p: int, seed: int, t: int, cap: int) -> list[dict]:
     ]
 
 
-def _trial_additivity(p: int, seed: int, t: int, cap: int) -> list[dict]:
-    half = max(1, cap // 2)
+def _two_cyclic_reps(p: int, seed: int, t: int, top: int) -> tuple[GroupRep, GroupRep]:
+    """Trial t's pair of random Z/p-reps, each of dimension drawn from [1, top]."""
     rng = rng_for(seed, 3 * t)
-    dx = int(rng.integers(1, half + 1))
-    dy = int(rng.integers(1, half + 1))
-    x = random_cyclic_rep(p, dx, seed, 3 * t + 1)
-    y = random_cyclic_rep(p, dy, seed, 3 * t + 2)
+    dx = int(rng.integers(1, top + 1))
+    dy = int(rng.integers(1, top + 1))
+    return random_cyclic_rep(p, dx, seed, 3 * t + 1), random_cyclic_rep(p, dy, seed, 3 * t + 2)
+
+
+def _trial_additivity(p: int, seed: int, t: int, cap: int) -> list[dict]:
+    x, y = _two_cyclic_reps(p, seed, t, max(1, cap // 2))
     rep = check_additivity(x, y)
     if rep["ok"]:
         return []
-    return [{"trial": t, "dims": [dx, dy], "mismatches": rep["mismatches"]}]
+    return [{"trial": t, "dims": [x.dim, y.dim], "mismatches": rep["mismatches"]}]
 
 
 def _trial_monoidality(p: int, seed: int, t: int, cap: int) -> list[dict]:
-    root = max(1, isqrt(cap))
-    rng = rng_for(seed, 3 * t)
-    dx = int(rng.integers(1, root + 1))
-    dy = int(rng.integers(1, root + 1))
-    x = random_cyclic_rep(p, dx, seed, 3 * t + 1)
-    y = random_cyclic_rep(p, dy, seed, 3 * t + 2)
+    x, y = _two_cyclic_reps(p, seed, t, max(1, isqrt(cap)))
     rep = check_monoidality(x, y)
     if rep["ok"]:
         return []
-    return [{"trial": t, "dims": [dx, dy], "mismatches": rep["mismatches"]}]
+    return [{"trial": t, "dims": [x.dim, y.dim], "mismatches": rep["mismatches"]}]
 
 
 def _trial_greenhom(p: int, seed: int, t: int, cap: int) -> list[dict]:
-    rng = rng_for(seed, 3 * t)
-    dx = int(rng.integers(1, cap + 1))
-    dy = int(rng.integers(1, cap + 1))
-    x = random_cyclic_rep(p, dx, seed, 3 * t + 1)
-    y = random_cyclic_rep(p, dy, seed, 3 * t + 2)
+    x, y = _two_cyclic_reps(p, seed, t, cap)
     lhs = semisimplify(tensor(x, y))
     rhs = fusion_tensor(semisimplify(x), semisimplify(y))
     if lhs == rhs:
         return []
-    return [{"trial": t, "dims": [dx, dy], "lhs": list(lhs.mult), "rhs": list(rhs.mult)}]
+    return [{"trial": t, "dims": [x.dim, y.dim], "lhs": list(lhs.mult), "rhs": list(rhs.mult)}]
 
 
 def _trial_fpdim(p: int, seed: int, t: int, cap: int) -> list[dict]:

@@ -28,26 +28,31 @@ from .linalg import (
     as_residues,
     check_budget,
     inverse_mod,
-    kron_arrays,
     mat_mul,
     nullspace_mod,
     random_invertible,
     solve_right,
 )
 from .nilmod import (
+    _block_extension,
+    _block_maps,
     _check_ses_maps,
-    _rank_sequence_arr,
-    _type_from_ranks,
+    _draw_coupling,
+    _extension_space,
+    _power_list,
     functor_B,
     functor_E,
     jordan_matrix,
+    jordan_type,
     nil_module,
 )
 from .repcat import (
     GroupRep,
-    GroupSpec,
+    _zero_rep,
     direct_sum,
     random_cyclic_rep,
+    regular_cyclic_rep,
+    restrict_to_nilmodule,
     symmetric_group,
     tensor,
     validate,
@@ -142,10 +147,7 @@ def _free_orbit_facts(p: int) -> bool:
     global spaces decompose over orbit supports, so these two block shapes
     determine the component quotients.
     """
-    cyc = np.zeros((p, p), np.int64)
-    cyc[np.arange(1, p) % p, np.arange(p - 1)] = 1
-    cyc[0, p - 1] = 1
-    free_block = nil_module((np.eye(p, dtype=np.int64) - cyc) % p, p, p)
+    free_block = restrict_to_nilmodule(regular_cyclic_rep(p), "a", p)
     fixed_block = nil_module(np.zeros((1, 1), np.int64), p, p)
     for i in range(1, p):
         if functor_B(free_block, i).dim != 0 or functor_E(free_block, i).dim != 0:
@@ -228,11 +230,6 @@ class FrobeniusImage:
         return self.g_components[i - 1]
 
 
-def _zero_rep(group: GroupSpec, p: int) -> GroupRep:
-    zero = PrimeMatrix.dense(np.zeros((0, 0), np.int64), p)
-    return GroupRep(group=group, p=p, dim=0, matrices=(zero,) * group.generators)
-
-
 def frobenius_components(x: GroupRep) -> FrobeniusImage:
     """All F_i and G_i of X with the induced diagonal action, in closed form.
 
@@ -278,7 +275,10 @@ def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
 
 
 def check_additivity(x: GroupRep, y: GroupRep) -> dict:
-    """F_i(X + Y) vs F_i(X) + F_i(Y) (and G_i), by dim and witness Jordan type."""
+    """F_i(X + Y) vs F_i(X) + F_i(Y) (and G_i), by dim and witness Jordan type.
+
+    Under the closed form this exercises `direct_sum` and `witness_type`
+    only; `tests/oracles.subquotient_components` checks the functors."""
     whole = frobenius_components(direct_sum(x, y))
     left = frobenius_components(x)
     right = frobenius_components(y)
@@ -297,21 +297,21 @@ def check_additivity(x: GroupRep, y: GroupRep) -> dict:
 
 
 def check_monoidality(x: GroupRep, y: GroupRep) -> dict:
-    """F_i(X tensor Y) vs the fusion-rule sum of F_j(X) tensor F_k(Y)."""
+    """F_i(X tensor Y) vs the fusion-rule sum of F_j(X) tensor F_k(Y).
+
+    Under the closed form this exercises `tensor`, `direct_sum` and
+    `witness_type` only, as in `check_additivity`."""
     p = x.p
     whole = frobenius_components(tensor(x, y))
     left = frobenius_components(x)
     right = frobenius_components(y)
     mismatches = []
     for i in range(1, p):
-        expected = None
+        expected = _zero_rep(x.group, p)
         for j in range(1, p):
             for s in range(1, min(i, j, p - i, p - j) + 1):
                 k = abs(i - j) + 2 * s - 1
-                piece = tensor(left.f(j), right.f(k))
-                expected = piece if expected is None else direct_sum(expected, piece)
-        if expected is None:
-            expected = _zero_rep(x.group, p)
+                expected = direct_sum(expected, tensor(left.f(j), right.f(k)))
         actual = whole.f(i)
         dims_ok = actual.dim == expected.dim
         types_ok = witness_type(actual) == witness_type(expected)
@@ -342,18 +342,9 @@ class RepSES:
 
 @lru_cache(maxsize=512)
 def _rep_extension_space(p: int, gx_bytes: bytes, dx: int, gz_bytes: bytes, dz: int):
-    """Couplings phi keeping [[gx, phi], [0, gz]] of order dividing p."""
-    gx = np.frombuffer(gx_bytes, dtype=np.int64).reshape(dx, dx)
-    gz = np.frombuffer(gz_bytes, dtype=np.int64).reshape(dz, dz)
-    px = [np.eye(dx, dtype=np.int64)]
-    pz = [np.eye(dz, dtype=np.int64)]
-    for _ in range(p - 1):
-        px.append(mat_mul(px[-1], gx, p))
-        pz.append(mat_mul(pz[-1], gz, p))
-    constraint = np.zeros((dx * dz, dx * dz), np.int64)
-    for a in range(p):
-        constraint = (constraint + kron_arrays(px[a], pz[p - 1 - a].T, p)) % p
-    return nullspace_mod(constraint, p)
+    """Couplings phi keeping [[gx, phi], [0, gz]] of order dividing p: the
+    nil-module constraint of order p, read on the generators themselves."""
+    return _extension_space(p, p, gx_bytes, dx, gz_bytes, dz)
 
 
 def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> RepSES:
@@ -361,22 +352,15 @@ def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> RepSES:
     if x.group.generators != 1 or x.group != z.group:
         raise ValueError("extension sampling implemented for one-generator groups")
     p = x.p
-    phi = as_residues(phi, p)
-    gen = np.zeros((x.dim + z.dim, x.dim + z.dim), np.int64)
-    gen[: x.dim, : x.dim] = x.matrices[0].entries
-    gen[: x.dim, x.dim :] = phi
-    gen[x.dim :, x.dim :] = z.matrices[0].entries
+    gen = _block_extension(x.matrices[0].entries, z.matrices[0].entries, as_residues(phi, p))
     y = GroupRep(
         group=x.group, p=p, dim=x.dim + z.dim, matrices=(PrimeMatrix.dense(gen, p),)
     )
     problems = validate(y)
     if problems:
         raise ValueError("; ".join(problems))
-    inj = np.zeros((y.dim, x.dim), np.int64)
-    inj[: x.dim] = np.eye(x.dim, dtype=np.int64)
-    surj = np.zeros((z.dim, y.dim), np.int64)
-    surj[:, x.dim :] = np.eye(z.dim, dtype=np.int64)
-    return RepSES(x=x, y=y, z=z, inj=PrimeMatrix.dense(inj, p), surj=PrimeMatrix.dense(surj, p))
+    inj, surj = _block_maps(x.dim, z.dim, p)
+    return RepSES(x=x, y=y, z=z, inj=inj, surj=surj)
 
 
 def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) -> RepSES:
@@ -384,13 +368,9 @@ def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) ->
     basis = _rep_extension_space(
         p, x.matrices[0].entries.tobytes(), x.dim, z.matrices[0].entries.tobytes(), z.dim
     )
+    # q below comes from the same stream, after the coupling draw
     rng = rng_for(seed, index)
-    if basis.shape[0]:
-        coeffs = rng.integers(0, p, size=basis.shape[0])
-        phi = mat_mul(coeffs, basis, p).reshape(x.dim, z.dim)
-    else:
-        phi = np.zeros((x.dim, z.dim), np.int64)
-    ses = rep_extension_from_phi(x, z, phi)
+    ses = rep_extension_from_phi(x, z, _draw_coupling(basis, rng, p, (x.dim, z.dim)))
     # conjugate the middle so the section solve is exercised on a skew basis
     q = random_invertible(p, ses.y.dim, rng)
     qinv = inverse_mod(q, p)
@@ -606,9 +586,7 @@ def _multiplicity_quotients(p: int, m: int) -> tuple[list[Quotient], int]:
     for _ in range(p):
         upow = np.kron(upow, u) % p
     du = (np.eye(n, dtype=np.int64) - upow) % p
-    powers = [np.eye(n, dtype=np.int64)]
-    for _ in range(p):
-        powers.append(mat_mul(powers[-1], du, p))
+    powers = _power_list(du, p, p)
     if np.any(powers[p]):
         raise AssertionError("diagonal operator is not nilpotent of order p")
     kernels = [Subspace.zero(p, n)]
@@ -705,8 +683,7 @@ def frobenius_on_simple(p: int, m: int) -> tuple[FusionElement, ...]:
     mults = [[0] * (p - 1) for _ in range(p - 1)]
     for j, q in enumerate(quotients, start=1):
         smat = _permutation_induced(q, rot_perm)
-        dmat = (np.eye(q.dim, dtype=np.int64) - smat) % p
-        t = _type_from_ranks(_rank_sequence_arr(dmat, p, p), p)
+        t = jordan_type(nil_module((np.eye(q.dim, dtype=np.int64) - smat) % p, p, p))
         for i in range(1, p):
             mults[i - 1][j - 1] += t.multiplicity(i)
     return tuple(FusionElement(p, tuple(row)) for row in mults)

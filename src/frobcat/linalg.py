@@ -205,9 +205,8 @@ def rank_mod(a, p: int) -> int:
 
 def nullspace_mod(a, p: int) -> np.ndarray:
     """Canonical (RREF) basis of {x : a @ x = 0}, one row per basis vector."""
-    arr = as_residues(a, p)
-    red, pivots = rref(arr, p)
-    cols = arr.shape[1]
+    red, pivots = rref(a, p)
+    cols = np.shape(a)[1]
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
     basis = np.zeros((len(free), cols), dtype=np.int64)
@@ -361,7 +360,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, rows, p: int, ambient: int | None = None) -> "Subspace":
-        arr = as_residues(rows, p)
+        arr = np.asarray(rows)  # rref reduces it
         if arr.ndim == 1:
             arr = arr[None, :]
         red, piv = rref(arr, p)

@@ -74,20 +74,13 @@ def nil_module(d, p: int, n: int) -> NilModule:
     return NilModule(p=p, n=n, dim=mat.rows, D=mat)
 
 
-def _jordan_block_arr(size: int) -> np.ndarray:
-    arr = np.zeros((size, size), np.int64)
-    for k in range(size - 1):
-        arr[k + 1, k] = 1
-    return arr
-
-
 def jordan_matrix(parts: tuple[int, ...]) -> np.ndarray:
     """Block-diagonal nilpotent matrix with the given block sizes."""
     dim = sum(parts)
     arr = np.zeros((dim, dim), np.int64)
     at = 0
     for size in parts:
-        arr[at : at + size, at : at + size] = _jordan_block_arr(size)
+        arr[at : at + size, at : at + size] = np.eye(size, k=-1, dtype=np.int64)
         at += size
     return arr
 
@@ -99,13 +92,30 @@ def jordan_module(p: int, n: int, parts) -> NilModule:
     return nil_module(jordan_matrix(parts), p, n)
 
 
+def _block_extension(x: np.ndarray, z: np.ndarray, phi=None) -> np.ndarray:
+    """[[x, phi], [0, z]]; phi = None gives the direct sum."""
+    dx, dz = len(x), len(z)
+    out = np.zeros((dx + dz, dx + dz), np.int64)
+    out[:dx, :dx] = x
+    if phi is not None:
+        if np.shape(phi) != (dx, dz):  # numpy would broadcast a single row
+            raise ValueError("coupling block has wrong shape")
+        out[:dx, dx:] = phi
+    out[dx:, dx:] = z
+    return out
+
+
+def _block_maps(dx: int, dz: int, p: int) -> tuple[PrimeMatrix, PrimeMatrix]:
+    """Inclusion of the top block and projection onto the bottom one."""
+    inj = np.eye(dx + dz, dx, dtype=np.int64)
+    surj = np.eye(dz, dx + dz, k=dx, dtype=np.int64)
+    return PrimeMatrix.dense(inj, p), PrimeMatrix.dense(surj, p)
+
+
 def direct_sum_module(x: NilModule, z: NilModule) -> NilModule:
     if (x.p, x.n) != (z.p, z.n):
         raise ValueError("summands must share p and n")
-    d = np.zeros((x.dim + z.dim, x.dim + z.dim), np.int64)
-    d[: x.dim, : x.dim] = x.D.entries
-    d[x.dim :, x.dim :] = z.D.entries
-    return nil_module(d, x.p, x.n)
+    return nil_module(_block_extension(x.D.entries, z.D.entries), x.p, x.n)
 
 
 def _power_list(d: np.ndarray, n: int, p: int) -> list[np.ndarray]:
@@ -196,10 +206,7 @@ def functor_B(m: NilModule, i: int) -> Quotient:
     """(Ker D ∩ Im D^{i-1}) / (Ker D ∩ Im D^i); dim = multiplicity of J_i."""
     if not 1 <= i <= m.n:
         raise ValueError(f"index {i} outside [1, {m.n}]")
-    ker = _kernel_of_power(m, 1)
-    upper = ker.intersect(_image_of_power(m, i - 1))
-    lower = ker.intersect(_image_of_power(m, i))
-    return Quotient.of(upper, lower)
+    return functor_L_and_Eis(m, i - 1, j=i)
 
 
 def functor_E(m: NilModule, i: int) -> Quotient:
@@ -307,21 +314,31 @@ def split_test(s: ShortExactSeq) -> dict:
     }
 
 
+def _coupling_constraint(px: list, pz: list, n: int, p: int) -> np.ndarray:
+    """Matrix of phi -> top-right block of [[X, phi], [0, Z]]^n.
+
+    Row-major vec: that block is sum_{a+b=n-1} X^a phi Z^b, with matrix
+    sum_a kron(X^a, (Z^b)^T); px and pz list the powers of X and Z from 0.
+    """
+    size = len(px[0]) * len(pz[0])
+    constraint = np.zeros((size, size), np.int64)
+    for a in range(n):
+        constraint = (constraint + kron_arrays(px[a], pz[n - 1 - a].T, p)) % p
+    return constraint
+
+
 @lru_cache(maxsize=512)
 def _extension_space(p: int, n: int, dx_bytes: bytes, dx_dim: int, dz_bytes: bytes, dz_dim: int):
-    """Nullspace basis of the D_Y^n = 0 constraint on the coupling block.
+    """Nullspace basis of the Y^n = 0 constraint on the coupling block.
 
-    Row-major vec: the top-right block of D_Y^n is sum_{a+b=n-1} Dx^a phi Dz^b,
-    a linear map of phi with matrix sum_a kron(Dx^a, (Dz^b)^T).
+    X and Z need not be nilpotent: with the generators of Z/p-reps and n = p
+    the same constraint keeps Y of order dividing p.
     """
     dx = np.frombuffer(dx_bytes, dtype=np.int64).reshape(dx_dim, dx_dim)
     dz = np.frombuffer(dz_bytes, dtype=np.int64).reshape(dz_dim, dz_dim)
     px = _power_list(dx, n - 1, p)
     pz = _power_list(dz, n - 1, p)
-    constraint = np.zeros((dx_dim * dz_dim, dx_dim * dz_dim), np.int64)
-    for a in range(n):
-        constraint = (constraint + kron_arrays(px[a], pz[n - 1 - a].T, p)) % p
-    return nullspace_mod(constraint, p)
+    return nullspace_mod(_coupling_constraint(px, pz, n, p), p)
 
 
 def _coupling_basis(x: NilModule, z: NilModule) -> np.ndarray:
@@ -332,36 +349,24 @@ def _coupling_basis(x: NilModule, z: NilModule) -> np.ndarray:
 
 def extension_from_phi(x: NilModule, z: NilModule, phi) -> ShortExactSeq:
     """The extension of Z by X with coupling block phi (must keep D_Y^n = 0)."""
-    p, n = x.p, x.n
-    phi = as_residues(phi, p)
-    if phi.shape != (x.dim, z.dim):
-        raise ValueError("coupling block has wrong shape")
-    d = np.zeros((x.dim + z.dim, x.dim + z.dim), np.int64)
-    d[: x.dim, : x.dim] = x.D.entries
-    d[: x.dim, x.dim :] = phi
-    d[x.dim :, x.dim :] = z.D.entries
-    y = nil_module(d, p, n)
-    inj = np.zeros((y.dim, x.dim), np.int64)
-    inj[: x.dim] = np.eye(x.dim, dtype=np.int64)
-    surj = np.zeros((z.dim, y.dim), np.int64)
-    surj[:, x.dim :] = np.eye(z.dim, dtype=np.int64)
-    return ShortExactSeq(
-        x=x, y=y, z=z, inj=PrimeMatrix.dense(inj, p), surj=PrimeMatrix.dense(surj, p)
-    )
+    p = x.p
+    y = nil_module(_block_extension(x.D.entries, z.D.entries, as_residues(phi, p)), p, x.n)
+    inj, surj = _block_maps(x.dim, z.dim, p)
+    return ShortExactSeq(x=x, y=y, z=z, inj=inj, surj=surj)
 
 
-def _phi_for_trial(x: NilModule, z: NilModule, seed: int, index: int) -> np.ndarray:
-    basis = _coupling_basis(x, z)
-    rng = rng_for(seed, index)
+def _draw_coupling(basis: np.ndarray, rng, p: int, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform combination of the basis rows as a coupling block; no draw if empty."""
     if basis.shape[0] == 0:
-        return np.zeros((x.dim, z.dim), np.int64)
-    coeffs = rng.integers(0, x.p, size=basis.shape[0])
-    return mat_mul(coeffs, basis, x.p).reshape(x.dim, z.dim)
+        return np.zeros(shape, np.int64)
+    coeffs = rng.integers(0, p, size=basis.shape[0])
+    return mat_mul(coeffs, basis, p).reshape(shape)
 
 
 def random_extension(x: NilModule, z: NilModule, seed: int, index: int = 0) -> ShortExactSeq:
     """Uniformly random admissible extension of Z by X, deterministic in (seed, index)."""
-    return extension_from_phi(x, z, _phi_for_trial(x, z, seed, index))
+    phi = _draw_coupling(_coupling_basis(x, z), rng_for(seed, index), x.p, (x.dim, z.dim))
+    return extension_from_phi(x, z, phi)
 
 
 def random_partition(total: int, max_part: int, rng) -> tuple[int, ...]:
@@ -375,19 +380,16 @@ def random_partition(total: int, max_part: int, rng) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def random_nil_module(p: int, n: int, dim: int, seed: int, index: int = 0) -> NilModule:
-    """Random conjugate of a random Jordan matrix with parts <= n."""
-    rng = rng_for(seed, index)
+def _random_jordan_conjugate(p: int, n: int, dim: int, rng) -> np.ndarray:
+    """q J q^-1 for a random partition J of dim with parts <= n and a random q."""
     parts = random_partition(dim, n, rng)
     q = random_invertible(p, dim, rng)
-    d = mat_mul(mat_mul(q, jordan_matrix(parts), p), inverse_mod(q, p), p)
-    return nil_module(d, p, n)
+    return mat_mul(mat_mul(q, jordan_matrix(parts), p), inverse_mod(q, p), p)
 
 
-def _tiny_rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+def random_nil_module(p: int, n: int, dim: int, seed: int, index: int = 0) -> NilModule:
+    """Random conjugate of a random Jordan matrix with parts <= n."""
+    return nil_module(_random_jordan_conjugate(p, n, dim, rng_for(seed, index)), p, n)
 
 
 def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict:
@@ -420,10 +422,7 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     for j in range(1, n):
         left = nullspace_mod(px[j].T, p)
         right = nullspace_mod(pz[j], p).T
-        coupling = np.zeros((dx * dz, dx * dz), np.int64)
-        for a in range(j):
-            coupling = (coupling + kron_arrays(px[a], pz[j - 1 - a].T, p)) % p
-        stages.append((j, rx[j] + rz[j], left, right, coupling))
+        stages.append((j, rx[j] + rz[j], left, right, _coupling_constraint(px, pz, j, p)))
 
     rank_rows = np.zeros((trials, n + 1), np.int64)
     rank_rows[:, 0] = dim_y
@@ -434,7 +433,7 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
             # left @ tops[t] @ right for every trial t, as two stacked products
             small = mat_mul(tops.transpose(0, 2, 1), left.T, p).transpose(0, 2, 1)
             small = mat_mul(small, right, p)
-            extra = [_tiny_rank(small[t], p) for t in range(trials)]
+            extra = [rank_mod(small[t], p) for t in range(trials)]
         else:
             extra = [0] * trials
         rank_rows[:, j] = base_rank + np.asarray(extra)

@@ -21,10 +21,18 @@ from .linalg import (
     mat_mul,
     mat_pow,
     nullspace_mod,
-    random_invertible,
     rank_mod,
 )
-from .nilmod import JordanType, NilModule, _type_from_ranks, _rank_sequence_arr, nil_module, random_partition, jordan_matrix
+from .nilmod import (
+    JordanType,
+    NilModule,
+    _block_extension,
+    _random_jordan_conjugate,
+    _rank_sequence_arr,
+    _type_from_ranks,
+    jordan_matrix,
+    nil_module,
+)
 from .seeding import rng_for
 
 __all__ = [
@@ -190,12 +198,9 @@ def symmetric_perm_rep(p: int) -> GroupRep:
 
 
 def random_cyclic_rep(p: int, dim: int, seed: int, index: int = 0) -> GroupRep:
-    """Random conjugate of a random unipotent Jordan generator."""
-    rng = rng_for(seed, index)
-    parts = random_partition(dim, p, rng)
-    base = (np.eye(dim, dtype=np.int64) + jordan_matrix(parts)) % p
-    q = random_invertible(p, dim, rng)
-    gen = mat_mul(mat_mul(q, base, p), inverse_mod(q, p), p)
+    """Random conjugate of a random unipotent Jordan generator: 1 + q J q^-1."""
+    d = _random_jordan_conjugate(p, p, dim, rng_for(seed, index))
+    gen = (np.eye(dim, dtype=np.int64) + d) % p
     return GroupRep(
         group=cyclic_group(p), p=p, dim=dim, matrices=(PrimeMatrix.dense(gen, p),)
     )
@@ -227,13 +232,16 @@ def dual(a: GroupRep) -> GroupRep:
 
 def direct_sum(a: GroupRep, b: GroupRep) -> GroupRep:
     _same_group(a, b)
-    mats = []
-    for x, y in zip(a.matrices, b.matrices):
-        m = np.zeros((a.dim + b.dim, a.dim + b.dim), np.int64)
-        m[: a.dim, : a.dim] = x.entries
-        m[a.dim :, a.dim :] = y.entries
-        mats.append(PrimeMatrix.dense(m, a.p))
-    return GroupRep(group=a.group, p=a.p, dim=a.dim + b.dim, matrices=tuple(mats))
+    mats = tuple(
+        PrimeMatrix.dense(_block_extension(x.entries, y.entries), a.p)
+        for x, y in zip(a.matrices, b.matrices)
+    )
+    return GroupRep(group=a.group, p=a.p, dim=a.dim + b.dim, matrices=mats)
+
+
+def _zero_rep(group: GroupSpec, p: int) -> GroupRep:
+    zero = PrimeMatrix.dense(np.zeros((0, 0), np.int64), p)
+    return GroupRep(group=group, p=p, dim=0, matrices=(zero,) * group.generators)
 
 
 class SymmetricTower:
@@ -258,9 +266,7 @@ class SymmetricTower:
         if m < 0:
             raise ValueError("negative symmetric power")
         if self.d == 0 and m >= 1:
-            return GroupRep(group=self.rep.group, p=self.p, dim=0,
-                            matrices=tuple(PrimeMatrix.dense(np.zeros((0, 0), np.int64), self.p)
-                                           for _ in range(self.rep.group.generators)))
+            return _zero_rep(self.rep.group, self.p)
         while len(self._reps) <= m:
             self._step()
         return self._reps[m]

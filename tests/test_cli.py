@@ -1,6 +1,10 @@
 """Command-line interface: parsing, reports, suites, replay."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,29 @@ def test_check_usage_errors(capsys):
     assert run(["check", "--suite", "nilmod", "--p", "3", "--trials", "-1"]) == 2
     _, err = lines_of(capsys)
     assert "nonnegative" in err
+
+
+MISSING_FLAGS = [
+    ([], "one of --module or --rep-file is required"),
+    (["--p", "5"], "one of --module or --rep-file is required"),
+    (["--module", "J2"], "--p is required with --module"),
+]
+
+
+@pytest.mark.parametrize("command", ["frob", "semisimplify", "hilbert"])
+@pytest.mark.parametrize("flags, message", MISSING_FLAGS)
+def test_module_commands_refuse_missing_flags(command, flags, message):
+    # a separate process, so an uncaught exception shows as a traceback on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobcat.cli", command, *flags],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
 
 
 def test_check_suites_clean_at_small_scale(capsys):

@@ -161,6 +161,8 @@ def test_rep_ses_validation_and_determinism():
     bad_surj = PrimeMatrix.dense(np.array([[1, 0, 0], [0, 0, 1]]), p)
     with pytest.raises(ValueError, match="composition"):
         RepSES(x=ses.x, y=ses.y, z=ses.z, inj=ses.inj, surj=bad_surj)
+    with pytest.raises(ValueError, match="wrong shape"):
+        rep_extension_from_phi(cyclic_rep(p, (2,)), z, [[0, 0]])  # one row, not broadcast
     again = random_rep_ses(p, 8, seed=11, index=2)
     twice = random_rep_ses(p, 8, seed=11, index=2)
     assert np.array_equal(again.y.matrices[0].entries, twice.y.matrices[0].entries)
