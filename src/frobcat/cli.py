@@ -182,17 +182,13 @@ def _module_rep(args) -> tuple[GroupRep, int, str]:
 def _cmd_frob(args) -> tuple[dict, list[str], int]:
     rep, p, label = _module_rep(args)
     image = frobenius_components(rep)
+    types = {}  # one witness type per distinct component rep (X and the zero rep)
     comps = []
     for i in range(1, p):
         for kind, c in (("F", image.f(i)), ("G", image.g(i))):
-            comps.append(
-                {
-                    "kind": kind,
-                    "i": i,
-                    "dim": c.dim,
-                    "type": list(witness_type(c).parts),
-                }
-            )
+            if c not in types:
+                types[c] = list(witness_type(c).parts)
+            comps.append({"kind": kind, "i": i, "dim": c.dim, "type": types[c]})
     val = fpdim_of_F(rep)
     report = {
         "schema": 1,
@@ -375,13 +371,14 @@ class SuiteDef:
     default_cap: object  # p -> int
     allowed: tuple[int, ...] | None = None
     default_trials: object = None  # p -> int
+    min_cap: int = 0  # smallest --dim-cap its trials can draw dimensions from
 
 
 SUITES = {
-    "nilmod": SuiteDef("nilmod", _trial_nilmod, lambda p: 24),
+    "nilmod": SuiteDef("nilmod", _trial_nilmod, lambda p: 24, min_cap=1),
     "splitting": SuiteDef("splitting", _trial_splitting, lambda p: 6),
     "sixper": SuiteDef(
-        "sixper", _trial_sixper, lambda p: {2: 12, 3: 8, 5: 4}[p], allowed=(2, 3, 5)
+        "sixper", _trial_sixper, lambda p: {2: 12, 3: 8, 5: 4}[p], allowed=(2, 3, 5), min_cap=2
     ),
     "additivity": SuiteDef(
         "additivity", _trial_additivity, lambda p: DIM_CAPS[p], allowed=(2, 3, 5)
@@ -389,8 +386,10 @@ SUITES = {
     "monoidality": SuiteDef(
         "monoidality", _trial_monoidality, lambda p: DIM_CAPS[p], allowed=(2, 3, 5)
     ),
-    "greenhom": SuiteDef("greenhom", _trial_greenhom, lambda p: 30),
-    "fpdim": SuiteDef("fpdim", _trial_fpdim, lambda p: DIM_CAPS[p], allowed=(2, 3, 5, 7)),
+    "greenhom": SuiteDef("greenhom", _trial_greenhom, lambda p: 30, min_cap=1),
+    "fpdim": SuiteDef(
+        "fpdim", _trial_fpdim, lambda p: DIM_CAPS[p], allowed=(2, 3, 5, 7), min_cap=1
+    ),
     "lemm1": SuiteDef(
         "lemm1", _trial_lemm1, lambda p: 0, allowed=(3, 5), default_trials=lambda p: p - 1
     ),
@@ -399,6 +398,8 @@ SUITES = {
 
 def _suite_report(name: str, p: int, seed: int, cap: int, trial_list: list[int], replay: bool):
     suite = SUITES[name]
+    if cap < suite.min_cap:
+        raise CliError(f"suite {name} needs --dim-cap >= {suite.min_cap}, got {cap}")
     violations = []
     for t in trial_list:
         violations.extend(suite.run_trial(p, seed, t, cap))

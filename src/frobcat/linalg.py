@@ -238,17 +238,17 @@ def mat_mul(a, b, p: int) -> np.ndarray:
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:
-    """a^k mod p by repeated squaring."""
+    """a^k mod p by repeated squaring; a^1 costs no product."""
     n = a.shape[0]
-    result = np.eye(n, dtype=np.int64)
+    result = None
     base = as_residues(a, p)
     while k:
         if k & 1:
-            result = mat_mul(result, base, p)
+            result = base if result is None else mat_mul(result, base, p)
         base_sq = mat_mul(base, base, p) if k > 1 else base
         base = base_sq
         k >>= 1
-    return result
+    return np.eye(n, dtype=np.int64) if result is None else result
 
 
 def solve_right(a, b, p: int) -> np.ndarray:

@@ -8,7 +8,7 @@ uppercase means inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 
@@ -97,11 +97,14 @@ class GroupRep:
 
 
 def evaluate_word(rep: GroupRep, word: str) -> np.ndarray:
-    """Left-to-right product of generator matrices; uppercase = inverse."""
+    """Left-to-right product of generator matrices; uppercase = inverse.
+
+    Each run of one letter is a power by repeated squaring, so a run of
+    length k costs at most k - 1 products (none for k = 1)."""
     _check_word(word, rep.group.generators)
     out = None
     inverses: dict[int, np.ndarray] = {}
-    for ch in word:
+    for ch, run in groupby(word):
         idx = ord(ch.lower()) - 97
         if ch.isupper():
             if idx not in inverses:
@@ -109,6 +112,9 @@ def evaluate_word(rep: GroupRep, word: str) -> np.ndarray:
             mat = inverses[idx]
         else:
             mat = rep.matrices[idx].entries
+        k = len(list(run))
+        if k > 1:  # a lone letter stays the generator itself, with no copy
+            mat = mat_pow(mat, k, rep.p)
         out = mat if out is None else mat_mul(out, mat, rep.p)
     return np.eye(rep.dim, dtype=np.int64) if out is None else out
 

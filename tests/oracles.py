@@ -2,13 +2,24 @@
 
 Each one computes honestly what production code computes in closed form or
 by a faster route: elimination one pivot at a time, the shift functors as
-subquotients of the dense p-th tensor power, and symmetric powers as
-quotients of S^{m-1} tensor X by relation matrices.
+subquotients of the dense p-th tensor power, the maps of the six-periodic
+sequence induced on those subquotients, and symmetric powers as quotients
+of S^{m-1} tensor X by relation matrices.
 """
 import numpy as np
 
 from frobcat.frobenius import CyclicPower, cyclic_power
-from frobcat.linalg import PrimeMatrix, as_residues, check_budget, induced_on_subquotient, mat_mul, rref
+from frobcat.linalg import (
+    PrimeMatrix,
+    Subspace,
+    as_residues,
+    check_budget,
+    induced_on_subquotient,
+    mat_mul,
+    nullspace_mod,
+    rank_mod,
+    rref,
+)
 from frobcat.nilmod import functor_B, functor_E, nil_module
 from frobcat.repcat import GroupRep, trivial_rep
 
@@ -61,16 +72,21 @@ def power_rep(cp: CyclicPower) -> GroupRep:
     return GroupRep(group=cp.base.group, p=cp.p, dim=n, matrices=tuple(mats))
 
 
+def _shift_module(cp: CyclicPower):
+    """1 - shift on the dense power space, as a nil-module of order p."""
+    p, n = cp.p, cp.size
+    shift_mat = np.zeros((n, n), np.int64)
+    shift_mat[cp.shift, np.arange(n)] = 1
+    return nil_module((np.eye(n, dtype=np.int64) - shift_mat) % p, p, p)
+
+
 def subquotient_components(x: GroupRep) -> tuple[list[GroupRep], list[GroupRep]]:
     """F_1..F_{p-1} and G_1..G_{p-1} of X as the block subquotients B_i and
     kernel subquotients E_i of D = 1 - shift on the dense power space, each
     with the diagonal action induced on it."""
     p = x.p
     cp = cyclic_power(x)
-    n = cp.size
-    shift_mat = np.zeros((n, n), np.int64)
-    shift_mat[cp.shift, np.arange(n)] = 1
-    m = nil_module((np.eye(n, dtype=np.int64) - shift_mat) % p, p, p)
+    m = _shift_module(cp)
     gens = power_rep(cp).matrices
 
     def induced(q) -> GroupRep:
@@ -85,6 +101,53 @@ def subquotient_components(x: GroupRep) -> tuple[list[GroupRep], list[GroupRep]]
     fs = [induced(functor_B(m, i)) for i in range(1, p)]
     gs = [induced(functor_E(m, i)) for i in range(1, p)]
     return fs, gs
+
+
+def _kron_power(m: np.ndarray, p: int) -> np.ndarray:
+    out = np.ones((1, 1), np.int64)
+    for _ in range(p):
+        out = np.kron(out, m) % p
+    return out
+
+
+def six_periodic_pairs(s) -> list[dict]:
+    """The `pairs` of `six_periodic_check(s)`, read off the dense power spaces.
+
+    G_i(W) is the kernel subquotient E_i of 1 - shift on W^(tensor p), and
+    alpha_i, beta_i are induced on it by inj^(tensor p) and surj^(tensor p).
+    Once alpha_i is injective, beta_i surjective and beta_i alpha_i = 0 at
+    every i, exactness at G_i(Z) and at G_{p-i}(X) leaves every connecting
+    map delta_i zero. Those three facts are asserted; the image-equals-kernel
+    comparisons then run on the induced maps.
+    """
+    p = s.x.p
+    mods = [_shift_module(cyclic_power(w)) for w in (s.x, s.y, s.z)]
+    inj, surj = _kron_power(s.inj.entries, p), _kron_power(s.surj.entries, p)
+    dims, alpha, beta = {}, {}, {}
+    for i in range(1, p):
+        ex, ey, ez = (functor_E(m, i) for m in mods)
+        al = induced_on_subquotient(inj, ex.sup, ex.sub, ey.sup, ey.sub).entries
+        be = induced_on_subquotient(surj, ey.sup, ey.sub, ez.sup, ez.sub).entries
+        assert rank_mod(al, p) == ex.dim, f"alpha_{i} is not injective"
+        assert rank_mod(be, p) == ez.dim, f"beta_{i} is not surjective"
+        assert not np.any(mat_mul(be, al, p)), f"beta_{i} alpha_{i} is not zero"
+        dims[i], alpha[i], beta[i] = [ex.dim, ey.dim, ez.dim], al, be
+    pairs = []
+    for i in range(1, p // 2 + 1):
+        j = p - i
+        delta_i = np.zeros((dims[j][0], dims[i][2]), np.int64)
+        delta_j = np.zeros((dims[i][0], dims[j][2]), np.int64)
+        maps = [alpha[i], beta[i], delta_i, alpha[j], beta[j], delta_j]
+        exact = []
+        for k in range(6):
+            prev = maps[(k - 1) % 6]
+            img = Subspace.from_rows(prev.T, p, prev.shape[0])
+            ker = Subspace.from_rows(nullspace_mod(maps[k], p), p, maps[k].shape[1])
+            exact.append(img == ker)
+        six = dims[i] + dims[j]
+        alt = six[0] - six[1] + six[2] - six[3] + six[4] - six[5]
+        pairs.append({"i": i, "dims": six, "exact": exact, "alternating_sum": alt})
+    return pairs
 
 
 def quotient_symmetric_powers(rep: GroupRep, top: int) -> list[tuple[GroupRep, list[tuple[int, ...]]]]:

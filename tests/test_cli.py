@@ -42,13 +42,48 @@ def test_fusion_rejects_composite(capsys):
     assert "error: p = 4 is not prime" in err
 
 
-def test_modulus_too_large_for_int64_is_refused_at_once(capsys):
+# argv, exit status, stderr fragment (None: no message), wall-clock bound in s
+HOSTILE_INPUTS = {
     # 2^61 - 1 is prime; trial division up to its square root would take minutes
+    "modulus-too-large-for-int64": (
+        ["check", "--suite", "nilmod", "--p", str(2**61 - 1), "--trials", "1"], 2, "too large", 1.0
+    ),
+    "frob-at-p-65521": (["frob", "--p", "65521", "--module", "J2"], 0, None, 10.0),
+    "semisimplify-at-p-1000003": (
+        ["semisimplify", "--p", "1000003", "--module", "J2"], 0, None, 3.0
+    ),
+    "nilmod-cap-0": (
+        ["check", "--suite", "nilmod", "--p", "3", "--dim-cap", "0"], 2, "--dim-cap >= 1", 1.0
+    ),
+    "greenhom-cap-0": (
+        ["check", "--suite", "greenhom", "--p", "3", "--dim-cap", "0"], 2, "--dim-cap >= 1", 1.0
+    ),
+    "fpdim-cap-0": (
+        ["check", "--suite", "fpdim", "--p", "3", "--dim-cap", "0"], 2, "--dim-cap >= 1", 1.0
+    ),
+    "sixper-cap-0": (
+        ["check", "--suite", "sixper", "--p", "3", "--dim-cap", "0"], 2, "--dim-cap >= 2", 1.0
+    ),
+    "sixper-cap-1": (
+        ["check", "--suite", "sixper", "--p", "3", "--dim-cap", "1"], 2, "--dim-cap >= 2", 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_INPUTS))
+def test_hostile_input(case, capsys):
+    # in-process, so the bound times the command and not interpreter start-up,
+    # and an exception that escapes `run` fails the test
+    argv, status, message, seconds = HOSTILE_INPUTS[case]
     start = time.perf_counter()
-    assert run(["check", "--suite", "nilmod", "--p", str(2**61 - 1), "--trials", "1"]) == 2
-    assert time.perf_counter() - start < 1.0
+    assert run(argv) == status
+    assert time.perf_counter() - start < seconds
     _, err = lines_of(capsys)
-    assert "too large" in err
+    assert "Traceback" not in err
+    if message is None:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and message in err
 
 
 def test_green_command(capsys):
@@ -256,6 +291,15 @@ def test_replay_rejects_malformed(tmp_path, capsys):
     assert run(["check", "--replay", str(path)]) == 2
     _, err = lines_of(capsys)
     assert "unknown suite" in err
+
+
+def test_replay_refuses_a_cap_below_the_suite_minimum(tmp_path, capsys):
+    path = tmp_path / "prev.json"
+    prev = {"check": "sixper", "p": 3, "seed": 0, "dim_cap": 1, "violations": []}
+    path.write_text(json.dumps(prev))
+    assert run(["check", "--replay", str(path)]) == 2
+    _, err = lines_of(capsys)
+    assert err == "error: suite sixper needs --dim-cap >= 2, got 1\n"
 
 
 def test_unknown_command_exits_with_usage(capsys):

@@ -5,7 +5,6 @@ import pytest
 from frobcat.frobenius import (
     DIM_CAPS,
     _diag_indices,
-    _free_orbit_facts,
     _multiplicity_quotients,
     _shift_perm,
     _word_digits,
@@ -26,7 +25,7 @@ from frobcat.frobenius import (
     sp_multiplicity_spaces,
 )
 from frobcat.linalg import BudgetError, PrimeMatrix, induced_on_subquotient
-from frobcat.nilmod import JordanType, functor_B, jordan_matrix
+from frobcat.nilmod import JordanType, functor_B, functor_E, jordan_matrix, nil_module
 from frobcat.repcat import (
     GroupRep,
     cyclic_group,
@@ -35,12 +34,13 @@ from frobcat.repcat import (
     evaluate_word,
     hom_basis,
     random_cyclic_rep,
+    regular_cyclic_rep,
     restrict_to_nilmodule,
     symmetric_perm_rep,
     validate,
 )
 from frobcat.verlinde import simple
-from oracles import power_rep, subquotient_components
+from oracles import power_rep, six_periodic_pairs, subquotient_components
 
 
 def witness_jordan(rep):
@@ -77,8 +77,16 @@ def test_shift_structure():
 
 
 def test_free_orbit_facts():
+    # on one length-p shift orbit every B_i and E_i vanishes; a fixed basis
+    # vector survives in every E_i and in B_1 only
     for p in (2, 3, 5, 7):
-        assert _free_orbit_facts(p)
+        free_block = restrict_to_nilmodule(regular_cyclic_rep(p), "a", p)
+        fixed_block = nil_module(np.zeros((1, 1), np.int64), p, p)
+        for i in range(1, p):
+            assert functor_B(free_block, i).dim == 0
+            assert functor_E(free_block, i).dim == 0
+            assert functor_E(fixed_block, i).dim == 1
+            assert functor_B(fixed_block, i).dim == (1 if i == 1 else 0)
 
 
 def test_cyclic_power_budget_cap():
@@ -180,6 +188,7 @@ def test_six_periodic_minimal_example():
     assert report["pairs"][0]["dims"] == [1, 2, 1, 1, 2, 1]
     assert report["pairs"][0]["exact"] == [True] * 6
     assert report["pairs"][0]["alternating_sum"] == 0
+    assert six_periodic_pairs(ses) == report["pairs"]
 
 
 def test_six_periodic_random_and_period_two():
@@ -192,12 +201,25 @@ def test_six_periodic_random_and_period_two():
 
 
 def test_six_periodic_budget():
+    # dim Y = 7 is above the p = 5 cap of `cyclic_power`; the closed form
+    # never builds the power space, so it needs no budget for it
     p = 5
     x = cyclic_rep(p, (4,))
     z = cyclic_rep(p, (3,))
     ses = rep_extension_from_phi(x, z, np.zeros((4, 3), int))
-    with pytest.raises(BudgetError):
-        six_periodic_check(ses)
+    assert ses.y.dim > DIM_CAPS[p]
+    report = six_periodic_check(ses)
+    assert report["ok"]
+    assert [pair["dims"] for pair in report["pairs"]] == [[4, 7, 3, 4, 7, 3]] * 2
+
+
+@pytest.mark.parametrize("p, cap, count", [(2, 6, 6), (3, 4, 5), (5, 3, 4)])
+def test_six_periodic_matches_the_power_space_oracle(p, cap, count):
+    # the oracle induces alpha_i, beta_i on the dense power spaces and
+    # asserts what forces every connecting map to vanish
+    for k in range(count):
+        ses = random_rep_ses(p, cap, seed=41, index=k)
+        assert six_periodic_pairs(ses) == six_periodic_check(ses)["pairs"]
 
 
 def test_fpdim_of_f_preserved():

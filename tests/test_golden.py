@@ -57,6 +57,7 @@ INVOCATIONS = [
     ["check", "--suite", "fpdim", "--p", "7", "--trials", "3"],
     ["check", "--suite", "lemm1", "--p", "3"],
     ["hilbert", "--p", "3", "--module", "J2 + J2", "--terms", "20"],
+    ["check", "--suite", "sixper", "--p", "5", "--trials", "2", "--dim-cap", "7"],
 ]
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import PrimeMatrix, mat_mul
+from frobcat.linalg import PrimeMatrix, inverse_mod, mat_mul
 from frobcat.repcat import (
     GroupRep,
     SymmetricTower,
@@ -58,6 +58,40 @@ def test_evaluate_word():
     assert np.array_equal(evaluate_word(r, "aA"), np.eye(2, dtype=int))
     with pytest.raises(ValueError):
         evaluate_word(r, "ab")
+
+
+def test_evaluate_word_squares_each_run(monkeypatch):
+    # a lone letter costs no product, and no word costs more products
+    # than multiplying letter by letter; a^p costs O(log p)
+    import frobcat.linalg
+    import frobcat.repcat
+
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(1)
+        return mat_mul(a, b, p)
+
+    monkeypatch.setattr(frobcat.linalg, "mat_mul", counted)
+    monkeypatch.setattr(frobcat.repcat, "mat_mul", counted)
+    for rep in (symmetric_perm_rep(3), symmetric_perm_rep(5), cyclic_rep(65521, (2,))):
+        p = rep.p
+        gens = rep.group.generators
+        words = ["a", "aa", "aaa", "a" * p, "aA", "aAAa"]
+        if gens == 2:
+            words += ["b", "ab" * (p - 1), "b" * p, "aabbbA"]
+        for word in words:
+            want = np.eye(rep.dim, dtype=np.int64)
+            for ch in word:
+                idx = ord(ch.lower()) - 97
+                g = rep.matrices[idx].entries
+                want = want @ (g if ch.islower() else inverse_mod(g, p)) % p
+            calls.clear()
+            assert np.array_equal(evaluate_word(rep, word), want), word
+            assert len(calls) <= len(word) - 1, word
+        calls.clear()
+        evaluate_word(rep, "a" * p)
+        assert len(calls) <= 2 * p.bit_length()
 
 
 def test_builders():
