@@ -58,6 +58,7 @@ INVOCATIONS = [
     ["check", "--suite", "lemm1", "--p", "3"],
     ["hilbert", "--p", "3", "--module", "J2 + J2", "--terms", "20"],
     ["check", "--suite", "sixper", "--p", "5", "--trials", "2", "--dim-cap", "7"],
+    ["green", "--p", "13"],
 ]
 
 
