@@ -31,13 +31,13 @@ from .nilmod import (
     functor_B,
     functor_E,
     jordan_module,
+    multiplicity_vector,
     random_nil_module,
     random_partition,
 )
 from .repcat import (
     GroupRep,
     cyclic_rep,
-    decompose_cyclic,
     random_cyclic_rep,
     rep_from_json,
     tensor,
@@ -45,7 +45,7 @@ from .repcat import (
 )
 from .seeding import mix64, rng_for
 from .series import growth_check, hilbert_coeffs
-from .verlinde import FusionElement, fpdim_simple, fusion_tensor, semisimplify, _fuse_simples
+from .verlinde import FusionElement, fpdim_simple, fusion_tensor, green_product, semisimplify
 
 __all__ = ["CliError", "SUITES", "load_rep", "main", "parse_module_spec", "run"]
 
@@ -131,7 +131,7 @@ def _cmd_fusion(args) -> tuple[dict, list[str], int]:
     products = []
     for r in range(1, p):
         for s in range(1, p):
-            products.append({"r": r, "s": s, "mult": list(_fuse_simples(p, r, s).mult)})
+            products.append({"r": r, "s": s, "mult": list(fusion_tensor(r, s, p).mult)})
     report = {"schema": 1, "command": "fusion", "p": p, "fpdims": fpdims, "products": products}
     lines = ["schema\t1", f"command\tfusion", f"p\t{p}"]
     for r in range(1, p):
@@ -148,12 +148,9 @@ def _cmd_green(args) -> tuple[dict, list[str], int]:
     rows = []
     for a in range(1, p + 1):
         for b in range(1, p + 1):
-            prod = tensor(cyclic_rep(p, (a,)), cyclic_rep(p, (b,)))
-            t = decompose_cyclic(prod)
-            image = semisimplify(prod)
-            rows.append(
-                {"a": a, "b": b, "green": list(t.parts), "image": list(image.mult)}
-            )
+            green = list(green_product(p, a, b).parts)
+            image = list(fusion_tensor(a, b, p).mult)
+            rows.append({"a": a, "b": b, "green": green, "image": image})
     report = {"schema": 1, "command": "green", "p": p, "table": rows}
     lines = ["schema\t1", "command\tgreen", f"p\t{p}"]
     for row in rows:
@@ -249,10 +246,8 @@ def _cmd_hilbert(args) -> tuple[dict, list[str], int]:
         growth = growth_check(series)
         report["growth"] = growth
         lines.append(f"verdict\t{growth['verdict']}")
-        lines.append(f"max_root_estimate\t{_fmt_float(growth['max_root_estimate'])}")
-        lines.append(f"final_root_estimate\t{_fmt_float(growth['final_root_estimate'])}")
-        lines.append(f"ratio_estimate\t{_fmt_float(growth['ratio_estimate'])}")
-        lines.append(f"threshold\t{_fmt_float(growth['threshold'])}")
+        for key in ("max_root_estimate", "final_root_estimate", "ratio_estimate", "threshold"):
+            lines.append(f"{key}\t{_fmt_float(growth[key])}")
         lines.append(f"flagged\t{str(growth['flagged']).lower()}")
     return report, lines, 0
 
@@ -268,7 +263,7 @@ def _trial_nilmod(p: int, seed: int, t: int, cap: int) -> list[dict]:
     bdims = [functor_B(mod, j).dim for j in range(1, n + 1)]
     out = []
     for i in range(1, n + 1):
-        want = sum(min(i, j, n - i, n - j) * bdims[j - 1] for j in range(1, n + 1))
+        want = sum(v * b for v, b in zip(multiplicity_vector(n, i), bdims))
         got = functor_E(mod, i).dim
         if got != want:
             out.append({"trial": t, "n": n, "dim": dim, "i": i, "expected": want, "got": got})
@@ -297,13 +292,7 @@ def _trial_sixper(p: int, seed: int, t: int, cap: int) -> list[dict]:
     rep = six_periodic_check(ses)
     if rep["ok"]:
         return []
-    return [
-        {
-            "trial": t,
-            "dims": [ses.x.dim, ses.y.dim, ses.z.dim],
-            "pairs": rep["pairs"],
-        }
-    ]
+    return [{"trial": t, "dims": [ses.x.dim, ses.y.dim, ses.z.dim], "pairs": rep["pairs"]}]
 
 
 def _two_cyclic_reps(p: int, seed: int, t: int, top: int) -> tuple[GroupRep, GroupRep]:
@@ -396,10 +385,20 @@ SUITES = {
 }
 
 
-def _suite_report(name: str, p: int, seed: int, cap: int, trial_list: list[int], replay: bool):
+def _suite_report(name: str, p: int, seed: int, cap, trial_list: list[int], replay: bool):
+    """Validate a run from flags or a replay file (cap None: the default), then run it."""
     suite = SUITES[name]
+    _require_prime(p)
+    if suite.allowed is not None and p not in suite.allowed:
+        raise CliError(f"suite {name} supports p in {sorted(suite.allowed)}")
+    if cap is None:
+        cap = suite.default_cap(p)
+    if cap < 0:
+        raise CliError("--dim-cap must be nonnegative")
     if cap < suite.min_cap:
         raise CliError(f"suite {name} needs --dim-cap >= {suite.min_cap}, got {cap}")
+    if trial_list and min(trial_list) < 0:
+        raise CliError(f"trial indices must be nonnegative, got {min(trial_list)}")
     violations = []
     for t in trial_list:
         violations.extend(suite.run_trial(p, seed, t, cap))
@@ -448,19 +447,14 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
         raise CliError("--suite is required (or --replay)")
     if args.p is None:
         raise CliError("--p is required")
-    _require_prime(args.p)
     suite = SUITES[args.suite]
-    if suite.allowed is not None and args.p not in suite.allowed:
-        raise CliError(f"suite {args.suite} supports p in {sorted(suite.allowed)}")
     trials = args.trials
     if trials is None:
         trials = suite.default_trials(args.p) if suite.default_trials else 50
     if trials < 0:
         raise CliError("--trials must be nonnegative")
-    cap = args.dim_cap if args.dim_cap is not None else suite.default_cap(args.p)
-    if cap < 0:
-        raise CliError("--dim-cap must be nonnegative")
-    return _suite_report(args.suite, args.p, args.seed, cap, list(range(trials)), replay=False)
+    trial_list = list(range(trials))
+    return _suite_report(args.suite, args.p, args.seed, args.dim_cap, trial_list, replay=False)
 
 
 # ------------------------------------------------------------------- plumbing

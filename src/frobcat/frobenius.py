@@ -38,9 +38,10 @@ from .nilmod import (
     _check_ses_maps,
     _draw_coupling,
     _extension_space,
-    _power_list,
     jordan_matrix,
     jordan_type,
+    multiplicity_space,
+    multiplicity_vector,
     nil_module,
 )
 from .repcat import (
@@ -54,7 +55,7 @@ from .repcat import (
     witness_type,
 )
 from .seeding import rng_for
-from .verlinde import FusionElement, fpdim_simple
+from .verlinde import FusionElement, _fuse_simples, fpdim_simple
 
 __all__ = [
     "DIM_CAPS",
@@ -209,8 +210,10 @@ def frobenius_components(x: GroupRep) -> FrobeniusImage:
         g_components=(x,) * (p - 1),
     )
     nonzero = [j for j in range(1, p) if image.f(j).dim]
+    # dim E_i(J_j) is symmetric in i and j, so one vector per nonzero F_j
+    e_dims = {j: multiplicity_vector(p, j) for j in nonzero}
     for i in range(1, p):
-        expected = sum(min(i, j, p - i, p - j) * image.f(j).dim for j in nonzero)
+        expected = sum(e_dims[j][i - 1] * image.f(j).dim for j in nonzero)
         if image.g(i).dim != expected:
             raise AssertionError("stable component dims disagree with the block formula")
     return image
@@ -273,9 +276,10 @@ def check_monoidality(x: GroupRep, y: GroupRep) -> dict:
     for i in range(1, p):
         expected = _zero_rep(x.group, p)
         for j in range(1, p):
-            for s in range(1, min(i, j, p - i, p - j) + 1):
-                k = abs(i - j) + 2 * s - 1
-                expected = direct_sum(expected, tensor(left.f(j), right.f(k)))
+            # F_j(X) (x) F_k(Y) once for each L_k in L_i (x) L_j
+            for k, mult in enumerate(_fuse_simples(p, i, j).mult, start=1):
+                for _ in range(mult):
+                    expected = direct_sum(expected, tensor(left.f(j), right.f(k)))
         actual = whole.f(i)
         dims_ok = actual.dim == expected.dim
         types_ok = witness_type(actual) == witness_type(expected)
@@ -373,19 +377,18 @@ def six_periodic_check(s: RepSES) -> dict:
     delta = np.zeros((dx, dz), np.int64)
     maps = [s.inj.entries, s.surj.entries, delta] * 2
     dims = [dx, dy, dz] * 2
-    pairs = []
-    ok = True
-    for i in range(1, p // 2 + 1):
-        exact = []
-        for k in range(6):
-            prev = maps[(k - 1) % 6]
-            img = Subspace.from_rows(prev.T, p, prev.shape[0])
-            ker = Subspace.from_rows(nullspace_mod(maps[k], p), p, maps[k].shape[1])
-            exact.append(img == ker)
-        alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
-        entry = {"i": i, "dims": list(dims), "exact": exact, "alternating_sum": alt}
-        pairs.append(entry)
-        ok = ok and all(exact) and alt == 0
+    exact = []
+    for k in range(6):
+        prev = maps[(k - 1) % 6]
+        img = Subspace.from_rows(prev.T, p, prev.shape[0])
+        ker = Subspace.from_rows(nullspace_mod(maps[k], p), p, maps[k].shape[1])
+        exact.append(img == ker)
+    alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
+    pairs = [
+        {"i": i, "dims": list(dims), "exact": list(exact), "alternating_sum": alt}
+        for i in range(1, p // 2 + 1)
+    ]
+    ok = all(exact) and alt == 0
     return {
         "check": "six_periodic",
         "p": p,
@@ -416,9 +419,7 @@ def exactness_report(ses_list: list[RepSES]) -> dict:
             vals[tag] = val
             if abs(val - obj.dim) > 1e-9:
                 violations.append({"instance": idx, "reason": f"fpdim not preserved on {tag}"})
-            if image.f(1).dim != obj.dim or any(
-                image.f(i).dim for i in range(2, p)
-            ):
+            if image.f(1).dim != obj.dim or any(image.f(i).dim for i in range(2, p)):
                 violations.append({"instance": idx, "reason": f"higher component on {tag}"})
         if abs(vals["y"] - vals["x"] - vals["z"]) > 1e-9:
             violations.append({"instance": idx, "reason": "fpdim not additive"})
@@ -466,11 +467,12 @@ def frobenius_order_abstract(simples, factor_map, exact_set):
 
 
 def _multiplicity_quotients(p: int, m: int) -> tuple[list[Quotient], int]:
-    """Block-multiplicity quotients of the diagonal structure on J_m^(tensor p).
+    """Block-multiplicity spaces M_1..M_{p-1} of the diagonal structure on J_m^(tensor p).
 
-    With u the unipotent single-block generator and Du = 1 - u^(tensor p),
-    M_j = Ker Du^j / (Ker Du^j cap Im Du + Ker Du^{j-1});
-    Ker Du^j cap Im Du = Du(Ker Du^{j+1}) keeps the elimination sizes down.
+    With u the unipotent single-block generator, Du = 1 - u^(tensor p) is
+    nilpotent of order p on the m^p-dimensional power space, and M_j is
+    `nilmod.multiplicity_space` of that module: its dimension is the number
+    of J_j blocks of Du, and its kernel flag is built once.
     """
     if not 1 <= m <= p - 1:
         raise ValueError(f"m = {m} outside [1, {p - 1}]")
@@ -480,20 +482,8 @@ def _multiplicity_quotients(p: int, m: int) -> tuple[list[Quotient], int]:
     upow = np.array([[1]], dtype=np.int64)
     for _ in range(p):
         upow = np.kron(upow, u) % p
-    du = (np.eye(n, dtype=np.int64) - upow) % p
-    powers = _power_list(du, p, p)
-    if np.any(powers[p]):
-        raise AssertionError("diagonal operator is not nilpotent of order p")
-    kernels = [Subspace.zero(p, n)]
-    for j in range(1, p + 1):
-        kernels.append(Subspace.from_rows(nullspace_mod(powers[j], p), p, n))
-    quotients = []
-    for j in range(1, p):
-        hit = mat_mul(kernels[j + 1].basis, du.T, p)
-        denom_rows = np.concatenate([hit, kernels[j - 1].basis], axis=0)
-        denom = Subspace.from_rows(denom_rows, p, n)
-        quotients.append(Quotient.of(kernels[j], denom))
-    return quotients, n
+    module = nil_module((np.eye(n, dtype=np.int64) - upow) % p, p, p)
+    return [multiplicity_space(module, j) for j in range(1, p)], n
 
 
 def _permutation_induced(q: Quotient, perm: np.ndarray) -> np.ndarray:

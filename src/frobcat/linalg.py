@@ -32,7 +32,6 @@ __all__ = [
     "solve_right",
     "inverse_mod",
     "kron_arrays",
-    "kron",
     "induced_on_subquotient",
     "check_budget",
     "check_modulus",
@@ -340,12 +339,6 @@ class PrimeMatrix:
         return rank_mod(self._dense, self.p)
 
 
-def kron(a: PrimeMatrix, b: PrimeMatrix) -> PrimeMatrix:
-    if a.p != b.p:
-        raise ValueError("mixed moduli in kron")
-    return PrimeMatrix.dense(kron_arrays(a.entries, b.entries, a.p), a.p)
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace of F_p^ambient, stored as canonical RREF basis rows."""
@@ -370,10 +363,6 @@ class Subspace:
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
         return cls(p=p, ambient=ambient, basis=np.zeros((0, ambient), np.int64), pivots=())
-
-    @classmethod
-    def full(cls, p: int, ambient: int) -> "Subspace":
-        return cls.from_rows(np.eye(ambient, dtype=np.int64), p)
 
     @property
     def dim(self) -> int:

@@ -6,8 +6,8 @@ filtrations of D, and extension splitting tests live here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "functor_B",
     "functor_E",
     "functor_L_and_Eis",
+    "multiplicity_space",
     "multiplicity_vector",
     "split_test",
     "extension_from_phi",
@@ -50,12 +51,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NilModule:
-    """F_p[D]/(D^n)-module: prime p, nilpotency order n, operator D."""
+    """F_p[D]/(D^n)-module: prime p, nilpotency order n, operator D, and its
+    kernel/image flag: the powers D^0..D^n and each Ker D^s ∩ Im D^k built."""
 
     p: int
     n: int
     dim: int
     D: PrimeMatrix
+    _flag: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -64,8 +67,36 @@ class NilModule:
             raise ValueError("operator shape does not match dim")
         if self.D.p != self.p:
             raise ValueError("operator modulus mismatch")
-        if np.any(_power(self, self.n)):
+        if np.any(self.powers[self.n]):
             raise ValueError(f"operator is not nilpotent of order {self.n}")
+
+    @cached_property
+    def powers(self) -> tuple[np.ndarray, ...]:
+        """D^0, ..., D^n as read-only arrays."""
+        out = tuple(_power_list(self.D.entries, self.n, self.p))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+    def _meet_rows(self, s: int, k: int) -> np.ndarray:
+        # Ker D^s ∩ Im D^k = D^k(Ker D^{s+k}), and Ker D^{s+k} = V once s + k >= n
+        if s == 0:
+            return np.zeros((0, self.dim), np.int64)
+        if k == 0:
+            return nullspace_mod(self.powers[s], self.p)
+        return mat_mul(self.kernel(min(s + k, self.n)).basis, self.powers[k].T, self.p)
+
+    def meet(self, s: int, k: int) -> Subspace:
+        """Ker D^s ∩ Im D^k for 0 <= s, k <= n, built on first use."""
+        if (s, k) not in self._flag:
+            self._flag[s, k] = Subspace.from_rows(self._meet_rows(s, k), self.p, self.dim)
+        return self._flag[s, k]
+
+    def kernel(self, k: int) -> Subspace:
+        return self.meet(k, 0)
+
+    def image(self, k: int) -> Subspace:
+        return self.meet(self.n, k)
 
 
 def nil_module(d, p: int, n: int) -> NilModule:
@@ -123,10 +154,6 @@ def _power_list(d: np.ndarray, n: int, p: int) -> list[np.ndarray]:
     for _ in range(n):
         out.append(mat_mul(out[-1], d, p))
     return out
-
-
-def _power(m: NilModule, k: int) -> np.ndarray:
-    return _power_list(m.D.entries, k, m.p)[k]
 
 
 def rank_sequence(m: NilModule) -> tuple[int, ...]:
@@ -190,18 +217,6 @@ def jordan_type(m: NilModule) -> JordanType:
     return t
 
 
-def _kernel_of_power(m: NilModule, k: int) -> Subspace:
-    if k == 0:
-        return Subspace.zero(m.p, m.dim)
-    return Subspace.from_rows(nullspace_mod(_power(m, k), m.p), m.p, m.dim)
-
-
-def _image_of_power(m: NilModule, k: int) -> Subspace:
-    if k == 0:
-        return Subspace.full(m.p, m.dim)
-    return Subspace.from_rows(_power(m, k).T, m.p, m.dim)
-
-
 def functor_B(m: NilModule, i: int) -> Quotient:
     """(Ker D ∩ Im D^{i-1}) / (Ker D ∩ Im D^i); dim = multiplicity of J_i."""
     if not 1 <= i <= m.n:
@@ -213,7 +228,7 @@ def functor_E(m: NilModule, i: int) -> Quotient:
     """Ker D^i / Im D^{n-i}."""
     if not 0 <= i <= m.n:
         raise ValueError(f"index {i} outside [0, {m.n}]")
-    return Quotient.of(_kernel_of_power(m, i), _image_of_power(m, m.n - i))
+    return Quotient.of(m.kernel(i), m.image(m.n - i))
 
 
 def functor_L_and_Eis(m: NilModule, i: int, j: int | None = None, s: int | None = None) -> Quotient:
@@ -228,18 +243,27 @@ def functor_L_and_Eis(m: NilModule, i: int, j: int | None = None, s: int | None 
     if j is not None:
         if not 0 <= i <= j <= m.n:
             raise ValueError("need 0 <= i <= j <= n")
-        ker = _kernel_of_power(m, 1)
-        return Quotient.of(ker.intersect(_image_of_power(m, i)), ker.intersect(_image_of_power(m, j)))
+        return Quotient.of(m.meet(1, i), m.meet(1, j))
     if not 0 <= s <= i <= m.n:
         raise ValueError("need 0 <= s <= i <= n")
-    upper = _kernel_of_power(m, s).intersect(_image_of_power(m, i - s))
-    q = Quotient.of(upper, _image_of_power(m, m.n - s))
+    q = Quotient.of(m.meet(s, i - s), m.image(m.n - s))
     if s >= 1 and i < m.n:
         step = functor_L_and_Eis(m, i - s, j=m.n - s)
         prev = functor_L_and_Eis(m, i, s=s - 1)
         if q.dim != step.dim + prev.dim:
             raise AssertionError("partial-E dimension recursion failed")
     return q
+
+
+def multiplicity_space(m: NilModule, j: int) -> Quotient:
+    """M_j = Ker D^j / (D Ker D^{j+1} + Ker D^{j-1}); dim = multiplicity of J_j.
+
+    D Ker D^{j+1} = Ker D^j ∩ Im D: the part of Ker D^j from longer blocks.
+    """
+    if not 1 <= j <= m.n:
+        raise ValueError(f"index {j} outside [1, {m.n}]")
+    denom = np.concatenate([m._meet_rows(j, 1), m.kernel(j - 1).basis], axis=0)
+    return Quotient.of(m.kernel(j), Subspace.from_rows(denom, m.p, m.dim))
 
 
 def multiplicity_vector(n: int, i: int) -> tuple[int, ...]:
@@ -404,8 +428,7 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     p, n = x.p, x.n
     dx, dz = x.dim, z.dim
     dim_y = dx + dz
-    px = _power_list(x.D.entries, n, p)
-    pz = _power_list(z.D.entries, n, p)
+    px, pz = x.powers, z.powers
     rx = _rank_sequence_arr(x.D.entries, n, p)
     rz = _rank_sequence_arr(z.D.entries, n, p)
     ex, ez = _e_dims(rx, dx, n), _e_dims(rz, dz, n)

@@ -13,12 +13,11 @@ import numpy as np
 
 from .linalg import induced_on_subquotient, is_prime
 from .nilmod import (
+    JordanType,
     NilModule,
-    _image_of_power,
-    _kernel_of_power,
-    _power,
     functor_B,
     jordan_type,
+    multiplicity_space,
     multiplicity_vector,
 )
 from .repcat import GroupRep, decompose_cyclic
@@ -28,6 +27,7 @@ __all__ = [
     "WeightVector",
     "simple",
     "fusion_tensor",
+    "green_product",
     "fusion_matrix",
     "fpdim_simple",
     "fpdim",
@@ -71,24 +71,30 @@ class FusionElement:
         return {"p": self.p, "mult": list(self.mult)}
 
 
-def zero(p: int) -> FusionElement:
-    return FusionElement(p, (0,) * (p - 1))
-
-
 def simple(p: int, r: int) -> FusionElement:
     if not 1 <= r <= p - 1:
         raise ValueError(f"simple index {r} outside [1, {p - 1}]")
-    mult = [0] * (p - 1)
-    mult[r - 1] = 1
-    return FusionElement(p, tuple(mult))
+    return _class_of(p, JordanType((r,)))
+
+
+def green_product(p: int, a: int, b: int) -> JordanType:
+    """J_a (x) J_b for Z/p over F_p in closed form (Renaud 1979): for a <= b, the
+    J_{b-a+2i-1} for i = 1..min(a, p-b), plus (a+b-p) J_p when a + b > p."""
+    if not (1 <= a <= p and 1 <= b <= p):
+        raise ValueError(f"block sizes must lie in [1, {p}]")
+    a, b = sorted((a, b))
+    free = max(0, a + b - p)
+    return JordanType((p,) * free + tuple(b - a + 2 * i - 1 for i in range(a - free, 0, -1)))
+
+
+def _class_of(p: int, t: JordanType) -> FusionElement:
+    """Class in the fusion ring: one L_k per block J_k, size-p blocks dropped."""
+    return FusionElement(p, tuple(t.multiplicity(k) for k in range(1, p)))
 
 
 def _fuse_simples(p: int, r: int, s: int) -> FusionElement:
-    # L_r (x) L_s = sum over L_{|r-s| + 2i - 1}, i = 1 .. min(r, s, p-r, p-s)
-    mult = [0] * (p - 1)
-    for i in range(1, min(r, s, p - r, p - s) + 1):
-        mult[abs(r - s) + 2 * i - 2] += 1
-    return FusionElement(p, tuple(mult))
+    # truncated Clebsch-Gordan: the Green product with its size-p blocks dropped
+    return _class_of(p, green_product(p, r, s))
 
 
 def fusion_tensor(a, b, p: int | None = None) -> FusionElement:
@@ -101,12 +107,10 @@ def fusion_tensor(a, b, p: int | None = None) -> FusionElement:
         raise ValueError("arguments must both be indices or both FusionElements")
     if a.p != b.p:
         raise ValueError("mixed moduli")
-    out = zero(a.p)
+    out = FusionElement(a.p, (0,) * (a.p - 1))
     for r, mr in enumerate(a.mult, start=1):
-        if not mr:
-            continue
         for s, ms in enumerate(b.mult, start=1):
-            if ms:
+            if mr and ms:
                 out = out + _fuse_simples(a.p, r, s).scale(mr * ms)
     return out
 
@@ -151,29 +155,27 @@ def semisimplify(x) -> FusionElement:
         p, t = x.p, decompose_cyclic(x)
     else:
         raise ValueError("semisimplify expects a NilModule or a cyclic GroupRep")
-    return FusionElement(p, tuple(t.multiplicity(r) for r in range(1, p)))
+    return _class_of(p, t)
 
 
 def natfunc_hom_dims(x: NilModule, i: int) -> dict:
     """Hom and negligible-hom dimensions from the i-th simple, with the quotient.
 
     hom = dim Ker D^i; negligible = dim(Ker D^i cap Im D + Ker D^{i-1});
-    the quotient is carried isomorphically onto the i-th block multiplicity
-    space by D^{i-1}, which is verified by an explicit induced map.
+    the quotient is the block-multiplicity space M_i, carried isomorphically
+    onto B_i by D^{i-1}, which is verified by an explicit induced map.
     """
     if not 1 <= i <= x.p - 1:
         raise ValueError(f"index {i} outside [1, {x.p - 1}]")
-    ker_i = _kernel_of_power(x, i)
-    negligible = ker_i.intersect(_image_of_power(x, 1)).add(_kernel_of_power(x, i - 1))
+    q = multiplicity_space(x, i)
     b = functor_B(x, i)
-    quotient_dim = ker_i.dim - negligible.dim
-    induced = induced_on_subquotient(_power(x, i - 1), ker_i, negligible, b.sup, b.sub)
-    if not (quotient_dim == b.dim and induced.rank() == b.dim):
+    induced = induced_on_subquotient(x.powers[i - 1], q.sup, q.sub, b.sup, b.sub)
+    if not (q.dim == b.dim and induced.rank() == b.dim):
         raise AssertionError("quotient does not map isomorphically onto the block space")
     return {
-        "hom": ker_i.dim,
-        "negligible": negligible.dim,
-        "quotient_dim": quotient_dim,
+        "hom": q.sup.dim,
+        "negligible": q.sub.dim,
+        "quotient_dim": q.dim,
         "iso_onto_block_space": True,
     }
 

@@ -3,19 +3,22 @@
 Each one computes honestly what production code computes in closed form or
 by a faster route: elimination one pivot at a time, the shift functors as
 subquotients of the dense p-th tensor power, the maps of the six-periodic
-sequence induced on those subquotients, and symmetric powers as quotients
-of S^{m-1} tensor X by relation matrices.
+sequence induced on those subquotients, symmetric powers as quotients
+of S^{m-1} tensor X by relation matrices, and the kernel/image subquotients
+of a nil-module with every meet taken by `Subspace.intersect`.
 """
 import numpy as np
 
 from frobcat.frobenius import CyclicPower, cyclic_power
 from frobcat.linalg import (
     PrimeMatrix,
+    Quotient,
     Subspace,
     as_residues,
     check_budget,
     induced_on_subquotient,
     mat_mul,
+    mat_pow,
     nullspace_mod,
     rank_mod,
     rref,
@@ -193,3 +196,40 @@ def quotient_symmetric_powers(rep: GroupRep, top: int) -> list[tuple[GroupRep, l
         out.append((GroupRep(group=rep.group, p=p, dim=s_new, matrices=tuple(mats)), monos))
         mu = cmat
     return out[: top + 1]
+
+
+def _kernel_of_power(m, k: int) -> Subspace:
+    # D^k from D on every call, as the flag's own powers are not used here
+    if k == 0:
+        return Subspace.zero(m.p, m.dim)
+    return Subspace.from_rows(nullspace_mod(mat_pow(m.D.entries, k, m.p), m.p), m.p, m.dim)
+
+
+def _image_of_power(m, k: int) -> Subspace:
+    return Subspace.from_rows(mat_pow(m.D.entries, k, m.p).T, m.p, m.dim)
+
+
+def intersected_subquotient(m, i: int, j: int | None = None, s: int | None = None) -> Quotient:
+    """`functor_L_and_Eis(m, i, j=j)` or `(m, i, s=s)` with Zassenhaus meets."""
+    if j is not None:
+        ker = _kernel_of_power(m, 1)
+        upper, lower = ker.intersect(_image_of_power(m, i)), ker.intersect(_image_of_power(m, j))
+        return Quotient.of(upper, lower)
+    upper = _kernel_of_power(m, s).intersect(_image_of_power(m, i - s))
+    return Quotient.of(upper, _image_of_power(m, m.n - s))
+
+
+def intersected_multiplicity_space(m, j: int) -> Quotient:
+    """M_j = Ker D^j / (Ker D^j ∩ Im D + Ker D^{j-1}) with a Zassenhaus meet."""
+    ker = _kernel_of_power(m, j)
+    return Quotient.of(ker, ker.intersect(_image_of_power(m, 1)).add(_kernel_of_power(m, j - 1)))
+
+
+def intersected_hom_dims(m, i: int) -> dict:
+    """`natfunc_hom_dims(m, i)`: the quotient M_i is carried onto B_i by D^{i-1}."""
+    q = intersected_multiplicity_space(m, i)
+    b = intersected_subquotient(m, i - 1, j=i)
+    induced = induced_on_subquotient(mat_pow(m.D.entries, i - 1, m.p), q.sup, q.sub, b.sup, b.sub)
+    assert q.dim == b.dim == induced.rank()
+    dims = {"hom": q.sup.dim, "negligible": q.sub.dim, "quotient_dim": q.dim}
+    return dict(dims, iso_onto_block_space=True)

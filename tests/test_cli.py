@@ -42,7 +42,14 @@ def test_fusion_rejects_composite(capsys):
     assert "error: p = 4 is not prime" in err
 
 
-# argv, exit status, stderr fragment (None: no message), wall-clock bound in s
+def _replay(check, p, trial=0, dim_cap=4):
+    """A replay file's contents; the test writes it out and passes its path."""
+    violations = [{"trial": trial}]
+    return {"check": check, "p": p, "seed": 0, "dim_cap": dim_cap, "violations": violations}
+
+
+# argv, exit status, stderr fragment (None: no message), wall-clock bound in s;
+# a dict in argv is written to a file whose path takes its place
 HOSTILE_INPUTS = {
     # 2^61 - 1 is prime; trial division up to its square root would take minutes
     "modulus-too-large-for-int64": (
@@ -67,14 +74,35 @@ HOSTILE_INPUTS = {
     "sixper-cap-1": (
         ["check", "--suite", "sixper", "--p", "3", "--dim-cap", "1"], 2, "--dim-cap >= 2", 1.0
     ),
+    # a replay file gets the flag path's checks
+    "replay-nilmod-at-p-4": (
+        ["check", "--replay", _replay("nilmod", 4)], 2, "p = 4 is not prime", 1.0
+    ),
+    "replay-sixper-at-p-7": (
+        ["check", "--replay", _replay("sixper", 7)], 2, "suite sixper supports p in [2, 3, 5]", 1.0
+    ),
+    "replay-trial-minus-1": (
+        ["check", "--replay", _replay("nilmod", 3, trial=-1)], 2,
+        "trial indices must be nonnegative, got -1", 1.0,
+    ),
+    "replay-negative-cap": (
+        ["check", "--replay", _replay("splitting", 3, dim_cap=-1)], 2,
+        "--dim-cap must be nonnegative", 1.0,
+    ),
+    "green-at-p-13": (["green", "--p", "13"], 0, None, 0.5),
 }
 
 
 @pytest.mark.parametrize("case", list(HOSTILE_INPUTS))
-def test_hostile_input(case, capsys):
+def test_hostile_input(case, capsys, tmp_path):
     # in-process, so the bound times the command and not interpreter start-up,
     # and an exception that escapes `run` fails the test
     argv, status, message, seconds = HOSTILE_INPUTS[case]
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{k}.json"
+            path.write_text(json.dumps(arg))
+            argv = argv[:k] + [str(path)] + argv[k + 1 :]
     start = time.perf_counter()
     assert run(argv) == status
     assert time.perf_counter() - start < seconds

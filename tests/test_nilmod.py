@@ -17,6 +17,7 @@ from frobcat.nilmod import (
     jordan_matrix,
     jordan_module,
     jordan_type,
+    multiplicity_space,
     multiplicity_vector,
     nil_module,
     random_extension,
@@ -26,6 +27,8 @@ from frobcat.nilmod import (
     split_test,
 )
 from frobcat.seeding import rng_for
+from frobcat.verlinde import natfunc_hom_dims
+from oracles import intersected_hom_dims, intersected_multiplicity_space, intersected_subquotient
 
 partitions = st.lists(st.integers(1, 5), min_size=0, max_size=5).map(
     lambda ks: tuple(sorted(ks, reverse=True))
@@ -140,6 +143,71 @@ def test_functor_index_errors():
         functor_L_and_Eis(m, 1)
     with pytest.raises(ValueError):
         functor_L_and_Eis(m, 1, j=2, s=1)
+
+
+def _same_quotient(q, r):
+    return q.sup == r.sup and q.sub == r.sub and np.array_equal(q.lifts, r.lifts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_flag_matches_intersections(p):
+    # every subquotient of the one flag against Zassenhaus meets of D^k built afresh
+    rng = rng_for(0xF1A6, p)
+    for n in range(1, 9):
+        m = random_nil_module(p, n, int(rng.integers(0, 11)), seed=p, index=n)
+        for i in range(0, n + 1):
+            for j in range(i, n + 1):
+                want = intersected_subquotient(m, i, j=j)
+                assert _same_quotient(functor_L_and_Eis(m, i, j=j), want)
+            for s in range(0, i + 1):
+                want = intersected_subquotient(m, i, s=s)
+                assert _same_quotient(functor_L_and_Eis(m, i, s=s), want)
+        for j in range(1, n + 1):
+            assert _same_quotient(functor_B(m, j), intersected_subquotient(m, j - 1, j=j))
+            assert _same_quotient(multiplicity_space(m, j), intersected_multiplicity_space(m, j))
+            assert multiplicity_space(m, j).dim == jordan_type(m).multiplicity(j)
+        # i = n reaches Ker D^{n+1} = V in D Ker D^{i+1}
+        for i in range(1, min(n, p - 1) + 1):
+            assert natfunc_hom_dims(m, i) == intersected_hom_dims(m, i)
+
+
+def test_functors_build_each_power_once(monkeypatch):
+    # functor_B and functor_E over every index read the module's own D^1..D^n
+    import frobcat.nilmod
+
+    right_factors = []
+
+    def counted(a, b, p):
+        right_factors.append(b)
+        return mat_mul(a, b, p)
+
+    monkeypatch.setattr(frobcat.nilmod, "mat_mul", counted)
+    m = random_nil_module(5, 6, 9, seed=3)
+    for i in range(1, m.n + 1):
+        functor_B(m, i)
+    for i in range(0, m.n + 1):
+        functor_E(m, i)
+    assert sum(b is m.D.entries for b in right_factors) == m.n
+    for k, power in enumerate(m.powers):
+        assert np.array_equal(power, np.linalg.matrix_power(m.D.entries, k) % 5)
+
+
+def test_powers_are_read_only():
+    m = jordan_module(3, 3, (3, 1))
+    assert m.powers is m.powers and len(m.powers) == 4
+    for arr in m.powers:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+    with pytest.raises(ValueError):
+        m.powers[1].fill(0)
+    assert m.powers[1].tolist() == m.D.entries.tolist()
+
+
+def test_multiplicity_space_index_errors():
+    m = jordan_module(3, 3, (2,))
+    for j in (0, 4):
+        with pytest.raises(ValueError, match="outside"):
+            multiplicity_space(m, j)
 
 
 def test_multiplicity_vector():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcat.nilmod import jordan_module
-from frobcat.repcat import random_cyclic_rep, restrict_to_nilmodule
+from frobcat.repcat import (
+    cyclic_rep,
+    decompose_cyclic,
+    random_cyclic_rep,
+    restrict_to_nilmodule,
+    tensor,
+)
 from frobcat.verlinde import (
     FusionElement,
     WeightVector,
@@ -16,6 +22,7 @@ from frobcat.verlinde import (
     fpdim_simple,
     fusion_matrix,
     fusion_tensor,
+    green_product,
     natfunc_hom_dims,
     semisimplify,
     simple,
@@ -144,6 +151,28 @@ def test_semisimplify_rep_and_module_routes_agree():
             via_rep = semisimplify(rep)
             via_module = semisimplify(restrict_to_nilmodule(rep, "a", p))
             assert via_rep == via_module
+
+
+def test_green_product_matches_dense_tensor():
+    # the closed form against Jordan types of the dense tensor products
+    for p in (2, 3, 5, 7, 11, 13):
+        for a in range(1, p + 1):
+            for b in range(1, p + 1):
+                t = decompose_cyclic(tensor(cyclic_rep(p, (a,)), cyclic_rep(p, (b,))))
+                assert green_product(p, a, b) == t
+                if a < p and b < p:
+                    want = tuple(t.multiplicity(k) for k in range(1, p))
+                    assert fusion_tensor(a, b, p=p).mult == want
+
+
+def test_green_product_known_values_and_errors():
+    assert green_product(7, 3, 4).parts == (6, 4, 2)
+    assert green_product(7, 5, 4).parts == (7, 7, 4, 2)
+    assert green_product(7, 7, 3).parts == (7, 7, 7)
+    assert green_product(2, 1, 1).parts == (1,)
+    for a, b in ((0, 2), (2, 8)):
+        with pytest.raises(ValueError, match="block sizes"):
+            green_product(7, a, b)
 
 
 def test_natfunc_hom_dims_known_module():
