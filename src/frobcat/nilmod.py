@@ -101,7 +101,7 @@ class NilModule:
 
 def nil_module(d, p: int, n: int) -> NilModule:
     """Wrap a dense operator array (or PrimeMatrix) as a NilModule."""
-    mat = d if isinstance(d, PrimeMatrix) else PrimeMatrix.dense(as_residues(d, p), p)
+    mat = d if isinstance(d, PrimeMatrix) else PrimeMatrix.dense(d, p)  # dense() reduces mod p
     return NilModule(p=p, n=n, dim=mat.rows, D=mat)
 
 
