@@ -385,7 +385,7 @@ SUITES = {
 }
 
 
-def _suite_report(name: str, p: int, seed: int, cap, trial_list: list[int], replay: bool):
+def _suite_report(name: str, p: int, seed: int, cap: int | None, trial_list: list[int], replay: bool):
     """Validate a run from flags or a replay file (cap None: the default), then run it."""
     suite = SUITES[name]
     _require_prime(p)
