@@ -45,7 +45,14 @@ from .repcat import (
 )
 from .seeding import mix64, rng_for
 from .series import growth_check, hilbert_coeffs
-from .verlinde import FusionElement, fpdim_simple, fusion_tensor, green_product, semisimplify
+from .verlinde import (
+    FusionElement,
+    _fuse_simples,
+    fpdim_simple,
+    fusion_tensor,
+    green_product,
+    semisimplify,
+)
 
 __all__ = ["CliError", "SUITES", "load_rep", "main", "parse_module_spec", "run"]
 
@@ -131,7 +138,7 @@ def _cmd_fusion(args) -> tuple[dict, list[str], int]:
     products = []
     for r in range(1, p):
         for s in range(1, p):
-            products.append({"r": r, "s": s, "mult": list(fusion_tensor(r, s, p).mult)})
+            products.append({"r": r, "s": s, "mult": list(_fuse_simples(p, r, s).mult)})
     report = {"schema": 1, "command": "fusion", "p": p, "fpdims": fpdims, "products": products}
     lines = ["schema\t1", f"command\tfusion", f"p\t{p}"]
     for r in range(1, p):
@@ -246,8 +253,10 @@ def _cmd_hilbert(args) -> tuple[dict, list[str], int]:
         growth = growth_check(series)
         report["growth"] = growth
         lines.append(f"verdict\t{growth['verdict']}")
-        for key in ("max_root_estimate", "final_root_estimate", "ratio_estimate", "threshold"):
-            lines.append(f"{key}\t{_fmt_float(growth[key])}")
+        lines.append(f"max_root_estimate\t{_fmt_float(growth['max_root_estimate'])}")
+        lines.append(f"final_root_estimate\t{_fmt_float(growth['final_root_estimate'])}")
+        lines.append(f"ratio_estimate\t{_fmt_float(growth['ratio_estimate'])}")
+        lines.append(f"threshold\t{_fmt_float(growth['threshold'])}")
         lines.append(f"flagged\t{str(growth['flagged']).lower()}")
     return report, lines, 0
 
@@ -292,7 +301,13 @@ def _trial_sixper(p: int, seed: int, t: int, cap: int) -> list[dict]:
     rep = six_periodic_check(ses)
     if rep["ok"]:
         return []
-    return [{"trial": t, "dims": [ses.x.dim, ses.y.dim, ses.z.dim], "pairs": rep["pairs"]}]
+    return [
+        {
+            "trial": t,
+            "dims": [ses.x.dim, ses.y.dim, ses.z.dim],
+            "pairs": rep["pairs"],
+        }
+    ]
 
 
 def _two_cyclic_reps(p: int, seed: int, t: int, top: int) -> tuple[GroupRep, GroupRep]:
@@ -385,8 +400,12 @@ SUITES = {
 }
 
 
-def _suite_report(name: str, p: int, seed: int, cap: int | None, trial_list: list[int], replay: bool):
-    """Validate a run from flags or a replay file (cap None: the default), then run it."""
+def _suite_report(name: str, p: int, seed: int, cap: int | None, trial_list, replay: bool):
+    """Validate a run from flags or a replay file, then run it.
+
+    `trial_list` ascends (a range or a sorted list) and is only iterated, so
+    a refused run allocates nothing per trial; cap None is the suite's default.
+    """
     suite = SUITES[name]
     _require_prime(p)
     if suite.allowed is not None and p not in suite.allowed:
@@ -397,8 +416,8 @@ def _suite_report(name: str, p: int, seed: int, cap: int | None, trial_list: lis
         raise CliError("--dim-cap must be nonnegative")
     if cap < suite.min_cap:
         raise CliError(f"suite {name} needs --dim-cap >= {suite.min_cap}, got {cap}")
-    if trial_list and min(trial_list) < 0:
-        raise CliError(f"trial indices must be nonnegative, got {min(trial_list)}")
+    if trial_list and trial_list[0] < 0:
+        raise CliError(f"trial indices must be nonnegative, got {trial_list[0]}")
     violations = []
     for t in trial_list:
         violations.extend(suite.run_trial(p, seed, t, cap))
@@ -413,7 +432,7 @@ def _suite_report(name: str, p: int, seed: int, cap: int | None, trial_list: lis
         "violations": violations,
     }
     if replay:
-        report["replayed_trials"] = trial_list
+        report["replayed_trials"] = list(trial_list)
     lines = [
         "schema\t1",
         f"check\t{name}",
@@ -453,8 +472,7 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
         trials = suite.default_trials(args.p) if suite.default_trials else 50
     if trials < 0:
         raise CliError("--trials must be nonnegative")
-    trial_list = list(range(trials))
-    return _suite_report(args.suite, args.p, args.seed, args.dim_cap, trial_list, replay=False)
+    return _suite_report(args.suite, args.p, args.seed, args.dim_cap, range(trials), replay=False)
 
 
 # ------------------------------------------------------------------- plumbing

@@ -377,18 +377,19 @@ def six_periodic_check(s: RepSES) -> dict:
     delta = np.zeros((dx, dz), np.int64)
     maps = [s.inj.entries, s.surj.entries, delta] * 2
     dims = [dx, dy, dz] * 2
-    exact = []
-    for k in range(6):
-        prev = maps[(k - 1) % 6]
-        img = Subspace.from_rows(prev.T, p, prev.shape[0])
-        ker = Subspace.from_rows(nullspace_mod(maps[k], p), p, maps[k].shape[1])
-        exact.append(img == ker)
-    alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
-    pairs = [
-        {"i": i, "dims": list(dims), "exact": list(exact), "alternating_sum": alt}
-        for i in range(1, p // 2 + 1)
-    ]
-    ok = all(exact) and alt == 0
+    pairs = []
+    ok = True
+    for i in range(1, p // 2 + 1):
+        exact = []
+        for k in range(6):
+            prev = maps[(k - 1) % 6]
+            img = Subspace.from_rows(prev.T, p, prev.shape[0])
+            ker = Subspace.from_rows(nullspace_mod(maps[k], p), p, maps[k].shape[1])
+            exact.append(img == ker)
+        alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
+        entry = {"i": i, "dims": list(dims), "exact": exact, "alternating_sum": alt}
+        pairs.append(entry)
+        ok = ok and all(exact) and alt == 0
     return {
         "check": "six_periodic",
         "p": p,
@@ -419,7 +420,9 @@ def exactness_report(ses_list: list[RepSES]) -> dict:
             vals[tag] = val
             if abs(val - obj.dim) > 1e-9:
                 violations.append({"instance": idx, "reason": f"fpdim not preserved on {tag}"})
-            if image.f(1).dim != obj.dim or any(image.f(i).dim for i in range(2, p)):
+            if image.f(1).dim != obj.dim or any(
+                image.f(i).dim for i in range(2, p)
+            ):
                 violations.append({"instance": idx, "reason": f"higher component on {tag}"})
         if abs(vals["y"] - vals["x"] - vals["z"]) > 1e-9:
             violations.append({"instance": idx, "reason": "fpdim not additive"})
@@ -477,12 +480,15 @@ def _multiplicity_quotients(p: int, m: int) -> tuple[list[Quotient], int]:
     if not 1 <= m <= p - 1:
         raise ValueError(f"m = {m} outside [1, {p - 1}]")
     n = m**p
-    check_budget(3 * n * n * 8, "dense diagonal power operator")
+    # the p + 1 powers and up to p kernel bases the module keeps, the three
+    # arrays that build the operator and one elimination's working set
+    check_budget((2 * p + 8) * n * n * 8, "diagonal power module and its kernel flag")
     u = (np.eye(m, dtype=np.int64) + jordan_matrix((m,))) % p
     upow = np.array([[1]], dtype=np.int64)
     for _ in range(p):
         upow = np.kron(upow, u) % p
-    module = nil_module((np.eye(n, dtype=np.int64) - upow) % p, p, p)
+    module = nil_module(np.eye(n, dtype=np.int64) - upow, p, p)  # dense() reduces mod p
+    del upow  # the module keeps p + 1 powers of this size; do not hold one more
     return [multiplicity_space(module, j) for j in range(1, p)], n
 
 

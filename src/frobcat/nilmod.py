@@ -150,8 +150,9 @@ def direct_sum_module(x: NilModule, z: NilModule) -> NilModule:
 
 
 def _power_list(d: np.ndarray, n: int, p: int) -> list[np.ndarray]:
-    out = [np.eye(d.shape[0], dtype=np.int64)]
-    for _ in range(n):
+    # D^1 is d itself (a residue array), not a copy
+    out = [np.eye(d.shape[0], dtype=np.int64), d][: n + 1]
+    while len(out) <= n:
         out.append(mat_mul(out[-1], d, p))
     return out
 
@@ -429,8 +430,7 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     dx, dz = x.dim, z.dim
     dim_y = dx + dz
     px, pz = x.powers, z.powers
-    rx = _rank_sequence_arr(x.D.entries, n, p)
-    rz = _rank_sequence_arr(z.D.entries, n, p)
+    rx, rz = rank_sequence(x), rank_sequence(z)
     ex, ez = _e_dims(rx, dx, n), _e_dims(rz, dz, n)
     merged = _type_from_ranks(rx, n).merge(_type_from_ranks(rz, n))
 

@@ -71,6 +71,10 @@ class FusionElement:
         return {"p": self.p, "mult": list(self.mult)}
 
 
+def zero(p: int) -> FusionElement:
+    return FusionElement(p, (0,) * (p - 1))
+
+
 def simple(p: int, r: int) -> FusionElement:
     if not 1 <= r <= p - 1:
         raise ValueError(f"simple index {r} outside [1, {p - 1}]")
@@ -107,10 +111,12 @@ def fusion_tensor(a, b, p: int | None = None) -> FusionElement:
         raise ValueError("arguments must both be indices or both FusionElements")
     if a.p != b.p:
         raise ValueError("mixed moduli")
-    out = FusionElement(a.p, (0,) * (a.p - 1))
+    out = zero(a.p)
     for r, mr in enumerate(a.mult, start=1):
+        if not mr:
+            continue
         for s, ms in enumerate(b.mult, start=1):
-            if mr and ms:
+            if ms:
                 out = out + _fuse_simples(a.p, r, s).scale(mr * ms)
     return out
 

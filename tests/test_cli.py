@@ -55,7 +55,20 @@ HOSTILE_INPUTS = {
     "modulus-too-large-for-int64": (
         ["check", "--suite", "nilmod", "--p", str(2**61 - 1), "--trials", "1"], 2, "too large", 1.0
     ),
-    "frob-at-p-65521": (["frob", "--p", "65521", "--module", "J2"], 0, None, 10.0),
+    # a refused run builds no trial list: lemm1's default is p - 1 trials; a
+    # list of 2^60 trials fails at once instead of filling memory
+    "lemm1-default-trials-modulus-too-large": (
+        ["check", "--suite", "lemm1", "--p", str(2**61 - 1)], 2, "too large", 1.0
+    ),
+    "huge-trials-at-p-4": (
+        ["check", "--suite", "nilmod", "--p", "4", "--trials", str(2**60)], 2,
+        "p = 4 is not prime", 1.0,
+    ),
+    "huge-trials-negative-cap": (
+        ["check", "--suite", "nilmod", "--p", "3", "--trials", str(2**60), "--dim-cap", "-1"],
+        2, "--dim-cap must be nonnegative", 1.0,
+    ),
+    "frob-at-p-65521":(["frob", "--p", "65521", "--module", "J2"], 0, None, 10.0),
     "semisimplify-at-p-1000003": (
         ["semisimplify", "--p", "1000003", "--module", "J2"], 0, None, 3.0
     ),

@@ -1,4 +1,6 @@
 """Shift-power functor calculus on representations mod p."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,20 @@ def test_multiplicity_quotients_match_dense_decomposition():
         assert [q.dim for q in quotients] == [t.multiplicity(j) for j in range(1, p)]
     with pytest.raises(ValueError):
         _multiplicity_quotients(5, 5)
+
+
+def test_multiplicity_quotients_refuse_before_allocating(monkeypatch):
+    # m = 4 at p = 5 keeps six 1024 x 1024 powers and their kernels: the
+    # price covers what is kept, so a 30 MB budget refuses up front
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "30")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="diagonal power module"):
+            _multiplicity_quotients(5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_frobenius_on_simple_small_values():

@@ -172,7 +172,8 @@ def test_flag_matches_intersections(p):
 
 
 def test_functors_build_each_power_once(monkeypatch):
-    # functor_B and functor_E over every index read the module's own D^1..D^n
+    # functor_B and functor_E over every index read the module's own D^1..D^n;
+    # D^1 is the operator itself, so D^2..D^n cost one product each
     import frobcat.nilmod
 
     right_factors = []
@@ -187,7 +188,8 @@ def test_functors_build_each_power_once(monkeypatch):
         functor_B(m, i)
     for i in range(0, m.n + 1):
         functor_E(m, i)
-    assert sum(b is m.D.entries for b in right_factors) == m.n
+    assert sum(b is m.D.entries for b in right_factors) == m.n - 1
+    assert m.powers[1] is m.D.entries
     for k, power in enumerate(m.powers):
         assert np.array_equal(power, np.linalg.matrix_power(m.D.entries, k) % 5)
 
