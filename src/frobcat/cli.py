@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from dataclasses import dataclass
 from math import isqrt
 
@@ -25,7 +26,7 @@ from .frobenius import (
     six_periodic_check,
     sp_multiplicity_spaces,
 )
-from .linalg import BudgetError, budget_bytes, check_modulus
+from .linalg import BudgetError, budget_bytes, check_budget, check_modulus
 from .nilmod import (
     extension_survey,
     functor_B,
@@ -128,12 +129,20 @@ def _require_prime(p: int) -> None:
         raise CliError(str(exc)) from exc
 
 
+def _price_table(p: int, what: str) -> None:
+    # P^2 rows of up to P entries each; the rows, output lines and JSON text of
+    # `green` peaked under tracemalloc at about 22 bytes per P^3 plus 320 per
+    # row (P = 31, 61, 101), and `fusion` lower
+    check_budget(24 * p**3 + 400 * p**2, what)
+
+
 # ------------------------------------------------------------------ commands
 
 
 def _cmd_fusion(args) -> tuple[dict, list[str], int]:
     p = args.p
     _require_prime(p)
+    _price_table(p, "fusion table")
     fpdims = {f"L_{r}": fpdim_simple(p, r) for r in range(1, p)}
     products = []
     for r in range(1, p):
@@ -152,6 +161,7 @@ def _cmd_fusion(args) -> tuple[dict, list[str], int]:
 def _cmd_green(args) -> tuple[dict, list[str], int]:
     p = args.p
     _require_prime(p)
+    _price_table(p, "green table")
     rows = []
     for a in range(1, p + 1):
         for b in range(1, p + 1):
@@ -532,7 +542,9 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    """Parse and execute; returns the exit status (0 ok, 1 violation, 2 usage)."""
+    """Parse and execute; returns the exit status: 0 clean, 1 violations found,
+    2 usage error or refused input, 3 internal fault (any other exception,
+    reported as `internal error: ...` with its traceback on stderr)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -544,6 +556,10 @@ def run(argv: list[str]) -> int:
     except (CliError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
     else:

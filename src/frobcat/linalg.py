@@ -133,21 +133,33 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.nda
     top, ptop = _eliminate(a[:h], p, True)
     if not ptop.size:
         return _eliminate(a[h:], p, reduced)
+    return _extend(top, ptop, a[h:], p, reduced, lambda low: _eliminate(low, p, reduced))
+
+
+def _extend(top, ptop, bottom, p: int, reduced: bool, eliminate) -> tuple[np.ndarray, np.ndarray]:
+    """Echelon rows and pivot array of the span of RREF rows `top` (pivots
+    `ptop`, not written to) and residue rows `bottom`.
+
+    bottom minus bottom[:, ptop] @ top vanishes on ptop, so only its rows'
+    other columns are eliminated, by `eliminate`; top is then cleared on
+    the new pivots (reduced=True only) and the rows are merged by pivot.
+    """
+    n = top.shape[1]
     free = np.ones(n, bool)
     free[ptop] = False
     rest = np.flatnonzero(free)
-    low = _sub(a[h:, rest], mat_mul(a[h:, ptop], top[:, rest], p), p)
+    low = _sub(bottom[:, rest], mat_mul(bottom[:, ptop], top[:, rest], p), p)
     low = low[low.any(axis=1)]
     if not low.size:
         return top, ptop
-    low, plow = _eliminate(low, p, reduced)
-    plow = rest[plow]
-    if reduced:
-        top[:, rest] = _sub(top[:, rest], mat_mul(top[:, plow], low, p), p)
+    low, plow = eliminate(low)
+    plow = rest[np.asarray(plow, dtype=np.intp)]
     r1 = top.shape[0]
     out = np.zeros((r1 + low.shape[0], n), np.int64)
     out[:r1] = top
     out[r1:, rest] = low
+    if reduced:
+        out[:r1, rest] = _sub(top[:, rest], mat_mul(top[:, plow], low, p), p)
     pivots = np.concatenate([ptop, plow])
     order = np.argsort(pivots)
     return out[order], pivots[order]
@@ -203,18 +215,34 @@ def rank_mod(a, p: int) -> int:
 
 
 def nullspace_mod(a, p: int) -> np.ndarray:
-    """Canonical (RREF) basis of {x : a @ x = 0}, one row per basis vector."""
-    red, pivots = rref(a, p)
+    """Canonical (RREF) basis of {x : a @ x = 0}, one row per basis vector.
+
+    One elimination: with the columns of a reversed, the RREF gives one
+    kernel vector per free column f, equal to 1 at f, zero on every other
+    free column, and nonzero elsewhere only on pivot columns left of f.
+    Read in the original column order, each vector is therefore zero before
+    its free column and on every other free column: the rows, taken in
+    increasing free column, are the kernel's RREF basis, with the free
+    columns as its pivots.
+    """
+    return _kernel_rref(a, p)[0]
+
+
+def _kernel_rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """RREF basis and pivots of the kernel of a; see nullspace_mod."""
     cols = np.shape(a)[1]
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    if free:
-        basis[np.arange(len(free)), free] = 1
-        if pivots:
-            basis[:, list(pivots)] = (-red[:, free].T) % p
-    # identity block sits on the free columns; one more pass canonicalizes
-    return rref(basis, p)[0]
+    red, rpiv = rref(np.asarray(a)[:, ::-1], p)
+    pivot = np.zeros(cols, bool)
+    pivot[list(rpiv)] = True
+    rfree = np.flatnonzero(~pivot)  # free columns of the reversed matrix, ascending
+    k = rfree.size
+    free = cols - 1 - rfree[::-1]  # the same columns in the original order, ascending
+    basis = np.zeros((k, cols), np.int64)
+    basis[np.arange(k), free] = 1
+    if rpiv:
+        # row i belongs to reversed free column rfree[k-1-i]
+        basis[:, cols - 1 - np.array(rpiv)] = ((-red[:, rfree].T) % p)[::-1]
+    return basis, tuple(free.tolist())
 
 
 def mat_mul(a, b, p: int) -> np.ndarray:
@@ -361,6 +389,12 @@ class Subspace:
         return cls(p=p, ambient=amb, basis=red, pivots=piv)
 
     @classmethod
+    def kernel(cls, a, p: int) -> "Subspace":
+        """{x : a @ x = 0} in F_p^cols(a), from one elimination."""
+        basis, piv = _kernel_rref(a, p)
+        return cls(p=p, ambient=basis.shape[1], basis=basis, pivots=piv)
+
+    @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
         return cls(p=p, ambient=ambient, basis=np.zeros((0, ambient), np.int64), pivots=())
 
@@ -384,9 +418,22 @@ class Subspace:
             return True
         return self.contains_vectors(other.basis)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return Subspace.from_rows(stacked, self.p, self.ambient)
+    def add(self, other) -> "Subspace":
+        """The span of this subspace and `other`, a Subspace or rows.
+
+        The rows are reduced modulo this basis with one product; only the
+        remainder, on this basis's free columns, is eliminated.
+        """
+        rows = as_residues(other.basis if isinstance(other, Subspace) else other, self.p)
+        if rows.ndim == 1:
+            rows = rows[None, :]
+        if rows.shape[1] != self.ambient:
+            raise ValueError(f"rows of width {rows.shape[1]} in a subspace of F_p^{self.ambient}")
+        ptop = np.array(self.pivots, dtype=np.intp)
+        basis, piv = _extend(self.basis, ptop, rows, self.p, True, lambda low: rref(low, self.p))
+        if basis is self.basis:
+            return self
+        return Subspace(p=self.p, ambient=self.ambient, basis=basis, pivots=tuple(piv.tolist()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style: kernel of [A^T | -B^T] gives the common combos."""

@@ -79,17 +79,19 @@ class NilModule:
         return out
 
     def _meet_rows(self, s: int, k: int) -> np.ndarray:
-        # Ker D^s ∩ Im D^k = D^k(Ker D^{s+k}), and Ker D^{s+k} = V once s + k >= n
-        if s == 0:
-            return np.zeros((0, self.dim), np.int64)
-        if k == 0:
-            return nullspace_mod(self.powers[s], self.p)
+        # Ker D^s ∩ Im D^k = D^k(Ker D^{s+k}) for s, k >= 1, and Ker D^{s+k} = V once s + k >= n
         return mat_mul(self.kernel(min(s + k, self.n)).basis, self.powers[k].T, self.p)
 
     def meet(self, s: int, k: int) -> Subspace:
         """Ker D^s ∩ Im D^k for 0 <= s, k <= n, built on first use."""
         if (s, k) not in self._flag:
-            self._flag[s, k] = Subspace.from_rows(self._meet_rows(s, k), self.p, self.dim)
+            if s == 0:
+                meet = Subspace.zero(self.p, self.dim)
+            elif k == 0:
+                meet = Subspace.kernel(self.powers[s], self.p)
+            else:
+                meet = Subspace.from_rows(self._meet_rows(s, k), self.p, self.dim)
+            self._flag[s, k] = meet
         return self._flag[s, k]
 
     def kernel(self, k: int) -> Subspace:
@@ -263,8 +265,7 @@ def multiplicity_space(m: NilModule, j: int) -> Quotient:
     """
     if not 1 <= j <= m.n:
         raise ValueError(f"index {j} outside [1, {m.n}]")
-    denom = np.concatenate([m._meet_rows(j, 1), m.kernel(j - 1).basis], axis=0)
-    return Quotient.of(m.kernel(j), Subspace.from_rows(denom, m.p, m.dim))
+    return Quotient.of(m.kernel(j), m.kernel(j - 1).add(m._meet_rows(j, 1)))
 
 
 def multiplicity_vector(n: int, i: int) -> tuple[int, ...]:

@@ -220,9 +220,11 @@ def intersected_subquotient(m, i: int, j: int | None = None, s: int | None = Non
 
 
 def intersected_multiplicity_space(m, j: int) -> Quotient:
-    """M_j = Ker D^j / (Ker D^j ∩ Im D + Ker D^{j-1}) with a Zassenhaus meet."""
+    """M_j = Ker D^j / (Ker D^j ∩ Im D + Ker D^{j-1}) with a Zassenhaus meet;
+    the sum is an elimination of the stacked bases, not `Subspace.add`."""
     ker = _kernel_of_power(m, j)
-    return Quotient.of(ker, ker.intersect(_image_of_power(m, 1)).add(_kernel_of_power(m, j - 1)))
+    meet, below = ker.intersect(_image_of_power(m, 1)), _kernel_of_power(m, j - 1)
+    return Quotient.of(ker, Subspace.from_rows(np.concatenate([meet.basis, below.basis]), m.p, m.dim))
 
 
 def intersected_hom_dims(m, i: int) -> dict:

@@ -103,6 +103,9 @@ HOSTILE_INPUTS = {
         "--dim-cap must be nonnegative", 1.0,
     ),
     "green-at-p-13": (["green", "--p", "13"], 0, None, 0.5),
+    # P^2 rows of up to P entries: priced before any row is built
+    "green-at-p-65521": (["green", "--p", "65521"], 2, "green table needs", 1.0),
+    "fusion-at-p-65521": (["fusion", "--p", "65521"], 2, "fusion table needs", 1.0),
 }
 
 
@@ -125,6 +128,21 @@ def test_hostile_input(case, capsys, tmp_path):
         assert err == ""
     else:
         assert err.startswith("error: ") and message in err
+
+
+def test_internal_fault_exits_3(monkeypatch, capsys):
+    # an exception that is neither refused input nor a violation is a fault
+    import frobcat.cli
+
+    def broken(args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setitem(frobcat.cli._HANDLERS, "fusion", broken)
+    assert run(["fusion", "--p", "3"]) == 3
+    out, err = lines_of(capsys)
+    assert out == [""]
+    assert err.startswith("internal error: AssertionError: invariant broken\n")
+    assert "Traceback" in err
 
 
 def test_green_command(capsys):

@@ -1,8 +1,12 @@
-"""Every module-level import in the package is used (no linter is assumed).
+"""Source checks on the package (no linter is assumed).
 
-A name bound by a top-level `import` or `from ... import` in
-`src/frobcat/*.py` must be read somewhere in its module or listed in its
-`__all__`; `__init__.py` exists to re-export and is exempt.
+Every module-level import is used: a name bound by a top-level `import` or
+`from ... import` in `src/frobcat/*.py` must be read somewhere in its module
+or listed in its `__all__`; `__init__.py` exists to re-export and is exempt.
+
+No kernel is reduced twice: `nullspace_mod` already returns an RREF basis,
+so no module passes its result to `Subspace.from_rows` (`Subspace.kernel`
+wraps it as it is). The test oracles may, and are not scanned.
 """
 import ast
 from pathlib import Path
@@ -49,3 +53,76 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _callee(node) -> str | None:
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+    return None
+
+
+def rereduced_kernels(source: str) -> list[str]:
+    """`from_rows` calls whose rows are a `nullspace_mod` result: the call
+    itself, a name bound to one in the same function, or a call of a
+    function of the module that returns one."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    returners = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Return) and _callee(node.value) == "nullspace_mod"
+    }
+    found = set()
+    for scope in [tree, *functions]:
+        bound = {
+            target.id
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Assign) and _callee(node.value) == "nullspace_mod"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(scope):
+            if _callee(node) != "from_rows" or not node.args:
+                continue
+            rows = node.args[0]
+            if (
+                _callee(rows) == "nullspace_mod"
+                or _callee(rows) in returners
+                or (isinstance(rows, ast.Name) and rows.id in bound)
+            ):
+                found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detector_flags_a_rereduced_kernel():
+    src = """
+def direct(a, p):
+    return Subspace.from_rows(nullspace_mod(a, p), p)
+
+def named(a, p):
+    ker = nullspace_mod(a, p)
+    return Subspace.from_rows(ker, p, a.shape[1])
+
+class Module:
+    def _rows(self, s):
+        if s:
+            return nullspace_mod(self.powers[s], self.p)
+        return self.zero
+
+    def meet(self, s):
+        return Subspace.from_rows(self._rows(s), self.p, self.dim)
+
+def fine(a, b, p):
+    combos = nullspace_mod(a, p)
+    return Subspace.from_rows(mat_mul(combos, b, p), p), Subspace.kernel(a, p)
+"""
+    assert rereduced_kernels(src) == ["line 3", "line 7", "line 16"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_kernel_is_reduced_twice(path):
+    assert rereduced_kernels(path.read_text(encoding="utf-8")) == []

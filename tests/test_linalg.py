@@ -286,6 +286,43 @@ def test_nullspace_matches_oracle_at_blocked_sizes(p):
 
 
 @pytest.mark.parametrize("p", DIFF_MODULI)
+def test_subspace_kernel_matches_nullspace_at_blocked_sizes(p):
+    # one elimination gives the RREF kernel basis and its pivots, with nothing to re-reduce
+    edges = [np.zeros((0, 5), np.int64), np.zeros((4, 0), np.int64), np.zeros((0, 0), np.int64)]
+    cases = [(a, want_p) for a, _, want_p in blocked_cases(p)] + [(a, ()) for a in edges]
+    for a, want_p in cases:
+        ker = Subspace.kernel(a, p)
+        assert ker == Subspace.from_rows(nullspace_mod(a, p), p, a.shape[1])
+        assert ker.dim == a.shape[1] - len(want_p)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_subspace_add_matches_oracle_at_blocked_sizes(p):
+    # the span of the stacked rows, from a Subspace or from rows alike
+    rng = rng_for(p, 3)
+    n = 100
+    a_rows = thin_product(rng, p, 70, n, 45)
+    a = Subspace.from_rows(a_rows, p)
+    new_rows = thin_product(rng, p, 60, n, 40)
+    inside = mat_mul_naive(rng.integers(0, p, size=(30, 70)), a_rows, p)
+    full = Subspace.from_rows(np.eye(n, dtype=np.int64), p)
+    cases = [
+        (Subspace.zero(p, n), new_rows),
+        (a, new_rows),
+        (a, np.concatenate([inside, new_rows])),
+        (a, inside),
+        (a, np.eye(n, dtype=np.int64)),
+        (full, new_rows),
+    ]
+    for sub, rows in cases:
+        want_r, want_p = rref_naive(np.concatenate([sub.basis, rows]), p)
+        for other in (rows, Subspace.from_rows(rows, p, n)):
+            got = sub.add(other)
+            assert got.pivots == want_p and np.array_equal(got.basis, want_r)
+    assert a.add(inside) is a and full.add(new_rows) is full
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
 def test_subspace_reduce_and_intersect_match_oracle(p):
     rng = rng_for(p, 1)
     n = 160

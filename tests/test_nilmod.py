@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import PrimeMatrix, inverse_mod, mat_mul, random_invertible
+from frobcat.linalg import PrimeMatrix, inverse_mod, mat_mul, random_invertible, rref
 from frobcat.nilmod import (
     JordanType,
     ShortExactSeq,
@@ -192,6 +192,34 @@ def test_functors_build_each_power_once(monkeypatch):
     assert m.powers[1] is m.D.entries
     for k, power in enumerate(m.powers):
         assert np.array_equal(power, np.linalg.matrix_power(m.D.entries, k) % 5)
+
+
+def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
+    # Ker D^k is one elimination of D^k; the denominator of M_j extends
+    # Ker D^{j-1} by D Ker D^{j+1}, eliminating only on Ker D^{j-1}'s free columns
+    import frobcat.linalg
+
+    p, n = 5, 6
+    parts = tuple(k for k in range(n, 0, -1) for _ in range(2))
+    g = random_invertible(p, sum(parts), rng_for(7, 0))
+    d = mat_mul(mat_mul(g, jordan_matrix(parts), p), inverse_mod(g, p), p)
+    m = nil_module(d, p, n)
+    widths = []
+
+    def counted(a, p, reduced=True):
+        widths.append(np.shape(a)[1])
+        return rref(a, p, reduced)
+
+    monkeypatch.setattr(frobcat.linalg, "rref", counted)
+    for k in range(1, n + 1):
+        m.kernel(k)
+    assert len(widths) == n
+    for j in range(1, n + 1):
+        widths.clear()
+        assert multiplicity_space(m, j).dim == 2
+        # blocks longer than j put D Ker D^{j+1} outside Ker D^{j-1} for j < n only
+        assert len(widths) == (j < n)
+        assert all(w <= m.dim - m.kernel(j - 1).dim for w in widths)
 
 
 def test_powers_are_read_only():
