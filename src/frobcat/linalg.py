@@ -5,9 +5,10 @@ Every matrix product goes through `mat_mul`: one float64 GEMM, exact while
 every partial sum is an integer below 2^53, that is (p-1)^2 * k < 2^53 for
 inner size k, then an int64 remainder; past that bound the product runs in
 Python ints. `rref` splits rows recursively so that its work is a few such
-products; only blocks of at most 16 rows are eliminated one pivot at a time,
-with entrywise residue products in int64 while (p-1)^2 < 2^63 and in Python
-ints beyond. So the kernels are exact for every p; `check_modulus` refuses,
+products; blocks of at most 16 rows are eliminated one pivot at a time, on
+panels of 32 live columns past 64 columns, with entrywise residue products in
+int64 while (p-1)^2 < 2^63 and in Python ints beyond. So the kernels are
+exact for every p; `check_modulus` refuses,
 at the `PrimeMatrix` and CLI boundary, the p whose residue products would
 overflow int64 in the rest of the library.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +48,11 @@ class BudgetError(RuntimeError):
 
 def budget_bytes() -> int:
     """The allocation ceiling; FROBCAT_BUDGET_MB must be a positive integer when set."""
-    mb = os.environ.get("FROBCAT_BUDGET_MB", "")
+    return _parse_budget(os.environ.get("FROBCAT_BUDGET_MB", ""))
+
+
+@lru_cache(maxsize=8)
+def _parse_budget(mb: str) -> int:
     if not mb:
         return DEFAULT_BUDGET_MB * 1024 * 1024
     if not mb.isdecimal() or int(mb) < 1:
@@ -114,17 +120,18 @@ def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
 # Blocks of at most this many rows are eliminated one pivot at a time: below
 # it, numpy's per-call cost outweighs the row work a split into products saves.
 _LEAF_ROWS = 16
+_PANEL_COLS = 32
 
 
 def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
     """Echelon rows and pivot array of the residue matrix a, which it may overwrite.
 
-    Row-recursive: R1 = RREF(top half); the bottom half minus
-    bottom[:, P1] @ R1 vanishes on the pivot columns P1, so only its other
-    columns are eliminated, recursively; R1 is then cleared on the new
-    pivots with one more product, and the rows are merged by pivot. Only
-    the first product is needed for an echelon form, so reduced=False skips
-    the second along the bottom halves. Both products go through mat_mul.
+    Row-recursive: R1 = RREF(top half); the bottom half minus bottom[:, P1] @ R1
+    vanishes on the pivot columns P1, so only its other columns are eliminated,
+    recursively; R1 is then cleared on the new pivots with one more product,
+    and the rows are merged by pivot. Only the first product is needed for an
+    echelon form, so reduced=False skips the second along the bottom halves.
+    Both products go through mat_mul, as do the panels of _eliminate_rows.
     """
     m, n = a.shape
     if m <= _LEAF_ROWS:
@@ -168,16 +175,41 @@ def _extend(top, ptop, bottom, p: int, reduced: bool, eliminate) -> tuple[np.nda
 def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
     """The base case of _eliminate: one pivot at a time over all of a's rows.
 
-    Residue products are exact in int64 while (p-1)^2 < 2^63, and in
-    Python ints (an object array) beyond.
+    Past 2 * _PANEL_COLS columns it goes a panel at a time (the CUP base case
+    of Dumas, Pernet and Sultan): the pivot loop runs on the next _PANEL_COLS
+    live columns (nonzero in an unpivoted row) beside the identity, leaving
+    the row transform T in the identity's place, and one product applies T
+    right of the panel; T fixes every column it skipped. Residue products are
+    exact in int64 while (p-1)^2 < 2^63, and in Python ints (an object array)
+    beyond.
     """
     work = a if (p - 1) * (p - 1) < 2**63 else a.astype(object)
     rows, cols = work.shape
+    if cols <= 2 * _PANEL_COLS:
+        r, pivots = _pivot_loop(work, p, reduced, 0, cols)
+    else:
+        pivots, r, c = [], 0, 0
+        while r < rows:
+            panel = c + np.flatnonzero(work[r:, c:].any(axis=0))[:_PANEL_COLS]
+            if not panel.size:
+                break
+            k = panel.size
+            aug = np.concatenate([work[:, panel], np.eye(rows, dtype=work.dtype)], axis=1)
+            r, found = _pivot_loop(aug, p, reduced, r, k)
+            pivots.extend(panel[found].tolist())
+            work[:, panel] = aug[:, :k]
+            c = int(panel[-1]) + 1
+            work[:, c:] = mat_mul(aug[:, k:], work[:, c:], p)
+    return work[:r].astype(np.int64, copy=False), np.array(pivots, dtype=np.intp)
+
+
+def _pivot_loop(work: np.ndarray, p: int, reduced: bool, r: int, cols: int) -> tuple[int, list[int]]:
+    """Pivot columns [0, cols) of work in place from row r; returns the next row and the pivots."""
     pivots = []
-    r = c = 0
-    while r < rows and c < cols:
+    c = 0
+    while r < len(work) and c < cols:
         if not work[r:, c].any():
-            live = work[r:, c:].any(axis=0)
+            live = work[r:, c:cols].any(axis=0)
             if not live.any():
                 break
             c += int(live.argmax())
@@ -200,7 +232,7 @@ def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, n
         pivots.append(c)
         r += 1
         c += 1
-    return work[:r].astype(np.int64, copy=False), np.array(pivots, dtype=np.intp)
+    return r, pivots
 
 
 def _sub(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:

@@ -172,10 +172,11 @@ def _rank_sequence_arr(d: np.ndarray, n: int, p: int) -> tuple[int, ...]:
     for k in range(1, n + 1):
         src = d.T if k == 1 else mat_mul(rows, d.T, p)
         rows, piv = rref(src, p, reduced=False)
-        ranks.append(len(piv))
-        if not piv:
-            ranks.extend([0] * (n - k))
+        if not piv or len(piv) == ranks[-1]:
+            # Im D^k = 0 or Im D^{k-1}: every later power has the same rank
+            ranks.extend([len(piv)] * (n - k + 1))
             break
+        ranks.append(len(piv))
     return tuple(ranks)
 
 

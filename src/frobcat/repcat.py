@@ -305,25 +305,27 @@ def symmetric_power(rep: GroupRep, m: int) -> GroupRep:
 # ----------------------------------------------------- restriction and Green ring
 
 
-def _one_minus(rep: GroupRep, word: str, error: str) -> np.ndarray:
-    """1 - rho(word) mod p; raises ValueError(error) unless rho(word)^p = 1."""
-    u = evaluate_word(rep, word)
-    eye = np.eye(rep.dim, dtype=np.int64)
-    if not np.array_equal(mat_pow(u, rep.p, rep.p), eye):
-        raise ValueError(error)
-    return (eye - u) % rep.p
+def _one_minus(rep: GroupRep, word: str) -> np.ndarray:
+    """D = 1 - rho(word) mod p. In characteristic p, D^p = 1 - rho(word)^p, so
+    rho(word) has order dividing p exactly when D^p = 0."""
+    return (np.eye(rep.dim, dtype=np.int64) - evaluate_word(rep, word)) % rep.p
 
 
 def _jordan_type_at(rep: GroupRep, word: str, error: str) -> JordanType:
-    """Jordan type of 1 - rho(word), after the order-p check of _one_minus."""
-    d = _one_minus(rep, word, error)
-    return _type_from_ranks(_rank_sequence_arr(d, rep.p, rep.p), rep.p)
+    """Jordan type of 1 - rho(word); raises ValueError(error) unless rho(word)^p = 1,
+    read off the last rank of the sequence, rank D^p, with no power formed."""
+    ranks = _rank_sequence_arr(_one_minus(rep, word), rep.p, rep.p)
+    if ranks[-1]:
+        raise ValueError(error)
+    return _type_from_ranks(ranks, rep.p)
 
 
 def restrict_to_nilmodule(rep: GroupRep, element: str, n: int) -> NilModule:
     """NilModule with D = 1 - rho(element); element must have order dividing p."""
-    error = f"element {element!r} does not have order dividing {rep.p}"
-    return nil_module(_one_minus(rep, element, error), rep.p, n)
+    d = _one_minus(rep, element)
+    if mat_pow(d, rep.p, rep.p).any():
+        raise ValueError(f"element {element!r} does not have order dividing {rep.p}")
+    return nil_module(d, rep.p, n)
 
 
 def decompose_cyclic(rep: GroupRep) -> JordanType:

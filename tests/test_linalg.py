@@ -213,6 +213,26 @@ def test_budget_env_override(monkeypatch):
             check_budget(1, "test allocation")
 
 
+def test_budget_is_parsed_once_per_value(monkeypatch):
+    from frobcat.linalg import _parse_budget, budget_bytes
+
+    _parse_budget.cache_clear()
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "7")
+    for _ in range(100):
+        check_budget(1, "test allocation")
+    assert _parse_budget.cache_info().misses == 1
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "9")
+    assert budget_bytes() == 9 * 1024 * 1024
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "abc")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="FROBCAT_BUDGET_MB must be a positive integer"):
+            check_budget(1, "test allocation")
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "7")
+    assert budget_bytes() == 7 * 1024 * 1024
+    monkeypatch.delenv("FROBCAT_BUDGET_MB")
+    assert budget_bytes() == 512 * 1024 * 1024
+
+
 def test_budget_guards_dense_kron(monkeypatch):
     monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
     big = np.ones((200, 200), dtype=int)
@@ -273,6 +293,52 @@ def test_rref_and_rank_match_oracle_at_blocked_sizes(p):
         assert piv == want_p and is_echelon(ech, piv)
         assert np.array_equal(rref_naive(ech, p)[0], want_r)
         assert rank_mod(a, p) == len(want_p)
+
+
+def staircase(rng, p, rows, bands, width=33, gap=40):
+    """Random combinations of `bands` rows, each nonzero on its own run of
+    `width` columns, the runs `gap` zero columns apart: every panel of a
+    leaf finds one pivot, and past the last band no column is live."""
+    steps = np.zeros((bands, bands * (width + gap)), np.int64)
+    for k in range(bands):
+        start = k * (width + gap)
+        steps[k, start : start + width] = rng.integers(1, p, size=width)
+    mix = random_invertible(p, max(rows, bands), rng)[:rows, :bands]  # of full rank
+    return mat_mul_naive(mix, steps, p)
+
+
+def check_rref_against_oracle(a, p):
+    want_r, want_p = rref_naive(a, p)
+    got_r, got_p = rref(a, p)
+    assert got_p == want_p and np.array_equal(got_r, want_r)
+    ech, piv = rref(a, p, reduced=False)
+    assert piv == want_p and is_echelon(ech, piv)
+    assert np.array_equal(rref_naive(ech, p)[0], want_r)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_rref_leaves_match_oracle(p, monkeypatch):
+    # leaves of at most 64 columns are eliminated whole; wider ones a panel
+    # of live columns at a time, each panel's transform applied by a product
+    import frobcat.linalg
+
+    rng = rng_for(p, 1)
+    for rows in (16, 17):
+        for cols in (40, 64, 65, 300):
+            check_rref_against_oracle(rng.integers(0, p, size=(rows, cols)), p)
+            check_rref_against_oracle(thin_product(rng, p, rows, cols, 5), p)
+    check_rref_against_oracle(np.zeros((16, 300), np.int64), p)
+    loops = []
+    real = frobcat.linalg._pivot_loop
+    monkeypatch.setattr(frobcat.linalg, "_pivot_loop", lambda *a: loops.append(1) or real(*a))
+    for rows, bands in ((16, 10), (16, 16), (12, 16)):
+        a = staircase(rng, p, rows, bands)
+        loops.clear()
+        assert len(rref(a, p)[1]) == min(rows, bands) == len(loops)
+        check_rref_against_oracle(a, p)
+    loops.clear()
+    rref(rng.integers(0, p, size=(16, 64)), p)
+    assert len(loops) == 1
 
 
 @pytest.mark.parametrize("p", DIFF_MODULI)

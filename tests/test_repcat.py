@@ -27,6 +27,7 @@ from frobcat.repcat import (
     tensor,
     trivial_rep,
     validate,
+    witness_type,
 )
 
 from itertools import combinations_with_replacement
@@ -92,6 +93,50 @@ def test_evaluate_word_squares_each_run(monkeypatch):
         calls.clear()
         evaluate_word(rep, "a" * p)
         assert len(calls) <= 2 * p.bit_length()
+
+
+def unvalidated(group, p, *gens):
+    mats = tuple(PrimeMatrix.dense(np.array(g), p) for g in gens)
+    return GroupRep(group=group, p=p, dim=mats[0].rows, matrices=mats)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        unvalidated(cyclic_group(3), 3, [[2]]),
+        unvalidated(cyclic_group(5), 5, [[4, 1, 0], [0, 4, 0], [0, 0, 1]]),  # -1 + N, order 2p
+        unvalidated(cyclic_group(5), 5, [[1, 1, 0], [0, 1, 0], [0, 0, 2]]),  # 1 + N beside 2, order 4p
+        unvalidated(cyclic_group(65521), 65521, [[2]]),
+    ],
+)
+def test_order_check_on_a_generator_of_wrong_order(rep, monkeypatch):
+    # (1 - u)^p = 1 - u^p in characteristic p: the check is read off the
+    # rank sequence, which stops once the ranks do, and forms no power of u
+    import frobcat.linalg
+    import frobcat.nilmod
+    import frobcat.repcat
+
+    good, perm = cyclic_rep(5, (3, 1)), symmetric_perm_rep(3)  # validated before the patch
+
+    def no_power(*args):
+        raise AssertionError("mat_pow called")
+
+    monkeypatch.setattr(frobcat.linalg, "mat_pow", no_power)
+    monkeypatch.setattr(frobcat.repcat, "mat_pow", no_power)
+    elims = []
+    real = frobcat.nilmod.rref
+    monkeypatch.setattr(frobcat.nilmod, "rref", lambda *a, **k: elims.append(1) or real(*a, **k))
+    with pytest.raises(ValueError, match="^generator does not have order dividing p; group is not Z/p$"):
+        decompose_cyclic(rep)
+    assert len(elims) <= rep.dim + 1
+    with pytest.raises(ValueError, match=f"^sylow witness 'a' does not have order dividing {rep.p}$"):
+        witness_type(rep)
+    two = unvalidated(symmetric_group(3), 3, [[2]], [[2]])
+    with pytest.raises(ValueError, match="^sylow witness 'b' does not have order dividing 3$"):
+        witness_type(two)
+    # a rep of the right order still decomposes, with no power formed
+    assert decompose_cyclic(good).parts == (3, 1)
+    assert witness_type(perm).parts == (3,)
 
 
 def test_builders():
