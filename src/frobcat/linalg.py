@@ -5,12 +5,12 @@ Every matrix product goes through `mat_mul`: one float64 GEMM, exact while
 every partial sum is an integer below 2^53, that is (p-1)^2 * k < 2^53 for
 inner size k, then an int64 remainder; past that bound the product runs in
 Python ints. `rref` splits rows recursively so that its work is a few such
-products; blocks of at most 16 rows are eliminated one pivot at a time, on
-panels of 32 live columns past 64 columns, with entrywise residue products in
-int64 while (p-1)^2 < 2^63 and in Python ints beyond. So the kernels are
-exact for every p; `check_modulus` refuses,
-at the `PrimeMatrix` and CLI boundary, the p whose residue products would
-overflow int64 in the rest of the library.
+products; blocks of at most 16 rows are eliminated one pivot at a time, and
+past 64 columns a panel of 32 live columns at a time, whose row transform one
+product applies to the rest; residue products are int64 while (p-1)^2 < 2^63
+and Python ints beyond. So the kernels are exact for every p; `check_modulus`
+refuses, at the `PrimeMatrix` and CLI boundary, the p whose residue products
+would overflow int64 in the rest of the library.
 """
 from __future__ import annotations
 
