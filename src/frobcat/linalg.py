@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,11 +47,7 @@ class BudgetError(RuntimeError):
 
 def budget_bytes() -> int:
     """The allocation ceiling; FROBCAT_BUDGET_MB must be a positive integer when set."""
-    return _parse_budget(os.environ.get("FROBCAT_BUDGET_MB", ""))
-
-
-@lru_cache(maxsize=8)
-def _parse_budget(mb: str) -> int:
+    mb = os.environ.get("FROBCAT_BUDGET_MB", "")
     if not mb:
         return DEFAULT_BUDGET_MB * 1024 * 1024
     if not mb.isdecimal() or int(mb) < 1:
@@ -120,6 +115,7 @@ def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
 # Blocks of at most this many rows are eliminated one pivot at a time: below
 # it, numpy's per-call cost outweighs the row work a split into products saves.
 _LEAF_ROWS = 16
+# Panels beat the pivot loop only past 64 columns; panel widths 16 to 48 tie, 64 is slower.
 _PANEL_COLS = 32
 
 
@@ -178,10 +174,9 @@ def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, n
     Past 2 * _PANEL_COLS columns it goes a panel at a time (the CUP base case
     of Dumas, Pernet and Sultan): the pivot loop runs on the next _PANEL_COLS
     live columns (nonzero in an unpivoted row) beside the identity, leaving
-    the row transform T in the identity's place, and one product applies T
-    right of the panel; T fixes every column it skipped. Residue products are
-    exact in int64 while (p-1)^2 < 2^63, and in Python ints (an object array)
-    beyond.
+    the row transform T there, and one product applies T right of the panel,
+    T fixing the skipped columns. Residue products are exact in int64 while
+    (p-1)^2 < 2^63, and in Python ints (an object array) beyond.
     """
     work = a if (p - 1) * (p - 1) < 2**63 else a.astype(object)
     rows, cols = work.shape

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcat.linalg import (
+    DEFAULT_BUDGET_MB,
     BudgetError,
     PrimeMatrix,
     Quotient,
@@ -211,26 +212,13 @@ def test_budget_env_override(monkeypatch):
         monkeypatch.setenv("FROBCAT_BUDGET_MB", bad)
         with pytest.raises(ValueError, match="FROBCAT_BUDGET_MB must be a positive integer"):
             check_budget(1, "test allocation")
-
-
-def test_budget_is_parsed_once_per_value(monkeypatch):
-    from frobcat.linalg import _parse_budget, budget_bytes
-
-    _parse_budget.cache_clear()
-    monkeypatch.setenv("FROBCAT_BUDGET_MB", "7")
-    for _ in range(100):
-        check_budget(1, "test allocation")
-    assert _parse_budget.cache_info().misses == 1
-    monkeypatch.setenv("FROBCAT_BUDGET_MB", "9")
-    assert budget_bytes() == 9 * 1024 * 1024
-    monkeypatch.setenv("FROBCAT_BUDGET_MB", "abc")
-    for _ in range(2):
-        with pytest.raises(ValueError, match="FROBCAT_BUDGET_MB must be a positive integer"):
-            check_budget(1, "test allocation")
-    monkeypatch.setenv("FROBCAT_BUDGET_MB", "7")
-    assert budget_bytes() == 7 * 1024 * 1024
+    # a setting changed after a malformed one, or removed, takes effect
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "4")
+    check_budget(2 * 1024 * 1024, "test allocation")
     monkeypatch.delenv("FROBCAT_BUDGET_MB")
-    assert budget_bytes() == 512 * 1024 * 1024
+    check_budget(DEFAULT_BUDGET_MB * 1024 * 1024, "test allocation")
+    with pytest.raises(BudgetError):
+        check_budget(DEFAULT_BUDGET_MB * 1024 * 1024 + 1, "test allocation")
 
 
 def test_budget_guards_dense_kron(monkeypatch):
