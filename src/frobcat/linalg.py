@@ -115,7 +115,7 @@ def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
 # Blocks of at most this many rows are eliminated one pivot at a time: below
 # it, numpy's per-call cost outweighs the row work a split into products saves.
 _LEAF_ROWS = 16
-# Panels beat the pivot loop only past 64 columns; panel widths 16 to 48 tie, 64 is slower.
+# Panels beat the pivot loop only past 64 columns; widths 16 to 48 are within 10%, 64 is slower.
 _PANEL_COLS = 32
 
 
