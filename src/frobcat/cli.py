@@ -14,6 +14,7 @@ import re
 import sys
 import traceback
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 from .frobenius import (
@@ -66,8 +67,12 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?J(\d+)\s*$")
 
 
 def parse_module_spec(text: str, p: int) -> tuple[int, ...]:
-    """Multiset of Jordan block sizes from a string like "J3 + 2*J5"."""
-    parts: list[int] = []
+    """Multiset of Jordan block sizes from a string like "J3 + 2*J5".
+
+    The module's dense generator is priced from the counts before any list
+    of parts is built.
+    """
+    terms = []
     for term in text.split("+"):
         m = _TERM_RE.match(term)
         if not m:
@@ -78,8 +83,10 @@ def parse_module_spec(text: str, p: int) -> tuple[int, ...]:
         k = int(m.group(2))
         if not 1 <= k <= p:
             raise CliError(f"block size {k} outside [1, {p}]")
-        parts.extend([k] * count)
-    return tuple(sorted(parts, reverse=True))
+        terms.append((k, count))
+    dim = sum(k * count for k, count in terms)
+    check_budget(dim * dim * 8, "module generator")
+    return tuple(sorted((k for k, count in terms for _ in range(count)), reverse=True))
 
 
 def load_rep(path: str) -> GroupRep:
@@ -488,7 +495,11 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
 # ------------------------------------------------------------------- plumbing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `run`: parse_args
+    keeps no state between calls, and a fresh tree cost about half of a
+    small check's time."""
     ap = argparse.ArgumentParser(
         prog="frobcat",
         description="Fusion rings, Green-ring tables, and shift-functor checks over F_p.",

@@ -5,12 +5,14 @@ Every matrix product goes through `mat_mul`: one float64 GEMM, exact while
 every partial sum is an integer below 2^53, that is (p-1)^2 * k < 2^53 for
 inner size k, then an int64 remainder; past that bound the product runs in
 Python ints. `rref` splits rows recursively so that its work is a few such
-products; blocks of at most 16 rows are eliminated one pivot at a time, and
-past 64 columns a panel of 32 live columns at a time, whose row transform one
-product applies to the rest; residue products are int64 while (p-1)^2 < 2^63
-and Python ints beyond. So the kernels are exact for every p; `check_modulus`
-refuses, at the `PrimeMatrix` and CLI boundary, the p whose residue products
-would overflow int64 in the rest of the library.
+products. Blocks of at most 16 rows have three base cases: up to 196 entries,
+one pivot at a time on lists of Python ints; up to 64 columns, one pivot at a
+time on the array; past that, a panel of 32 live columns at a time, whose row
+transform one product applies to the rest. Array residue products are int64
+while (p-1)^2 < 2^63 and Python ints beyond, so the kernels are exact for
+every p; `check_modulus` refuses, at the `PrimeMatrix` and CLI boundary, the
+p whose residue products would overflow int64 in the rest of the library.
+`rank_stack` ranks a stack of small matrices in one lockstep sweep.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ __all__ = [
     "is_prime",
     "rref",
     "rank_mod",
+    "rank_stack",
     "nullspace_mod",
     "mat_mul",
     "mat_pow",
@@ -117,6 +120,10 @@ def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
 _LEAF_ROWS = 16
 # Panels beat the pivot loop only past 64 columns; widths 16 to 48 are within 10%, 64 is slower.
 _PANEL_COLS = 32
+# Blocks of at most this many entries are eliminated in Python ints: on the
+# leaves of a check_suites pass that took 0.26-0.80x the pivot loop's time up to
+# 196 entries and 1.05-1.6x past it; a green_tensor pass crosses over at 256.
+_TINY_CELLS = 196
 
 
 def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -171,15 +178,23 @@ def _extend(top, ptop, bottom, p: int, reduced: bool, eliminate) -> tuple[np.nda
 def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
     """The base case of _eliminate: one pivot at a time over all of a's rows.
 
-    Past 2 * _PANEL_COLS columns it goes a panel at a time (the CUP base case
-    of Dumas, Pernet and Sultan): the pivot loop runs on the next _PANEL_COLS
-    live columns (nonzero in an unpivoted row) beside the identity, leaving
-    the row transform T there, and one product applies T right of the panel,
-    T fixing the skipped columns. Residue products are exact in int64 while
-    (p-1)^2 < 2^63, and in Python ints (an object array) beyond.
+    Three ways, by size, with the same pivots and row operations:
+    - at most _TINY_CELLS entries: on lists of Python ints (_pivot_lists),
+      where the ten or so numpy calls per pivot of the array loop cost more
+      than the arithmetic;
+    - at most 2 * _PANEL_COLS columns: the pivot loop on the array;
+    - wider: a panel at a time (the CUP base case of Dumas, Pernet and
+      Sultan). The pivot loop runs on the next _PANEL_COLS live columns
+      (nonzero in an unpivoted row) beside the identity, leaving the row
+      transform T there, and one product applies T right of the panel, T
+      fixing the skipped columns.
+    Array residue products are exact in int64 while (p-1)^2 < 2^63, and in
+    Python ints (an object array) beyond.
     """
+    rows, cols = a.shape
+    if rows * cols <= _TINY_CELLS:
+        return _pivot_lists(a, p, reduced)
     work = a if (p - 1) * (p - 1) < 2**63 else a.astype(object)
-    rows, cols = work.shape
     if cols <= 2 * _PANEL_COLS:
         r, pivots = _pivot_loop(work, p, reduced, 0, cols)
     else:
@@ -196,6 +211,38 @@ def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, n
             c = int(panel[-1]) + 1
             work[:, c:] = mat_mul(aug[:, k:], work[:, c:], p)
     return work[:r].astype(np.int64, copy=False), np.array(pivots, dtype=np.intp)
+
+
+def _pivot_lists(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_pivot_loop's pivots and row operations on a as lists of Python ints."""
+    rows = a.tolist()
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        for k in range(r, m):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        top = rows[r]
+        if top[c] != 1:
+            inv = pow(top[c], -1, p)
+            top[c:] = [x * inv % p for x in top[c:]]
+        tail = top[c + 1 :]
+        # rows to clear: all others, or in echelon form only those below
+        for i in range(0 if reduced else r + 1, m):
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                row[c] = 0
+                row[c + 1 :] = [(x - f * y) % p for x, y in zip(row[c + 1 :], tail)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return np.array(rows[:r], dtype=np.int64).reshape(r, n), np.array(pivots, dtype=np.intp)
 
 
 def _pivot_loop(work: np.ndarray, p: int, reduced: bool, r: int, cols: int) -> tuple[int, list[int]]:
@@ -239,6 +286,43 @@ def _sub(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 def rank_mod(a, p: int) -> int:
     return len(rref(a, p, reduced=False)[1])
+
+
+def rank_stack(a, p: int) -> np.ndarray:
+    """Ranks of a (t, m, n) stack of matrices, eliminated in lockstep.
+
+    Column by column c, each matrix takes its first row nonzero at c, if it
+    has one, as pivot row, and every row becomes pivot * row - row[c] *
+    pivot row right of c. For the other rows that is an invertible row
+    operation clearing c; the pivot row itself becomes zero, so it is never
+    taken again, and no inverse is needed. The rank is the number of pivots
+    found. The products are int64 while (p-1)^2 < 2^63; past that each
+    matrix goes to rank_mod.
+    """
+    a = as_residues(a, p)
+    t, m, n = a.shape
+    if (p - 1) * (p - 1) >= 2**63:
+        return np.array([rank_mod(x, p) for x in a], dtype=np.int64)
+    check_budget(2 * a.size * 8, "stacked rank")  # the residue copy and one product
+    ranks = np.zeros(t, np.int64)
+    at = np.arange(t)
+    for c in range(n):
+        col = a[:, :, c]
+        nonzero = col != 0
+        found = nonzero.any(axis=1)
+        if not found.any():
+            continue
+        ranks += found
+        if c + 1 == n:
+            break
+        k = nonzero.argmax(axis=1)
+        pivot = col[at, k] + ~found  # 1 where no pivot: those matrices are left as they are
+        top = a[at, k, c + 1 :]
+        rest = a[:, :, c + 1 :]
+        rest *= pivot[:, None, None]
+        rest -= col[:, :, None] * top[:, None, :]
+        rest %= p
+    return ranks
 
 
 def nullspace_mod(a, p: int) -> np.ndarray:

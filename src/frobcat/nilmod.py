@@ -16,12 +16,14 @@ from .linalg import (
     Quotient,
     Subspace,
     as_residues,
+    check_budget,
     inverse_mod,
     kron_arrays,
     mat_mul,
     nullspace_mod,
     random_invertible,
     rank_mod,
+    rank_stack,
     rref,
 )
 from .seeding import rng_for
@@ -110,6 +112,7 @@ def nil_module(d, p: int, n: int) -> NilModule:
 def jordan_matrix(parts: tuple[int, ...]) -> np.ndarray:
     """Block-diagonal nilpotent matrix with the given block sizes."""
     dim = sum(parts)
+    check_budget(dim * dim * 8, "Jordan matrix")
     arr = np.zeros((dim, dim), np.int64)
     at = 0
     for size in parts:
@@ -426,15 +429,13 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     rank of the block-triangular D_Y^j is computed as
     rank Dx^j + rank Dz^j + rank(L_j phi_j N_j) with L_j a left-kernel basis
     of Dx^j and N_j a right-kernel basis of Dz^j, which keeps the per-trial
-    work on matrices of cokernel size.
+    work on matrices of cokernel size; rank_stack ranks every trial's at once.
     """
     p, n = x.p, x.n
     dx, dz = x.dim, z.dim
     dim_y = dx + dz
     px, pz = x.powers, z.powers
     rx, rz = rank_sequence(x), rank_sequence(z)
-    ex, ez = _e_dims(rx, dx, n), _e_dims(rz, dz, n)
-    merged = _type_from_ranks(rx, n).merge(_type_from_ranks(rz, n))
 
     basis = _coupling_basis(x, z)
     coeffs = np.zeros((trials, basis.shape[0]), np.int64)
@@ -453,40 +454,34 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     rank_rows[:, 0] = dim_y
     flat = phis.reshape(trials, dx * dz)
     for j, base_rank, left, right, coupling in stages:
-        tops = mat_mul(flat, coupling.T, p).reshape(trials, dx, dz)
+        rank_rows[:, j] = base_rank
         if left.shape[0] and right.shape[1]:
+            tops = mat_mul(flat, coupling.T, p).reshape(trials, dx, dz)
             # left @ tops[t] @ right for every trial t, as two stacked products
             small = mat_mul(tops.transpose(0, 2, 1), left.T, p).transpose(0, 2, 1)
-            small = mat_mul(small, right, p)
-            extra = [rank_mod(small[t], p) for t in range(trials)]
-        else:
-            extra = [0] * trials
-        rank_rows[:, j] = base_rank + np.asarray(extra)
+            rank_rows[:, j] += rank_stack(mat_mul(small, right, p), p)
 
-    violations = []
-    e_add_count = split_count = 0
-    for t in range(trials):
-        ranks = tuple(int(v) for v in rank_rows[t])
-        ey = _e_dims(ranks, dim_y, n)
-        e_additive = all(ey[k] == ex[k] + ez[k] for k in range(len(ey)))
-        split = _type_from_ranks(ranks, n) == merged
-        e_add_count += e_additive
-        split_count += split
-        if e_additive and not split:
-            violations.append(
-                {
-                    "trial": t,
-                    "seed": seed,
-                    "p": p,
-                    "n": n,
-                    "x_parts": list(jordan_type(x).parts),
-                    "z_parts": list(jordan_type(z).parts),
-                    "phi": phis[t].tolist(),
-                }
-            )
+    # dim E_i = dim - r_i - r_{n-i} (see _e_dims); a Jordan type and its rank
+    # sequence determine each other, and the merged type's sequence is rx + rz
+    half = np.arange(1, n // 2 + 1)
+    ey = dim_y - rank_rows[:, half] - rank_rows[:, n - half]
+    e_additive = (ey == np.add(_e_dims(rx, dx, n), _e_dims(rz, dz, n))).all(axis=1)
+    split = (rank_rows == np.add(rx, rz)).all(axis=1)
+    violations = [
+        {
+            "trial": t,
+            "seed": seed,
+            "p": p,
+            "n": n,
+            "x_parts": list(jordan_type(x).parts),
+            "z_parts": list(jordan_type(z).parts),
+            "phi": phis[t].tolist(),
+        }
+        for t in np.flatnonzero(e_additive & ~split).tolist()
+    ]
     return {
         "trials": trials,
-        "e_additive": e_add_count,
-        "split": split_count,
+        "e_additive": int(e_additive.sum()),
+        "split": int(split.sum()),
         "violations": violations,
     }

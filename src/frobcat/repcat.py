@@ -185,7 +185,8 @@ def cyclic_rep(p: int, parts) -> GroupRep:
     if any(not 1 <= k <= p for k in parts):
         raise ValueError(f"block sizes must lie in [1, {p}]")
     dim = sum(parts)
-    gen = (np.eye(dim, dtype=np.int64) + jordan_matrix(parts)) % p
+    gen = jordan_matrix(parts)  # priced there
+    np.fill_diagonal(gen, 1)
     return _checked(
         GroupRep(group=cyclic_group(p), p=p, dim=dim, matrices=(PrimeMatrix.dense(gen, p),))
     )

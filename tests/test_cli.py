@@ -106,6 +106,14 @@ HOSTILE_INPUTS = {
     # P^2 rows of up to P entries: priced before any row is built
     "green-at-p-65521": (["green", "--p", "65521"], 2, "green table needs", 1.0),
     "fusion-at-p-65521": (["fusion", "--p", "65521"], 2, "fusion table needs", 1.0),
+    # the dense generator is priced from the counts, before any part is listed
+    "module-of-dim-2e7": (
+        ["semisimplify", "--p", "3", "--module", "10000000*J2"], 2, "module generator needs", 1.0
+    ),
+    "module-of-dim-2e9": (
+        ["semisimplify", "--p", "3", "--module", "1000000000*J2"], 2, "module generator needs",
+        1.0,
+    ),
 }
 
 
@@ -128,6 +136,36 @@ def test_hostile_input(case, capsys, tmp_path):
         assert err == ""
     else:
         assert err.startswith("error: ") and message in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    import argparse
+
+    import frobcat.cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    frobcat.cli._build_parser.cache_clear()
+    try:
+        assert run(["hilbert", "--p", "3", "--terms", "x"]) == 2
+        first = len(built)
+        assert first > 0
+        assert run(["hilbert", "--p", "3", "--module", "J2", "--terms", "5"]) == 0
+        short, _ = lines_of(capsys)
+        assert run(["hilbert", "--p", "3", "--module", "J2"]) == 0
+        default, _ = lines_of(capsys)
+        assert len(built) == first
+    finally:
+        frobcat.cli._build_parser.cache_clear()
+    # no --terms leaks from the call before: the default of 20 gives 21 coefficients
+    assert sum(line.startswith("coeff\t") for line in short) == 6
+    assert sum(line.startswith("coeff\t") for line in default) == 21
 
 
 def test_internal_fault_exits_3(monkeypatch, capsys):

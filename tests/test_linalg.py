@@ -22,6 +22,7 @@ from frobcat.linalg import (
     nullspace_mod,
     random_invertible,
     rank_mod,
+    rank_stack,
     rref,
     solve_right,
 )
@@ -301,6 +302,7 @@ def check_rref_against_oracle(a, p):
     assert got_p == want_p and np.array_equal(got_r, want_r)
     ech, piv = rref(a, p, reduced=False)
     assert piv == want_p and is_echelon(ech, piv)
+    assert all(not ech[i + 1 :, c].any() for i, c in enumerate(piv))
     assert np.array_equal(rref_naive(ech, p)[0], want_r)
 
 
@@ -327,6 +329,65 @@ def test_rref_leaves_match_oracle(p, monkeypatch):
     loops.clear()
     rref(rng.integers(0, p, size=(16, 64)), p)
     assert len(loops) == 1
+
+
+# (rows, cols) around the Python-int cut-off of 196 entries, and the 16- and
+# 17-row blocks at which rref stops and starts splitting
+TINY_SHAPES = (
+    (1, 1), (1, 9), (1, 196), (1, 197), (9, 1), (196, 1), (197, 1),
+    (14, 14), (13, 15), (14, 15), (16, 12), (16, 13), (17, 11), (17, 12), (16, 16), (17, 17),
+)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_tiny_rref_matches_oracle(p, monkeypatch):
+    # blocks of at most 196 entries are eliminated in Python ints, larger
+    # ones by the numpy pivot loop; both must give the oracle's rows
+    import frobcat.linalg
+
+    paths = []
+    for name in ("_pivot_lists", "_pivot_loop"):
+        real = getattr(frobcat.linalg, name)
+        spy = lambda *a, real=real, name=name: paths.append(name) or real(*a)
+        monkeypatch.setattr(frobcat.linalg, name, spy)
+    rng = rng_for(p, 4)
+    for rows, cols in TINY_SHAPES:
+        rank = min(rows, cols)
+        cases = [
+            rng.integers(0, p, size=(rows, cols)),
+            np.zeros((rows, cols), np.int64),
+            thin_product(rng, p, rows, cols, max(1, rank // 2)),
+            thin_product(rng, p, rows, cols, max(1, rank - 1)),
+        ]
+        sparse = rng.integers(0, p, size=(rows, cols))
+        sparse[:, rng.random(cols) < 0.5] = 0
+        cases.append(sparse)
+        for a in cases:
+            check_rref_against_oracle(a, p)
+    assert {"_pivot_lists", "_pivot_loop"} <= set(paths)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_rank_stack_matches_rank_mod(p):
+    rng = rng_for(p, 5)
+    stacks = [
+        np.zeros((0, 3, 4), np.int64),
+        np.zeros((5, 3, 0), np.int64),
+        np.zeros((4, 0, 3), np.int64),
+        np.zeros((3, 4, 4), np.int64),
+        rng.integers(0, p, size=(1, 1, 1)),
+        rng.integers(0, p, size=(7, 5, 8)),
+        rng.integers(0, p, size=(6, 9, 4)),
+        np.stack([thin_product(rng, p, 6, 7, k) for k in (1, 2, 3, 4, 5, 6) for _ in range(2)]),
+    ]
+    sparse = rng.integers(0, p, size=(8, 6, 6))
+    sparse[:, :, rng.random(6) < 0.5] = 0
+    sparse[rng.random(8) < 0.3] = 0
+    stacks.append(sparse)
+    for a in stacks:
+        got = rank_stack(a, p)
+        assert got.shape == (a.shape[0],)
+        assert got.tolist() == [rank_mod(x, p) for x in a]
 
 
 @pytest.mark.parametrize("p", DIFF_MODULI)
