@@ -15,7 +15,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from functools import cache
-from math import isqrt
+from math import comb, isqrt
 
 from .frobenius import (
     DIM_CAPS,
@@ -143,6 +143,16 @@ def _price_table(p: int, what: str) -> None:
     check_budget(24 * p**3 + 400 * p**2, what)
 
 
+def _price_series(terms: int, dim: int) -> None:
+    # per term, the coefficient and its output line and JSON text peaked under
+    # tracemalloc at 190-240 bytes plus about one per bit of the largest
+    # coefficient C(terms + dim - 1, dim - 1) (dim 0 to 400, up to 10^5
+    # terms); that coefficient is formed only once the count alone fits
+    check_budget(256 * (terms + 1), "Hilbert series")
+    bits = comb(terms + dim - 1, dim - 1).bit_length() if dim else 0
+    check_budget((256 + 2 * bits) * (terms + 1), "Hilbert series")
+
+
 # ------------------------------------------------------------------ commands
 
 
@@ -254,6 +264,7 @@ def _cmd_hilbert(args) -> tuple[dict, list[str], int]:
     rep, p, label = _module_rep(args)
     if args.terms < 0:
         raise CliError("--terms must be nonnegative")
+    _price_series(args.terms, rep.dim)
     series = hilbert_coeffs(rep, args.terms)
     report = {
         "schema": 1,
@@ -387,7 +398,6 @@ def _trial_lemm1(p: int, seed: int, t: int, cap: int) -> list[dict]:
 
 @dataclass(frozen=True)
 class SuiteDef:
-    name: str
     run_trial: object
     default_cap: object  # p -> int
     allowed: tuple[int, ...] | None = None
@@ -396,24 +406,16 @@ class SuiteDef:
 
 
 SUITES = {
-    "nilmod": SuiteDef("nilmod", _trial_nilmod, lambda p: 24, min_cap=1),
-    "splitting": SuiteDef("splitting", _trial_splitting, lambda p: 6),
+    "nilmod": SuiteDef(_trial_nilmod, lambda p: 24, min_cap=1),
+    "splitting": SuiteDef(_trial_splitting, lambda p: 6),
     "sixper": SuiteDef(
-        "sixper", _trial_sixper, lambda p: {2: 12, 3: 8, 5: 4}[p], allowed=(2, 3, 5), min_cap=2
+        _trial_sixper, lambda p: {2: 12, 3: 8, 5: 4}[p], allowed=(2, 3, 5), min_cap=2
     ),
-    "additivity": SuiteDef(
-        "additivity", _trial_additivity, lambda p: DIM_CAPS[p], allowed=(2, 3, 5)
-    ),
-    "monoidality": SuiteDef(
-        "monoidality", _trial_monoidality, lambda p: DIM_CAPS[p], allowed=(2, 3, 5)
-    ),
-    "greenhom": SuiteDef("greenhom", _trial_greenhom, lambda p: 30, min_cap=1),
-    "fpdim": SuiteDef(
-        "fpdim", _trial_fpdim, lambda p: DIM_CAPS[p], allowed=(2, 3, 5, 7), min_cap=1
-    ),
-    "lemm1": SuiteDef(
-        "lemm1", _trial_lemm1, lambda p: 0, allowed=(3, 5), default_trials=lambda p: p - 1
-    ),
+    "additivity": SuiteDef(_trial_additivity, lambda p: DIM_CAPS[p], allowed=(2, 3, 5)),
+    "monoidality": SuiteDef(_trial_monoidality, lambda p: DIM_CAPS[p], allowed=(2, 3, 5)),
+    "greenhom": SuiteDef(_trial_greenhom, lambda p: 30, min_cap=1),
+    "fpdim": SuiteDef(_trial_fpdim, lambda p: DIM_CAPS[p], allowed=(2, 3, 5, 7), min_cap=1),
+    "lemm1": SuiteDef(_trial_lemm1, lambda p: 0, allowed=(3, 5), default_trials=lambda p: p - 1),
 }
 
 

@@ -27,7 +27,6 @@ from .linalg import (
     Subspace,
     as_residues,
     check_budget,
-    inverse_mod,
     mat_mul,
     random_invertible,
 )
@@ -45,6 +44,7 @@ from .nilmod import (
 )
 from .repcat import (
     GroupRep,
+    _checked,
     _zero_rep,
     direct_sum,
     random_cyclic_rep,
@@ -320,12 +320,9 @@ def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> RepSES:
         raise ValueError("extension sampling implemented for one-generator groups")
     p = x.p
     gen = _block_extension(x.matrices[0].entries, z.matrices[0].entries, as_residues(phi, p))
-    y = GroupRep(
-        group=x.group, p=p, dim=x.dim + z.dim, matrices=(PrimeMatrix.dense(gen, p),)
+    y = _checked(
+        GroupRep(group=x.group, p=p, dim=x.dim + z.dim, matrices=(PrimeMatrix.dense(gen, p),))
     )
-    problems = validate(y)
-    if problems:
-        raise ValueError("; ".join(problems))
     inj, surj = _block_maps(x.dim, z.dim, p)
     return RepSES(x=x, y=y, z=z, inj=inj, surj=surj)
 
@@ -339,8 +336,7 @@ def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) ->
     rng = rng_for(seed, index)
     ses = rep_extension_from_phi(x, z, _draw_coupling(basis, rng, p, (x.dim, z.dim)))
     # conjugate the middle so the section solve is exercised on a skew basis
-    q = random_invertible(p, ses.y.dim, rng)
-    qinv = inverse_mod(q, p)
+    q, qinv = random_invertible(p, ses.y.dim, rng)
     ymat = mat_mul(mat_mul(q, ses.y.matrices[0].entries, p), qinv, p)
     y = GroupRep(group=x.group, p=p, dim=ses.y.dim, matrices=(PrimeMatrix.dense(ymat, p),))
     return RepSES(
@@ -372,23 +368,20 @@ def six_periodic_check(s: RepSES) -> dict:
     """
     p = s.x.p
     dx, dy, dz = s.x.dim, s.y.dim, s.z.dim
-    # alpha, beta, delta_i, alpha, beta, delta_{p-i}: the same maps for every i
-    delta = np.zeros((dx, dz), np.int64)
-    maps = [s.inj.entries, s.surj.entries, delta] * 2
+    # alpha, beta, delta_i, alpha, beta, delta_{p-i}: the same maps for every
+    # i, so exactness at G_i(X), G_i(Y), G_i(Z) gives all six flags of each i
+    inj, surj, delta = s.inj.entries, s.surj.entries, np.zeros((dx, dz), np.int64)
+    exact = [
+        Subspace.from_rows(prev.T, p) == Subspace.kernel(cur, p)
+        for prev, cur in ((delta, inj), (inj, surj), (surj, delta))
+    ] * 2
     dims = [dx, dy, dz] * 2
-    pairs = []
-    ok = True
-    for i in range(1, p // 2 + 1):
-        exact = []
-        for k in range(6):
-            prev = maps[(k - 1) % 6]
-            img = Subspace.from_rows(prev.T, p, prev.shape[0])
-            ker = Subspace.kernel(maps[k], p)
-            exact.append(img == ker)
-        alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
-        entry = {"i": i, "dims": list(dims), "exact": exact, "alternating_sum": alt}
-        pairs.append(entry)
-        ok = ok and all(exact) and alt == 0
+    alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
+    pairs = [
+        {"i": i, "dims": list(dims), "exact": list(exact), "alternating_sum": alt}
+        for i in range(1, p // 2 + 1)
+    ]
+    ok = all(exact) and alt == 0
     return {
         "check": "six_periodic",
         "p": p,

@@ -143,16 +143,16 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.nda
     top, ptop = _eliminate(a[:h], p, True)
     if not ptop.size:
         return _eliminate(a[h:], p, reduced)
-    return _extend(top, ptop, a[h:], p, reduced, lambda low: _eliminate(low, p, reduced))
+    return _extend(top, ptop, a[h:], p, reduced)
 
 
-def _extend(top, ptop, bottom, p: int, reduced: bool, eliminate) -> tuple[np.ndarray, np.ndarray]:
+def _extend(top, ptop, bottom, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
     """Echelon rows and pivot array of the span of RREF rows `top` (pivots
     `ptop`, not written to) and residue rows `bottom`.
 
     bottom minus bottom[:, ptop] @ top vanishes on ptop, so only its rows'
-    other columns are eliminated, by `eliminate`; top is then cleared on
-    the new pivots (reduced=True only) and the rows are merged by pivot.
+    other columns are eliminated; top is then cleared on the new pivots
+    (reduced=True only) and the rows are merged by pivot.
     """
     n = top.shape[1]
     free = np.ones(n, bool)
@@ -162,8 +162,8 @@ def _extend(top, ptop, bottom, p: int, reduced: bool, eliminate) -> tuple[np.nda
     low = low[low.any(axis=1)]
     if not low.size:
         return top, ptop
-    low, plow = eliminate(low)
-    plow = rest[np.asarray(plow, dtype=np.intp)]
+    low, plow = _eliminate(low, p, reduced)
+    plow = rest[plow]
     r1 = top.shape[0]
     out = np.zeros((r1 + low.shape[0], n), np.int64)
     out[:r1] = top
@@ -422,15 +422,19 @@ def inverse_mod(a, p: int) -> np.ndarray:
     return red[:, n:]
 
 
-def random_invertible(p: int, dim: int, rng) -> np.ndarray:
-    """Uniform invertible matrix by rejection; fine at these sizes."""
+def random_invertible(p: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform invertible matrix q and its inverse, by rejection: one
+    reduction of [q | I] per draw, accepted when its pivots are q's columns,
+    reads [I | q^-1]."""
     if dim == 0:
-        return np.zeros((0, 0), np.int64)
+        return np.zeros((0, 0), np.int64), np.zeros((0, 0), np.int64)
     check_budget(dim * dim * 8, "random invertible matrix")
+    eye = np.eye(dim, dtype=np.int64)
     while True:
-        cand = rng.integers(0, p, size=(dim, dim)).astype(np.int64)
-        if rank_mod(cand, p) == dim:
-            return cand
+        q = rng.integers(0, p, size=(dim, dim)).astype(np.int64)
+        red, pivots = rref(np.concatenate([q, eye], axis=1), p)
+        if pivots == tuple(range(dim)):
+            return q, red[:, dim:]
 
 
 def kron_arrays(a, b, p: int) -> np.ndarray:
@@ -445,37 +449,24 @@ class PrimeMatrix:
     """Dense matrix over F_p with read-only residue entries."""
 
     p: int
-    rows: int
-    cols: int
-    _dense: np.ndarray
+    entries: np.ndarray
 
     def __post_init__(self):
         check_modulus(self.p)
-        if self._dense.shape != (self.rows, self.cols):
-            raise ValueError("entry array shape mismatch")
-        self._dense.flags.writeable = False
+        if self.entries.ndim != 2:
+            raise ValueError("dense entries must be 2-dimensional")
+        self.entries.flags.writeable = False
 
     @classmethod
     def dense(cls, entries, p: int) -> "PrimeMatrix":
-        arr = as_residues(entries, p)
-        if arr.ndim != 2:
-            raise ValueError("dense entries must be 2-dimensional")
-        return cls(p=p, rows=arr.shape[0], cols=arr.shape[1], _dense=arr)
+        return cls(p=p, entries=as_residues(entries, p))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._dense
-
-    def apply(self, vecs: np.ndarray) -> np.ndarray:
-        """Matrix times column vector(s); vecs has shape (cols,) or (cols, k)."""
-        return mat_mul(self._dense, as_residues(vecs, self.p), self.p)
+        return self.entries.shape
 
     def rank(self) -> int:
-        return rank_mod(self._dense, self.p)
+        return rank_mod(self.entries, self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,7 +474,6 @@ class Subspace:
     """Subspace of F_p^ambient, stored as canonical RREF basis rows."""
 
     p: int
-    ambient: int
     basis: np.ndarray
     pivots: tuple[int, ...]
 
@@ -491,23 +481,27 @@ class Subspace:
         self.basis.flags.writeable = False
 
     @classmethod
-    def from_rows(cls, rows, p: int, ambient: int | None = None) -> "Subspace":
+    def from_rows(cls, rows, p: int) -> "Subspace":
+        """The span of `rows` (one vector or a 2-D stack) in F_p^width."""
         arr = np.asarray(rows)  # rref reduces it
         if arr.ndim == 1:
             arr = arr[None, :]
         red, piv = rref(arr, p)
-        amb = arr.shape[1] if ambient is None else ambient
-        return cls(p=p, ambient=amb, basis=red, pivots=piv)
+        return cls(p=p, basis=red, pivots=piv)
 
     @classmethod
     def kernel(cls, a, p: int) -> "Subspace":
         """{x : a @ x = 0} in F_p^cols(a), from one elimination."""
         basis, piv = _kernel_rref(a, p)
-        return cls(p=p, ambient=basis.shape[1], basis=basis, pivots=piv)
+        return cls(p=p, basis=basis, pivots=piv)
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
-        return cls(p=p, ambient=ambient, basis=np.zeros((0, ambient), np.int64), pivots=())
+        return cls(p=p, basis=np.zeros((0, ambient), np.int64), pivots=())
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def dim(self) -> int:
@@ -540,11 +534,12 @@ class Subspace:
             rows = rows[None, :]
         if rows.shape[1] != self.ambient:
             raise ValueError(f"rows of width {rows.shape[1]} in a subspace of F_p^{self.ambient}")
+        check_budget(4 * rows.size * 8, "row reduction")  # as rref prices the same rows
         ptop = np.array(self.pivots, dtype=np.intp)
-        basis, piv = _extend(self.basis, ptop, rows, self.p, True, lambda low: rref(low, self.p))
+        basis, piv = _extend(self.basis, ptop, rows, self.p, True)
         if basis is self.basis:
             return self
-        return Subspace(p=self.p, ambient=self.ambient, basis=basis, pivots=tuple(piv.tolist()))
+        return Subspace(p=self.p, basis=basis, pivots=tuple(piv.tolist()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style: kernel of [A^T | -B^T] gives the common combos."""
@@ -554,13 +549,12 @@ class Subspace:
         stacked = np.concatenate([a.T, (-b.T) % self.p], axis=1)
         combos = nullspace_mod(stacked, self.p)
         vecs = mat_mul(combos[:, : self.dim], a, self.p)
-        return Subspace.from_rows(vecs, self.p, self.ambient)
+        return Subspace.from_rows(vecs, self.p)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.p == other.p
-            and self.ambient == other.ambient
             and self.pivots == other.pivots
             and np.array_equal(self.basis, other.basis)
         )
@@ -587,7 +581,7 @@ class Quotient:
         subpiv = set(sub.pivots)
         keep = [k for k, c in enumerate(sup.pivots) if c not in subpiv]
         cols = tuple(sup.pivots[k] for k in keep)
-        lifts = sup.basis[keep].copy() if keep else np.zeros((0, sup.ambient), np.int64)
+        lifts = sup.basis[keep]  # a copy: the index is a list
         return cls(sup=sup, sub=sub, lifts=lifts, coord_columns=cols)
 
     @property
@@ -608,12 +602,6 @@ class Quotient:
         return reduced[..., list(self.coord_columns)]
 
 
-def _apply_any(m, vec: np.ndarray, p: int) -> np.ndarray:
-    if isinstance(m, PrimeMatrix):
-        return m.apply(vec)
-    return mat_mul(m, vec, p)
-
-
 def induced_on_subquotient(
     m,
     sup: Subspace,
@@ -621,7 +609,7 @@ def induced_on_subquotient(
     target_sup: Subspace | None = None,
     target_sub: Subspace | None = None,
 ) -> PrimeMatrix:
-    """Matrix induced by m on sup/sub -> target_sup/target_sub.
+    """Matrix induced by the array m on sup/sub -> target_sup/target_sub.
 
     Errors if the containments fail or m does not map the source pair into
     the target pair. Target defaults to the source pair.
@@ -634,11 +622,11 @@ def induced_on_subquotient(
     src = Quotient.of(sup, sub)
     dst = Quotient.of(target_sup, target_sub)
     if sub.dim:
-        if not target_sub.contains_vectors(_apply_any(m, sub.basis.T, p).T):
+        if not target_sub.contains_vectors(mat_mul(m, sub.basis.T, p).T):
             raise ValueError("map does not send the denominator into the target denominator")
     if src.dim == 0:
         return PrimeMatrix.dense(np.zeros((dst.dim, 0), np.int64), p)
-    images = _apply_any(m, src.lifts.T, p).T
+    images = mat_mul(m, src.lifts.T, p).T
     if not target_sup.contains_vectors(images):
         raise ValueError("map does not send the numerator into the target numerator")
     cols = dst.coords(images)

@@ -17,7 +17,6 @@ from .linalg import (
     Subspace,
     as_residues,
     check_budget,
-    inverse_mod,
     kron_arrays,
     mat_mul,
     nullspace_mod,
@@ -53,24 +52,28 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NilModule:
-    """F_p[D]/(D^n)-module: prime p, nilpotency order n, operator D, and its
+    """F_p[D]/(D^n)-module: nilpotency order n, operator D over F_p, and its
     kernel/image flag: the powers D^0..D^n and each Ker D^s ∩ Im D^k built."""
 
-    p: int
     n: int
-    dim: int
     D: PrimeMatrix
     _flag: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("nilpotency order must be >= 1")
-        if self.D.shape != (self.dim, self.dim):
-            raise ValueError("operator shape does not match dim")
-        if self.D.p != self.p:
-            raise ValueError("operator modulus mismatch")
+        if self.D.shape[0] != self.D.shape[1]:
+            raise ValueError("operator must be square")
         if np.any(self.powers[self.n]):
             raise ValueError(f"operator is not nilpotent of order {self.n}")
+
+    @property
+    def p(self) -> int:
+        return self.D.p
+
+    @property
+    def dim(self) -> int:
+        return self.D.shape[0]
 
     @cached_property
     def powers(self) -> tuple[np.ndarray, ...]:
@@ -92,7 +95,7 @@ class NilModule:
             elif k == 0:
                 meet = Subspace.kernel(self.powers[s], self.p)
             else:
-                meet = Subspace.from_rows(self._meet_rows(s, k), self.p, self.dim)
+                meet = Subspace.from_rows(self._meet_rows(s, k), self.p)
             self._flag[s, k] = meet
         return self._flag[s, k]
 
@@ -104,9 +107,12 @@ class NilModule:
 
 
 def nil_module(d, p: int, n: int) -> NilModule:
-    """Wrap a dense operator array (or PrimeMatrix) as a NilModule."""
-    mat = d if isinstance(d, PrimeMatrix) else PrimeMatrix.dense(d, p)  # dense() reduces mod p
-    return NilModule(p=p, n=n, dim=mat.rows, D=mat)
+    """Wrap a dense operator array (or a PrimeMatrix over F_p) as a NilModule."""
+    if not isinstance(d, PrimeMatrix):
+        d = PrimeMatrix.dense(d, p)  # dense() reduces mod p
+    elif d.p != p:
+        raise ValueError("operator modulus mismatch")
+    return NilModule(n=n, D=d)
 
 
 def jordan_matrix(parts: tuple[int, ...]) -> np.ndarray:
@@ -413,8 +419,8 @@ def random_partition(total: int, max_part: int, rng) -> tuple[int, ...]:
 def _random_jordan_conjugate(p: int, n: int, dim: int, rng) -> np.ndarray:
     """q J q^-1 for a random partition J of dim with parts <= n and a random q."""
     parts = random_partition(dim, n, rng)
-    q = random_invertible(p, dim, rng)
-    return mat_mul(mat_mul(q, jordan_matrix(parts), p), inverse_mod(q, p), p)
+    q, q_inv = random_invertible(p, dim, rng)
+    return mat_mul(mat_mul(q, jordan_matrix(parts), p), q_inv, p)
 
 
 def random_nil_module(p: int, n: int, dim: int, seed: int, index: int = 0) -> NilModule:

@@ -8,7 +8,7 @@ check is a diagnostic, not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, exp, log
 
 from .repcat import GroupRep
 
@@ -17,18 +17,19 @@ __all__ = ["TruncSeries", "hilbert_coeffs", "growth_check"]
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """Coefficients d_0..d_T of a truncated Hilbert series."""
+    """Coefficients d_0..d_T of a truncated Hilbert series of order T."""
 
     coeffs: tuple[int, ...]
-    order: int
 
     def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count must be order + 1")
-        if self.coeffs[0] != 1:
+        if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("a unital algebra starts with d_0 = 1")
         if any(c < 0 for c in self.coeffs):
             raise ValueError("coefficients must be nonnegative")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
@@ -41,7 +42,12 @@ def hilbert_coeffs(x: GroupRep, up_to: int) -> TruncSeries:
         raise ValueError("truncation order must be nonnegative")
     d = x.dim
     dims = tuple(comb(m + d - 1, d - 1) if d else int(m == 0) for m in range(up_to + 1))
-    return TruncSeries(coeffs=dims, order=up_to)
+    return TruncSeries(coeffs=dims)
+
+
+def _root(c: int, i: int) -> float:
+    """c^(1/i), through the logarithm where c is past the float range."""
+    return c ** (1.0 / i) if c.bit_length() < 1024 else exp(log(c) / i)
 
 
 def growth_check(s: TruncSeries) -> dict:
@@ -79,9 +85,9 @@ def growth_check(s: TruncSeries) -> dict:
             "flagged": False,
             "note": note,
         }
-    estimates = [c ** (1.0 / i) for i, c in tail.items() if i > 0 and c > 0]
+    estimates = [_root(c, i) for i, c in tail.items() if i > 0 and c > 0]
     positive = [i for i, c in tail.items() if i > 0 and c > 0]
-    final = tail[positive[-1]] ** (1.0 / positive[-1])
+    final = _root(tail[positive[-1]], positive[-1])
     max_est = max(estimates)
     # i * c_i / c_{i-1} for every i in the tail whose predecessor is positive
     scaled = [

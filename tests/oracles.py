@@ -144,8 +144,8 @@ def six_periodic_pairs(s) -> list[dict]:
         exact = []
         for k in range(6):
             prev = maps[(k - 1) % 6]
-            img = Subspace.from_rows(prev.T, p, prev.shape[0])
-            ker = Subspace.from_rows(nullspace_mod(maps[k], p), p, maps[k].shape[1])
+            img = Subspace.from_rows(prev.T, p)
+            ker = Subspace.from_rows(nullspace_mod(maps[k], p), p)
             exact.append(img == ker)
         six = dims[i] + dims[j]
         alt = six[0] - six[1] + six[2] - six[3] + six[4] - six[5]
@@ -202,11 +202,11 @@ def _kernel_of_power(m, k: int) -> Subspace:
     # D^k from D on every call, as the flag's own powers are not used here
     if k == 0:
         return Subspace.zero(m.p, m.dim)
-    return Subspace.from_rows(nullspace_mod(mat_pow(m.D.entries, k, m.p), m.p), m.p, m.dim)
+    return Subspace.from_rows(nullspace_mod(mat_pow(m.D.entries, k, m.p), m.p), m.p)
 
 
 def _image_of_power(m, k: int) -> Subspace:
-    return Subspace.from_rows(mat_pow(m.D.entries, k, m.p).T, m.p, m.dim)
+    return Subspace.from_rows(mat_pow(m.D.entries, k, m.p).T, m.p)
 
 
 def intersected_subquotient(m, i: int, j: int | None = None, s: int | None = None) -> Quotient:
@@ -224,7 +224,7 @@ def intersected_multiplicity_space(m, j: int) -> Quotient:
     the sum is an elimination of the stacked bases, not `Subspace.add`."""
     ker = _kernel_of_power(m, j)
     meet, below = ker.intersect(_image_of_power(m, 1)), _kernel_of_power(m, j - 1)
-    return Quotient.of(ker, Subspace.from_rows(np.concatenate([meet.basis, below.basis]), m.p, m.dim))
+    return Quotient.of(ker, Subspace.from_rows(np.concatenate([meet.basis, below.basis]), m.p))
 
 
 def intersected_hom_dims(m, i: int) -> dict:

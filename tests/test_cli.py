@@ -114,6 +114,14 @@ HOSTILE_INPUTS = {
         ["semisimplify", "--p", "3", "--module", "1000000000*J2"], 2, "module generator needs",
         1.0,
     ),
+    # the coefficients and their output lines are priced before any is built
+    "hilbert-terms-1e9": (
+        ["hilbert", "--p", "3", "--module", "J2", "--terms", "1000000000"], 2, "needs", 1.0
+    ),
+    # coefficients past the float range (about 2^1200 here) still get root estimates
+    "hilbert-coefficients-past-float-range": (
+        ["hilbert", "--p", "3", "--module", "200*J2", "--terms", "1000"], 0, None, 2.0
+    ),
 }
 
 

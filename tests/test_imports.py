@@ -105,7 +105,7 @@ def direct(a, p):
 
 def named(a, p):
     ker = nullspace_mod(a, p)
-    return Subspace.from_rows(ker, p, a.shape[1])
+    return Subspace.from_rows(ker, p)
 
 class Module:
     def _rows(self, s):
@@ -114,7 +114,7 @@ class Module:
         return self.zero
 
     def meet(self, s):
-        return Subspace.from_rows(self._rows(s), self.p, self.dim)
+        return Subspace.from_rows(self._rows(s), self.p)
 
 def fine(a, b, p):
     combos = nullspace_mod(a, p)

@@ -80,7 +80,7 @@ def test_rank_transpose_and_nullity(data, p):
     assert ns.shape[0] == a.shape[1] - r
     if ns.size:
         assert not np.any(mat_mul(a, ns.T, p))
-        assert not np.any(PrimeMatrix.dense(a, p).apply(ns.T))
+        assert not np.any(mat_mul(PrimeMatrix.dense(a, p).entries, ns.T, p))
 
 
 def test_nullspace_is_canonical():
@@ -105,9 +105,10 @@ def test_solve_right_round_trip():
 def test_inverse_and_random_invertible():
     p = 13
     rng = rng_for(4, 0)
-    for dim in (1, 2, 5):
-        q = random_invertible(p, dim, rng)
-        assert np.array_equal(mat_mul(q, inverse_mod(q, p), p), np.eye(dim, dtype=int))
+    for dim in (0, 1, 2, 5, 12):
+        q, q_inv = random_invertible(p, dim, rng)
+        assert q.shape == q_inv.shape == (dim, dim)
+        assert np.array_equal(mat_mul(q, q_inv, p), np.eye(dim, dtype=int))
     with pytest.raises(ValueError):
         inverse_mod(np.zeros((2, 2), int), p)
 
@@ -139,26 +140,28 @@ def test_prime_matrix_validation():
         PrimeMatrix.dense(np.eye(2, dtype=int), 4)
     with pytest.raises(ValueError, match="2-dimensional"):
         PrimeMatrix.dense(np.zeros(3, dtype=int), 3)
-    with pytest.raises(ValueError, match="shape"):
-        PrimeMatrix(p=3, rows=2, cols=2, _dense=np.zeros((1, 2), np.int64))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        PrimeMatrix(3, np.zeros(3, np.int64))
+    m = PrimeMatrix.dense(np.arange(6).reshape(2, 3), 5)
+    assert m.shape == (2, 3) and m.entries.tolist() == [[0, 1, 2], [3, 4, 0]]
 
 
 def test_subspace_operations():
     p = 5
-    a = Subspace.from_rows(np.array([[1, 0, 0], [0, 1, 0]]), p, 3)
-    b = Subspace.from_rows(np.array([[0, 1, 0], [0, 0, 1]]), p, 3)
+    a = Subspace.from_rows(np.array([[1, 0, 0], [0, 1, 0]]), p)
+    b = Subspace.from_rows(np.array([[0, 1, 0], [0, 0, 1]]), p)
     assert a.dim == b.dim == 2
     assert a.add(b).dim == 3
     meet = a.intersect(b)
     assert meet.dim == 1
     assert meet.contains_vectors(np.array([0, 3, 0]))
     assert not meet.contains_vectors(np.array([1, 0, 0]))
-    assert Subspace.from_rows(np.array([[2, 0, 0], [1, 1, 0]]), p, 3) == a
+    assert Subspace.from_rows(np.array([[2, 0, 0], [1, 1, 0]]), p) == a
 
 
 def test_subspace_reduce_idempotent():
     p = 7
-    s = Subspace.from_rows(np.array([[1, 2, 3], [0, 1, 4]]), p, 3)
+    s = Subspace.from_rows(np.array([[1, 2, 3], [0, 1, 4]]), p)
     v = np.array([3, 1, 2])
     red = s.reduce(v)
     assert np.array_equal(s.reduce(red), red)
@@ -167,8 +170,8 @@ def test_subspace_reduce_idempotent():
 
 def test_quotient_coords():
     p = 3
-    sup = Subspace.from_rows(np.eye(3, dtype=int), p, 3)
-    sub = Subspace.from_rows(np.array([[1, 0, 0]]), p, 3)
+    sup = Subspace.from_rows(np.eye(3, dtype=int), p)
+    sub = Subspace.from_rows(np.array([[1, 0, 0]]), p)
     q = Quotient.of(sup, sub)
     assert q.dim == 2
     v = np.array([2, 1, 2])
@@ -181,7 +184,7 @@ def test_quotient_coords():
 
 def test_quotient_rejects_outside_vectors():
     p = 5
-    sup = Subspace.from_rows(np.array([[1, 0, 0]]), p, 3)
+    sup = Subspace.from_rows(np.array([[1, 0, 0]]), p)
     sub = Subspace.zero(p, 3)
     q = Quotient.of(sup, sub)
     with pytest.raises(ValueError):
@@ -193,8 +196,8 @@ def test_induced_on_subquotient():
     # D on F_5^3 shifting e3 -> e2 -> e1 -> 0; induced map on Ker D^2 / Ker D
     d = np.zeros((3, 3), int)
     d[0, 1] = d[1, 2] = 1
-    sup = Subspace.from_rows(np.array([[1, 0, 0], [0, 1, 0]]), p, 3)
-    sub = Subspace.from_rows(np.array([[1, 0, 0]]), p, 3)
+    sup = Subspace.from_rows(np.array([[1, 0, 0], [0, 1, 0]]), p)
+    sub = Subspace.from_rows(np.array([[1, 0, 0]]), p)
     ind = induced_on_subquotient(d, sup, sub)
     assert ind.shape == (1, 1) and ind.entries[0, 0] == 0
     # e1 -> e3 leaves the denominator, so no induced map exists
@@ -292,7 +295,7 @@ def staircase(rng, p, rows, bands, width=33, gap=40):
     for k in range(bands):
         start = k * (width + gap)
         steps[k, start : start + width] = rng.integers(1, p, size=width)
-    mix = random_invertible(p, max(rows, bands), rng)[:rows, :bands]  # of full rank
+    mix = random_invertible(p, max(rows, bands), rng)[0][:rows, :bands]  # of full rank
     return mat_mul_naive(mix, steps, p)
 
 
@@ -407,7 +410,8 @@ def test_subspace_kernel_matches_nullspace_at_blocked_sizes(p):
     cases = [(a, want_p) for a, _, want_p in blocked_cases(p)] + [(a, ()) for a in edges]
     for a, want_p in cases:
         ker = Subspace.kernel(a, p)
-        assert ker == Subspace.from_rows(nullspace_mod(a, p), p, a.shape[1])
+        assert ker == Subspace.from_rows(nullspace_mod(a, p), p)
+        assert ker.ambient == a.shape[1]
         assert ker.dim == a.shape[1] - len(want_p)
 
 
@@ -431,7 +435,7 @@ def test_subspace_add_matches_oracle_at_blocked_sizes(p):
     ]
     for sub, rows in cases:
         want_r, want_p = rref_naive(np.concatenate([sub.basis, rows]), p)
-        for other in (rows, Subspace.from_rows(rows, p, n)):
+        for other in (rows, Subspace.from_rows(rows, p)):
             got = sub.add(other)
             assert got.pivots == want_p and np.array_equal(got.basis, want_r)
     assert a.add(inside) is a and full.add(new_rows) is full

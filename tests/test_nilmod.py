@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import PrimeMatrix, inverse_mod, mat_mul, random_invertible, rref
+from frobcat.linalg import PrimeMatrix, mat_mul, random_invertible, rref
 from frobcat.nilmod import (
     JordanType,
     ShortExactSeq,
@@ -42,6 +42,12 @@ def test_nil_module_validation():
         jordan_module(5, 3, (4,))  # block larger than the order
     with pytest.raises(ValueError):
         nil_module(np.zeros((2, 2), int), 5, 0)
+    with pytest.raises(ValueError, match="square"):
+        nil_module(np.zeros((2, 3), int), 5, 3)
+    with pytest.raises(ValueError, match="modulus"):
+        nil_module(PrimeMatrix.dense(np.zeros((2, 2), int), 3), 5, 3)
+    m = nil_module(PrimeMatrix.dense(np.eye(2, k=-1, dtype=int), 3), 3, 2)
+    assert (m.p, m.n, m.dim) == (3, 2, 2)
 
 
 def test_jordan_type_basics():
@@ -71,8 +77,8 @@ def test_jordan_type_is_conjugation_invariant(parts, p, seed):
     n = max(parts, default=1)
     m = jordan_module(p, n, parts)
     assert jordan_type(m).parts == parts
-    q = random_invertible(p, m.dim, rng_for(seed, 0))
-    conj = mat_mul(mat_mul(q, m.D.entries, p), inverse_mod(q, p), p)
+    q, q_inv = random_invertible(p, m.dim, rng_for(seed, 0))
+    conj = mat_mul(mat_mul(q, m.D.entries, p), q_inv, p)
     assert jordan_type(nil_module(conj, p, n)).parts == parts
 
 
@@ -201,8 +207,8 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
 
     p, n = 5, 6
     parts = tuple(k for k in range(n, 0, -1) for _ in range(2))
-    g = random_invertible(p, sum(parts), rng_for(7, 0))
-    d = mat_mul(mat_mul(g, jordan_matrix(parts), p), inverse_mod(g, p), p)
+    g, g_inv = random_invertible(p, sum(parts), rng_for(7, 0))
+    d = mat_mul(mat_mul(g, jordan_matrix(parts), p), g_inv, p)
     m = nil_module(d, p, n)
     widths = []
 
@@ -214,6 +220,20 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
     for k in range(1, n + 1):
         m.kernel(k)
     assert len(widths) == n
+
+    # Subspace.add eliminates its remainder block directly, not through rref
+    eliminate, depth = frobcat.linalg._eliminate, []
+
+    def counted_block(a, p, reduced):
+        if not depth:  # a block, not one of the halves it recurses into
+            widths.append(a.shape[1])
+        depth.append(a)
+        try:
+            return eliminate(a, p, reduced)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(frobcat.linalg, "_eliminate", counted_block)
     for j in range(1, n + 1):
         widths.clear()
         assert multiplicity_space(m, j).dim == 2

@@ -97,7 +97,7 @@ def test_evaluate_word_squares_each_run(monkeypatch):
 
 def unvalidated(group, p, *gens):
     mats = tuple(PrimeMatrix.dense(np.array(g), p) for g in gens)
-    return GroupRep(group=group, p=p, dim=mats[0].rows, matrices=mats)
+    return GroupRep(group=group, p=p, dim=mats[0].shape[0], matrices=mats)
 
 
 @pytest.mark.parametrize(

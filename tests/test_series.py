@@ -10,14 +10,14 @@ from frobcat.series import TruncSeries, growth_check, hilbert_coeffs
 
 
 def test_trunc_series_validation():
-    s = TruncSeries((1, 2, 3), 2)
-    assert s.to_json() == [1, 2, 3]
+    s = TruncSeries((1, 2, 3))
+    assert s.to_json() == [1, 2, 3] and s.order == 2
     with pytest.raises(ValueError):
-        TruncSeries((1, 2), 2)
+        TruncSeries((2, 2, 2))
     with pytest.raises(ValueError):
-        TruncSeries((2, 2, 2), 2)
+        TruncSeries((1, -1, 0))
     with pytest.raises(ValueError):
-        TruncSeries((1, -1, 0), 2)
+        TruncSeries(())
 
 
 def test_hilbert_coeffs_known_dimensions():
@@ -56,7 +56,7 @@ def test_growth_check_linear_series():
 
 
 def test_growth_check_flags_geometric_growth():
-    s = TruncSeries(tuple(2**i for i in range(13)), 12)
+    s = TruncSeries(tuple(2**i for i in range(13)))
     report = growth_check(s)
     assert report["flagged"]
     assert abs(report["max_root_estimate"] - 2.0) < 1e-12
@@ -66,7 +66,7 @@ def test_growth_check_never_flags_binomial_growth():
     # C(m+d-1, d-1) grows like m^(d-1); its root estimates once passed the threshold
     for d in range(1, 9):
         for t in range(10, 401):
-            report = growth_check(TruncSeries(tuple(comb(m + d - 1, d - 1) for m in range(t + 1)), t))
+            report = growth_check(TruncSeries(tuple(comb(m + d - 1, d - 1) for m in range(t + 1))))
             assert not report["flagged"], (d, t)
             assert abs(report["ratio_estimate"] - 1.0) < 1e-9
 
@@ -78,11 +78,19 @@ def test_growth_check_flags_doubling_and_fibonacci_growth():
     for t in range(20, 401):
         doubling = [2**m for m in range(t + 1)]
         for coeffs, rate in ((doubling, 2.0), (fib[: t + 1], (1 + 5**0.5) / 2)):
-            report = growth_check(TruncSeries(tuple(coeffs), t))
+            report = growth_check(TruncSeries(tuple(coeffs)))
             assert report["flagged"], t
             assert abs(report["ratio_estimate"] - rate) < 1e-3
 
 
 def test_growth_check_rejects_short_series():
     with pytest.raises(ValueError):
-        growth_check(TruncSeries((1,) * 9, 8))
+        growth_check(TruncSeries((1,) * 9))
+
+
+def test_growth_check_past_the_float_range():
+    # 4^m passes the largest float at m = 512: the root estimates are read through the logarithm
+    report = growth_check(TruncSeries(tuple(4**m for m in range(601))))
+    assert report["flagged"]
+    assert all(abs(r - 4.0) < 1e-9 for r in report["root_estimates"])
+    assert abs(report["ratio_estimate"] - 4.0) < 1e-9
