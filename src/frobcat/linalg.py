@@ -97,6 +97,13 @@ def as_residues(a, p: int) -> np.ndarray:
     return arr
 
 
+def _price_rows(rows: int, cols: int) -> None:
+    """Price a row reduction of a rows x cols block: the residue copy, the
+    operands of the largest products and the merged result, measured at
+    under four words per entry."""
+    check_budget(4 * rows * cols * 8, "row reduction")
+
+
 def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
     """Row echelon form over F_p; returns (nonzero rows, pivot cols).
 
@@ -105,9 +112,7 @@ def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
     zeros below them only, which is all a rank or an image span needs.
     """
     rows, cols = np.shape(a)
-    # the residue copy, the operands of the largest products and the merged
-    # result: measured at under four words per entry
-    check_budget(4 * rows * cols * 8, "row reduction")
+    _price_rows(rows, cols)
     arr = as_residues(a, p)
     if arr.size == 0:
         return np.zeros((0, cols), np.int64), ()
@@ -410,31 +415,35 @@ def solve_right(a, b, p: int) -> np.ndarray:
     return x[:, 0] if vec else x
 
 
+def _inverse_or_none(a: np.ndarray, p: int) -> np.ndarray | None:
+    """The inverse of the square array a, read off the reduced [a | I] as
+    [I | a^-1]; None when a is singular."""
+    n = a.shape[0]
+    red, pivots = rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+    return red[:, n:] if pivots == tuple(range(n)) else None
+
+
 def inverse_mod(a, p: int) -> np.ndarray:
     a = as_residues(a, p)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("inverse of a non-square matrix")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    red, pivots = rref(aug, p)
-    if pivots != tuple(range(n)):
+    inv = _inverse_or_none(a, p)
+    if inv is None:
         raise ValueError("matrix is singular mod p")
-    return red[:, n:]
+    return inv
 
 
 def random_invertible(p: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """A uniform invertible matrix q and its inverse, by rejection: one
-    reduction of [q | I] per draw, accepted when its pivots are q's columns,
-    reads [I | q^-1]."""
+    reduction of [q | I] per draw tests it and gives the inverse."""
     if dim == 0:
         return np.zeros((0, 0), np.int64), np.zeros((0, 0), np.int64)
     check_budget(dim * dim * 8, "random invertible matrix")
-    eye = np.eye(dim, dtype=np.int64)
     while True:
         q = rng.integers(0, p, size=(dim, dim)).astype(np.int64)
-        red, pivots = rref(np.concatenate([q, eye], axis=1), p)
-        if pivots == tuple(range(dim)):
-            return q, red[:, dim:]
+        q_inv = _inverse_or_none(q, p)
+        if q_inv is not None:
+            return q, q_inv
 
 
 def kron_arrays(a, b, p: int) -> np.ndarray:
@@ -534,7 +543,7 @@ class Subspace:
             rows = rows[None, :]
         if rows.shape[1] != self.ambient:
             raise ValueError(f"rows of width {rows.shape[1]} in a subspace of F_p^{self.ambient}")
-        check_budget(4 * rows.size * 8, "row reduction")  # as rref prices the same rows
+        _price_rows(*rows.shape)
         ptop = np.array(self.pivots, dtype=np.intp)
         basis, piv = _extend(self.basis, ptop, rows, self.p, True)
         if basis is self.basis:

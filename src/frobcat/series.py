@@ -8,7 +8,7 @@ check is a diagnostic, not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, log
+from math import comb
 
 from .repcat import GroupRep
 
@@ -43,11 +43,6 @@ def hilbert_coeffs(x: GroupRep, up_to: int) -> TruncSeries:
     d = x.dim
     dims = tuple(comb(m + d - 1, d - 1) if d else int(m == 0) for m in range(up_to + 1))
     return TruncSeries(coeffs=dims)
-
-
-def _root(c: int, i: int) -> float:
-    """c^(1/i), through the logarithm where c is past the float range."""
-    return c ** (1.0 / i) if c.bit_length() < 1024 else exp(log(c) / i)
 
 
 def growth_check(s: TruncSeries) -> dict:
@@ -85,9 +80,9 @@ def growth_check(s: TruncSeries) -> dict:
             "flagged": False,
             "note": note,
         }
-    estimates = [_root(c, i) for i, c in tail.items() if i > 0 and c > 0]
+    estimates = [c ** (1.0 / i) for i, c in tail.items() if i > 0 and c > 0]
     positive = [i for i, c in tail.items() if i > 0 and c > 0]
-    final = _root(tail[positive[-1]], positive[-1])
+    final = tail[positive[-1]] ** (1.0 / positive[-1])
     max_est = max(estimates)
     # i * c_i / c_{i-1} for every i in the tail whose predecessor is positive
     scaled = [

@@ -118,10 +118,6 @@ HOSTILE_INPUTS = {
     "hilbert-terms-1e9": (
         ["hilbert", "--p", "3", "--module", "J2", "--terms", "1000000000"], 2, "needs", 1.0
     ),
-    # coefficients past the float range (about 2^1200 here) still get root estimates
-    "hilbert-coefficients-past-float-range": (
-        ["hilbert", "--p", "3", "--module", "200*J2", "--terms", "1000"], 0, None, 2.0
-    ),
 }
 
 

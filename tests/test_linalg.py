@@ -109,6 +109,7 @@ def test_inverse_and_random_invertible():
         q, q_inv = random_invertible(p, dim, rng)
         assert q.shape == q_inv.shape == (dim, dim)
         assert np.array_equal(mat_mul(q, q_inv, p), np.eye(dim, dtype=int))
+        assert np.array_equal(mat_mul(q, inverse_mod(q, p), p), np.eye(dim, dtype=int))
     with pytest.raises(ValueError):
         inverse_mod(np.zeros((2, 2), int), p)
 

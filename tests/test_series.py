@@ -86,11 +86,3 @@ def test_growth_check_flags_doubling_and_fibonacci_growth():
 def test_growth_check_rejects_short_series():
     with pytest.raises(ValueError):
         growth_check(TruncSeries((1,) * 9))
-
-
-def test_growth_check_past_the_float_range():
-    # 4^m passes the largest float at m = 512: the root estimates are read through the logarithm
-    report = growth_check(TruncSeries(tuple(4**m for m in range(601))))
-    assert report["flagged"]
-    assert all(abs(r - 4.0) < 1e-9 for r in report["root_estimates"])
-    assert abs(report["ratio_estimate"] - 4.0) < 1e-9
