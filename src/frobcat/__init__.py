@@ -7,7 +7,6 @@ powers, all over F_p with integer matrices and explicit budgets.
 
 from .linalg import (
     BudgetError,
-    PrimeMatrix,
     Quotient,
     Subspace,
     inverse_mod,

@@ -22,11 +22,10 @@ import numpy as np
 
 from .linalg import (
     BudgetError,
-    PrimeMatrix,
     Quotient,
     Subspace,
-    as_residues,
     check_budget,
+    frozen_matrix,
     mat_mul,
     random_invertible,
 )
@@ -140,7 +139,7 @@ class CyclicPower:
         return len(self.shift)
 
     def apply_generator(self, k: int, vec: np.ndarray) -> np.ndarray:
-        return _apply_kron_power(self.base.matrices[k].entries, vec, self.p, self.p)
+        return _apply_kron_power(self.base.matrices[k], vec, self.p, self.p)
 
 
 def cyclic_power(x: GroupRep) -> CyclicPower:
@@ -218,10 +217,6 @@ def frobenius_components(x: GroupRep) -> FrobeniusImage:
     return image
 
 
-def _as_matrix(f, p: int) -> np.ndarray:
-    return f.entries if isinstance(f, PrimeMatrix) else as_residues(f, p)
-
-
 def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
     """Induced maps on all components of an intertwiner src -> dst.
 
@@ -229,15 +224,14 @@ def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
     the 0 x 0 map on F_i for i >= 2.
     """
     p = src.p
-    fm = _as_matrix(f, p)
+    fm = frozen_matrix(f, p)
     if fm.shape != (dst.dim, src.dim):
         raise ValueError("morphism shape mismatch")
     for gs, gd in zip(src.matrices, dst.matrices):
-        if np.any((mat_mul(fm, gs.entries, p) - mat_mul(gd.entries, fm, p)) % p):
+        if np.any((mat_mul(fm, gs, p) - mat_mul(gd, fm, p)) % p):
             raise ValueError("not an intertwiner")
-    fmat = PrimeMatrix.dense(fm, p)
-    zero = PrimeMatrix.dense(np.zeros((0, 0), np.int64), p)
-    return {"f_maps": (fmat,) + (zero,) * (p - 2), "g_maps": (fmat,) * (p - 1)}
+    zero = np.zeros((0, 0), np.int64)
+    return {"f_maps": (fm,) + (zero,) * (p - 2), "g_maps": (fm,) * (p - 1)}
 
 
 def check_additivity(x: GroupRep, y: GroupRep) -> dict:
@@ -297,8 +291,8 @@ class RepSES:
     x: GroupRep
     y: GroupRep
     z: GroupRep
-    inj: PrimeMatrix
-    surj: PrimeMatrix
+    inj: np.ndarray
+    surj: np.ndarray
 
     def __post_init__(self):
         x, y, z = self.x, self.y, self.z
@@ -318,34 +312,25 @@ def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> RepSES:
     """Extension of Z by X of cyclic reps with the given coupling block."""
     if x.group.generators != 1 or x.group != z.group:
         raise ValueError("extension sampling implemented for one-generator groups")
-    p = x.p
-    gen = _block_extension(x.matrices[0].entries, z.matrices[0].entries, as_residues(phi, p))
-    y = _checked(
-        GroupRep(group=x.group, p=p, dim=x.dim + z.dim, matrices=(PrimeMatrix.dense(gen, p),))
-    )
-    inj, surj = _block_maps(x.dim, z.dim, p)
+    gen = _block_extension(x.matrices[0], z.matrices[0], phi)
+    y = _checked(GroupRep(group=x.group, p=x.p, dim=x.dim + z.dim, matrices=(gen,)))
+    inj, surj = _block_maps(x.dim, z.dim)
     return RepSES(x=x, y=y, z=z, inj=inj, surj=surj)
 
 
 def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) -> RepSES:
     p = x.p
     basis = _rep_extension_space(
-        p, x.matrices[0].entries.tobytes(), x.dim, z.matrices[0].entries.tobytes(), z.dim
+        p, x.matrices[0].tobytes(), x.dim, z.matrices[0].tobytes(), z.dim
     )
     # q below comes from the same stream, after the coupling draw
     rng = rng_for(seed, index)
     ses = rep_extension_from_phi(x, z, _draw_coupling(basis, rng, p, (x.dim, z.dim)))
     # conjugate the middle so the section solve is exercised on a skew basis
     q, qinv = random_invertible(p, ses.y.dim, rng)
-    ymat = mat_mul(mat_mul(q, ses.y.matrices[0].entries, p), qinv, p)
-    y = GroupRep(group=x.group, p=p, dim=ses.y.dim, matrices=(PrimeMatrix.dense(ymat, p),))
-    return RepSES(
-        x=x,
-        y=y,
-        z=z,
-        inj=PrimeMatrix.dense(mat_mul(q, ses.inj.entries, p), p),
-        surj=PrimeMatrix.dense(mat_mul(ses.surj.entries, qinv, p), p),
-    )
+    ymat = mat_mul(mat_mul(q, ses.y.matrices[0], p), qinv, p)
+    y = GroupRep(group=x.group, p=p, dim=ses.y.dim, matrices=(ymat,))
+    return RepSES(x=x, y=y, z=z, inj=mat_mul(q, ses.inj, p), surj=mat_mul(ses.surj, qinv, p))
 
 
 def random_rep_ses(p: int, dim_cap: int, seed: int, index: int) -> RepSES:
@@ -370,7 +355,7 @@ def six_periodic_check(s: RepSES) -> dict:
     dx, dy, dz = s.x.dim, s.y.dim, s.z.dim
     # alpha, beta, delta_i, alpha, beta, delta_{p-i}: the same maps for every
     # i, so exactness at G_i(X), G_i(Y), G_i(Z) gives all six flags of each i
-    inj, surj, delta = s.inj.entries, s.surj.entries, np.zeros((dx, dz), np.int64)
+    inj, surj, delta = s.inj, s.surj, np.zeros((dx, dz), np.int64)
     exact = [
         Subspace.from_rows(prev.T, p) == Subspace.kernel(cur, p)
         for prev, cur in ((delta, inj), (inj, surj), (surj, delta))
@@ -479,7 +464,7 @@ def _multiplicity_quotients(p: int, m: int) -> tuple[list[Quotient], int]:
     upow = np.array([[1]], dtype=np.int64)
     for _ in range(p):
         upow = np.kron(upow, u) % p
-    module = nil_module(np.eye(n, dtype=np.int64) - upow, p, p)  # dense() reduces mod p
+    module = nil_module(np.eye(n, dtype=np.int64) - upow, p, p)  # the module reduces mod p
     del upow  # the module keeps p + 1 powers of this size; do not hold one more
     return [multiplicity_space(module, j) for j in range(1, p)], n
 
@@ -517,10 +502,7 @@ def sp_multiplicity_spaces(p: int, m: int) -> dict:
     group = symmetric_group(p)
     comps, projective, core_dims = [], [], []
     for q in quotients:
-        mats = (
-            PrimeMatrix.dense(_permutation_induced(q, swap_perm), p),
-            PrimeMatrix.dense(_permutation_induced(q, rot_perm), p),
-        )
+        mats = (_permutation_induced(q, swap_perm), _permutation_induced(q, rot_perm))
         rep = GroupRep(group=group, p=p, dim=q.dim, matrices=mats)
         problems = validate(rep)
         if problems:

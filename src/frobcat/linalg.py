@@ -8,10 +8,12 @@ Python ints. `rref` splits rows recursively so that its work is a few such
 products. Blocks of at most 16 rows have three base cases: up to 196 entries,
 one pivot at a time on lists of Python ints; up to 64 columns, one pivot at a
 time on the array; past that, a panel of 32 live columns at a time, whose row
-transform one product applies to the rest. Array residue products are int64
-while (p-1)^2 < 2^63 and Python ints beyond, so the kernels are exact for
-every p; `check_modulus` refuses, at the `PrimeMatrix` and CLI boundary, the
-p whose residue products would overflow int64 in the rest of the library.
+transform one product applies to the rest. Entrywise residue products are
+int64, so `as_residues`, which every kernel but `mat_mul` reduces its input
+with, refuses p with (p-1)^2 >= 2^63, as `check_modulus` does at the CLI and
+owner boundary; only `mat_mul` forms Python-int products, for the accepted p
+past its float64 bound. The owners of matrices (group reps, nil-modules,
+exact sequences) hold them as read-only residue arrays from `frozen_matrix`.
 `rank_stack` ranks a stack of small matrices in one lockstep sweep.
 """
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "BudgetError",
-    "PrimeMatrix",
     "Subspace",
     "Quotient",
     "is_prime",
@@ -39,6 +40,7 @@ __all__ = [
     "induced_on_subquotient",
     "check_budget",
     "check_modulus",
+    "frozen_matrix",
 ]
 
 DEFAULT_BUDGET_MB = 512
@@ -78,22 +80,32 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def check_modulus(p: int) -> None:
-    """Refuse a modulus that is not prime, or too large for exact int64 work.
-
-    Entrywise products of two residues are formed in int64, so (p-1)^2
-    must stay below 2^63; the kernels (rref, mat_mul, Subspace) take
-    Python ints past their own bounds and are exact for every p.
-    """
+def _check_int64_products(p: int) -> None:
     if (p - 1) * (p - 1) >= 2**63:
         raise ValueError(f"p = {p} is too large: products of residues would overflow int64")
+
+
+def check_modulus(p: int) -> None:
+    """Refuse a modulus that is not prime, or too large for exact int64 work:
+    entrywise products of two residues are formed in int64, so (p-1)^2 must
+    stay below 2^63."""
+    _check_int64_products(p)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
 
 def as_residues(a, p: int) -> np.ndarray:
-    """Coerce to an int64 array of residues in [0, p)."""
-    arr = np.asarray(a, dtype=np.int64) % p
+    """Coerce to an int64 array of residues in [0, p); refuses p with (p-1)^2 >= 2^63."""
+    _check_int64_products(p)
+    return np.asarray(a, dtype=np.int64) % p
+
+
+def frozen_matrix(a, p: int) -> np.ndarray:
+    """A read-only 2-D residue copy of a: how the owner types hold their matrices."""
+    arr = as_residues(a, p)
+    if arr.ndim != 2:
+        raise ValueError(f"a matrix must be 2-dimensional, got {arr.ndim} dimensions")
+    arr.flags.writeable = False
     return arr
 
 
@@ -193,29 +205,26 @@ def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, n
       (nonzero in an unpivoted row) beside the identity, leaving the row
       transform T there, and one product applies T right of the panel, T
       fixing the skipped columns.
-    Array residue products are exact in int64 while (p-1)^2 < 2^63, and in
-    Python ints (an object array) beyond.
     """
     rows, cols = a.shape
     if rows * cols <= _TINY_CELLS:
         return _pivot_lists(a, p, reduced)
-    work = a if (p - 1) * (p - 1) < 2**63 else a.astype(object)
     if cols <= 2 * _PANEL_COLS:
-        r, pivots = _pivot_loop(work, p, reduced, 0, cols)
+        r, pivots = _pivot_loop(a, p, reduced, 0, cols)
     else:
         pivots, r, c = [], 0, 0
         while r < rows:
-            panel = c + np.flatnonzero(work[r:, c:].any(axis=0))[:_PANEL_COLS]
+            panel = c + np.flatnonzero(a[r:, c:].any(axis=0))[:_PANEL_COLS]
             if not panel.size:
                 break
             k = panel.size
-            aug = np.concatenate([work[:, panel], np.eye(rows, dtype=work.dtype)], axis=1)
+            aug = np.concatenate([a[:, panel], np.eye(rows, dtype=np.int64)], axis=1)
             r, found = _pivot_loop(aug, p, reduced, r, k)
             pivots.extend(panel[found].tolist())
-            work[:, panel] = aug[:, :k]
+            a[:, panel] = aug[:, :k]
             c = int(panel[-1]) + 1
-            work[:, c:] = mat_mul(aug[:, k:], work[:, c:], p)
-    return work[:r].astype(np.int64, copy=False), np.array(pivots, dtype=np.intp)
+            a[:, c:] = mat_mul(aug[:, k:], a[:, c:], p)
+    return a[:r], np.array(pivots, dtype=np.intp)
 
 
 def _pivot_lists(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -301,13 +310,10 @@ def rank_stack(a, p: int) -> np.ndarray:
     pivot row right of c. For the other rows that is an invertible row
     operation clearing c; the pivot row itself becomes zero, so it is never
     taken again, and no inverse is needed. The rank is the number of pivots
-    found. The products are int64 while (p-1)^2 < 2^63; past that each
-    matrix goes to rank_mod.
+    found.
     """
     a = as_residues(a, p)
     t, m, n = a.shape
-    if (p - 1) * (p - 1) >= 2**63:
-        return np.array([rank_mod(x, p) for x in a], dtype=np.int64)
     check_budget(2 * a.size * 8, "stacked rank")  # the residue copy and one product
     ranks = np.zeros(t, np.int64)
     at = np.arange(t)
@@ -454,31 +460,6 @@ def kron_arrays(a, b, p: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PrimeMatrix:
-    """Dense matrix over F_p with read-only residue entries."""
-
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        check_modulus(self.p)
-        if self.entries.ndim != 2:
-            raise ValueError("dense entries must be 2-dimensional")
-        self.entries.flags.writeable = False
-
-    @classmethod
-    def dense(cls, entries, p: int) -> "PrimeMatrix":
-        return cls(p=p, entries=as_residues(entries, p))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def rank(self) -> int:
-        return rank_mod(self.entries, self.p)
-
-
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace of F_p^ambient, stored as canonical RREF basis rows."""
 
@@ -617,7 +598,7 @@ def induced_on_subquotient(
     sub: Subspace,
     target_sup: Subspace | None = None,
     target_sub: Subspace | None = None,
-) -> PrimeMatrix:
+) -> np.ndarray:
     """Matrix induced by the array m on sup/sub -> target_sup/target_sub.
 
     Errors if the containments fail or m does not map the source pair into
@@ -634,9 +615,8 @@ def induced_on_subquotient(
         if not target_sub.contains_vectors(mat_mul(m, sub.basis.T, p).T):
             raise ValueError("map does not send the denominator into the target denominator")
     if src.dim == 0:
-        return PrimeMatrix.dense(np.zeros((dst.dim, 0), np.int64), p)
+        return np.zeros((dst.dim, 0), np.int64)
     images = mat_mul(m, src.lifts.T, p).T
     if not target_sup.contains_vectors(images):
         raise ValueError("map does not send the numerator into the target numerator")
-    cols = dst.coords(images)
-    return PrimeMatrix.dense(cols.T, p)
+    return dst.coords(images).T

@@ -12,11 +12,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .linalg import (
-    PrimeMatrix,
     Quotient,
     Subspace,
-    as_residues,
     check_budget,
+    check_modulus,
+    frozen_matrix,
     kron_arrays,
     mat_mul,
     nullspace_mod,
@@ -52,14 +52,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NilModule:
-    """F_p[D]/(D^n)-module: nilpotency order n, operator D over F_p, and its
-    kernel/image flag: the powers D^0..D^n and each Ker D^s ∩ Im D^k built."""
+    """F_p[D]/(D^n)-module: modulus p, nilpotency order n, operator D (held
+    as a read-only residue array), and its kernel/image flag: the powers
+    D^0..D^n and each Ker D^s ∩ Im D^k built."""
 
+    p: int
     n: int
-    D: PrimeMatrix
+    D: np.ndarray
     _flag: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        check_modulus(self.p)
+        object.__setattr__(self, "D", frozen_matrix(self.D, self.p))
         if self.n < 1:
             raise ValueError("nilpotency order must be >= 1")
         if self.D.shape[0] != self.D.shape[1]:
@@ -68,17 +72,13 @@ class NilModule:
             raise ValueError(f"operator is not nilpotent of order {self.n}")
 
     @property
-    def p(self) -> int:
-        return self.D.p
-
-    @property
     def dim(self) -> int:
         return self.D.shape[0]
 
     @cached_property
     def powers(self) -> tuple[np.ndarray, ...]:
         """D^0, ..., D^n as read-only arrays."""
-        out = tuple(_power_list(self.D.entries, self.n, self.p))
+        out = tuple(_power_list(self.D, self.n, self.p))
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -107,12 +107,8 @@ class NilModule:
 
 
 def nil_module(d, p: int, n: int) -> NilModule:
-    """Wrap a dense operator array (or a PrimeMatrix over F_p) as a NilModule."""
-    if not isinstance(d, PrimeMatrix):
-        d = PrimeMatrix.dense(d, p)  # dense() reduces mod p
-    elif d.p != p:
-        raise ValueError("operator modulus mismatch")
-    return NilModule(n=n, D=d)
+    """The module of the operator array d over F_p; NilModule reduces d mod p."""
+    return NilModule(p=p, n=n, D=d)
 
 
 def jordan_matrix(parts: tuple[int, ...]) -> np.ndarray:
@@ -147,17 +143,15 @@ def _block_extension(x: np.ndarray, z: np.ndarray, phi=None) -> np.ndarray:
     return out
 
 
-def _block_maps(dx: int, dz: int, p: int) -> tuple[PrimeMatrix, PrimeMatrix]:
+def _block_maps(dx: int, dz: int) -> tuple[np.ndarray, np.ndarray]:
     """Inclusion of the top block and projection onto the bottom one."""
-    inj = np.eye(dx + dz, dx, dtype=np.int64)
-    surj = np.eye(dz, dx + dz, k=dx, dtype=np.int64)
-    return PrimeMatrix.dense(inj, p), PrimeMatrix.dense(surj, p)
+    return np.eye(dx + dz, dx, dtype=np.int64), np.eye(dz, dx + dz, k=dx, dtype=np.int64)
 
 
 def direct_sum_module(x: NilModule, z: NilModule) -> NilModule:
     if (x.p, x.n) != (z.p, z.n):
         raise ValueError("summands must share p and n")
-    return nil_module(_block_extension(x.D.entries, z.D.entries), x.p, x.n)
+    return nil_module(_block_extension(x.D, z.D), x.p, x.n)
 
 
 def _power_list(d: np.ndarray, n: int, p: int) -> list[np.ndarray]:
@@ -170,7 +164,7 @@ def _power_list(d: np.ndarray, n: int, p: int) -> list[np.ndarray]:
 
 def rank_sequence(m: NilModule) -> tuple[int, ...]:
     """(rank D^0, ..., rank D^n); r_0 = dim, r_n = 0."""
-    return _rank_sequence_arr(m.D.entries, m.n, m.p)
+    return _rank_sequence_arr(m.D, m.n, m.p)
 
 
 def _rank_sequence_arr(d: np.ndarray, n: int, p: int) -> tuple[int, ...]:
@@ -292,8 +286,8 @@ class ShortExactSeq:
     x: NilModule
     y: NilModule
     z: NilModule
-    inj: PrimeMatrix
-    surj: PrimeMatrix
+    inj: np.ndarray
+    surj: np.ndarray
 
     def __post_init__(self):
         x, y, z = self.x, self.y, self.z
@@ -303,19 +297,22 @@ class ShortExactSeq:
 
 
 def _check_ses_maps(s, operators, acting: str) -> None:
-    """Raise ValueError unless s.inj, s.surj make 0 -> X -> Y -> Z -> 0 exact.
+    """Reduce and freeze s.inj and s.surj; raise ValueError unless they make
+    0 -> X -> Y -> Z -> 0 exact.
 
-    `s` has x, y, z (each with p and dim) and the PrimeMatrix maps inj and
-    surj; both maps must intertwine every (X, Y, Z) triple of PrimeMatrix
-    operators in `operators`, which `acting` names in the messages.
+    `s` has x, y, z (each with p and dim) and the maps inj and surj; both
+    maps must intertwine every (X, Y, Z) triple of operator arrays in
+    `operators`, which `acting` names in the messages.
     """
     x, y, z = s.x, s.y, s.z
-    if s.inj.shape != (y.dim, x.dim) or s.surj.shape != (z.dim, y.dim):
+    p = x.p
+    a, b = frozen_matrix(s.inj, p), frozen_matrix(s.surj, p)
+    object.__setattr__(s, "inj", a)
+    object.__setattr__(s, "surj", b)
+    if a.shape != (y.dim, x.dim) or b.shape != (z.dim, y.dim):
         raise ValueError("map shapes do not match")
     if y.dim != x.dim + z.dim:
         raise ValueError("middle dimension must be the sum")
-    p = x.p
-    a, b = s.inj.entries, s.surj.entries
     if rank_mod(a, p) != x.dim:
         raise ValueError("injection is not injective")
     if rank_mod(b, p) != z.dim:
@@ -323,9 +320,9 @@ def _check_ses_maps(s, operators, acting: str) -> None:
     if np.any(mat_mul(b, a, p)):
         raise ValueError("composition is not zero")
     for ox, oy, oz in operators:
-        if np.any((mat_mul(a, ox.entries, p) - mat_mul(oy.entries, a, p)) % p):
+        if np.any((mat_mul(a, ox, p) - mat_mul(oy, a, p)) % p):
             raise ValueError(f"injection does not intertwine {acting}")
-        if np.any((mat_mul(b, oy.entries, p) - mat_mul(oz.entries, b, p)) % p):
+        if np.any((mat_mul(b, oy, p) - mat_mul(oz, b, p)) % p):
             raise ValueError(f"surjection does not intertwine {acting}")
 
 
@@ -378,16 +375,13 @@ def _extension_space(p: int, n: int, dx_bytes: bytes, dx_dim: int, dz_bytes: byt
 
 
 def _coupling_basis(x: NilModule, z: NilModule) -> np.ndarray:
-    return _extension_space(
-        x.p, x.n, x.D.entries.tobytes(), x.dim, z.D.entries.tobytes(), z.dim
-    )
+    return _extension_space(x.p, x.n, x.D.tobytes(), x.dim, z.D.tobytes(), z.dim)
 
 
 def extension_from_phi(x: NilModule, z: NilModule, phi) -> ShortExactSeq:
     """The extension of Z by X with coupling block phi (must keep D_Y^n = 0)."""
-    p = x.p
-    y = nil_module(_block_extension(x.D.entries, z.D.entries, as_residues(phi, p)), p, x.n)
-    inj, surj = _block_maps(x.dim, z.dim, p)
+    y = nil_module(_block_extension(x.D, z.D, phi), x.p, x.n)
+    inj, surj = _block_maps(x.dim, z.dim)
     return ShortExactSeq(x=x, y=y, z=z, inj=inj, surj=surj)
 
 

@@ -13,9 +13,9 @@ from itertools import combinations_with_replacement, groupby
 import numpy as np
 
 from .linalg import (
-    PrimeMatrix,
-    as_residues,
     check_budget,
+    check_modulus,
+    frozen_matrix,
     inverse_mod,
     kron_arrays,
     mat_mul,
@@ -83,17 +83,22 @@ def _check_word(word: str, generators: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GroupRep:
+    """A representation: one generator matrix per generator, each held as a
+    read-only dim x dim residue array."""
+
     group: GroupSpec
     p: int
     dim: int
-    matrices: tuple[PrimeMatrix, ...]
+    matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.matrices) != self.group.generators:
+        check_modulus(self.p)
+        mats = tuple(frozen_matrix(m, self.p) for m in self.matrices)
+        object.__setattr__(self, "matrices", mats)
+        if len(mats) != self.group.generators:
             raise ValueError("one matrix per generator required")
-        for m in self.matrices:
-            if m.shape != (self.dim, self.dim) or m.p != self.p:
-                raise ValueError("generator matrix shape or modulus mismatch")
+        if any(m.shape != (self.dim, self.dim) for m in mats):
+            raise ValueError("generator matrix shape mismatch")
 
 
 def evaluate_word(rep: GroupRep, word: str) -> np.ndarray:
@@ -108,10 +113,10 @@ def evaluate_word(rep: GroupRep, word: str) -> np.ndarray:
         idx = ord(ch.lower()) - 97
         if ch.isupper():
             if idx not in inverses:
-                inverses[idx] = inverse_mod(rep.matrices[idx].entries, rep.p)
+                inverses[idx] = inverse_mod(rep.matrices[idx], rep.p)
             mat = inverses[idx]
         else:
-            mat = rep.matrices[idx].entries
+            mat = rep.matrices[idx]
         k = len(list(run))
         if k > 1:  # a lone letter stays the generator itself, with no copy
             mat = mat_pow(mat, k, rep.p)
@@ -124,7 +129,7 @@ def validate(rep: GroupRep) -> list[str]:
     problems = []
     eye = np.eye(rep.dim, dtype=np.int64)
     for k, m in enumerate(rep.matrices):
-        if rank_mod(m.entries, rep.p) != rep.dim:
+        if rank_mod(m, rep.p) != rep.dim:
             problems.append(f"generator {chr(97 + k)!r} is not invertible mod {rep.p}")
     if problems:
         return problems
@@ -164,7 +169,7 @@ def symmetric_group(p: int) -> GroupSpec:
 
 
 def trivial_rep(group: GroupSpec, p: int) -> GroupRep:
-    eye = PrimeMatrix.dense(np.eye(1, dtype=np.int64), p)
+    eye = np.eye(1, dtype=np.int64)
     return GroupRep(group=group, p=p, dim=1, matrices=(eye,) * group.generators)
 
 
@@ -175,7 +180,7 @@ def permutation_rep(group: GroupSpec, p: int, perms) -> GroupRep:
     for perm in perms:
         m = np.zeros((dim, dim), np.int64)
         m[np.asarray(perm), np.arange(dim)] = 1
-        mats.append(PrimeMatrix.dense(m, p))
+        mats.append(m)
     return _checked(GroupRep(group=group, p=p, dim=dim, matrices=tuple(mats)))
 
 
@@ -187,9 +192,7 @@ def cyclic_rep(p: int, parts) -> GroupRep:
     dim = sum(parts)
     gen = jordan_matrix(parts)  # priced there
     np.fill_diagonal(gen, 1)
-    return _checked(
-        GroupRep(group=cyclic_group(p), p=p, dim=dim, matrices=(PrimeMatrix.dense(gen, p),))
-    )
+    return _checked(GroupRep(group=cyclic_group(p), p=p, dim=dim, matrices=(gen,)))
 
 
 def regular_cyclic_rep(p: int) -> GroupRep:
@@ -207,10 +210,8 @@ def symmetric_perm_rep(p: int) -> GroupRep:
 def random_cyclic_rep(p: int, dim: int, seed: int, index: int = 0) -> GroupRep:
     """Random conjugate of a random unipotent Jordan generator: 1 + q J q^-1."""
     d = _random_jordan_conjugate(p, p, dim, rng_for(seed, index))
-    gen = (np.eye(dim, dtype=np.int64) + d) % p
-    return GroupRep(
-        group=cyclic_group(p), p=p, dim=dim, matrices=(PrimeMatrix.dense(gen, p),)
-    )
+    gen = np.eye(dim, dtype=np.int64) + d  # GroupRep reduces mod p
+    return GroupRep(group=cyclic_group(p), p=p, dim=dim, matrices=(gen,))
 
 
 # ------------------------------------------------------------- tensor ops
@@ -223,31 +224,23 @@ def _same_group(a: GroupRep, b: GroupRep) -> None:
 
 def tensor(a: GroupRep, b: GroupRep) -> GroupRep:
     _same_group(a, b)
-    mats = tuple(
-        PrimeMatrix.dense(kron_arrays(x.entries, y.entries, a.p), a.p)
-        for x, y in zip(a.matrices, b.matrices)
-    )
+    mats = tuple(kron_arrays(x, y, a.p) for x, y in zip(a.matrices, b.matrices))
     return GroupRep(group=a.group, p=a.p, dim=a.dim * b.dim, matrices=mats)
 
 
 def dual(a: GroupRep) -> GroupRep:
-    mats = tuple(
-        PrimeMatrix.dense(inverse_mod(m.entries, a.p).T, a.p) for m in a.matrices
-    )
+    mats = tuple(inverse_mod(m, a.p).T for m in a.matrices)
     return GroupRep(group=a.group, p=a.p, dim=a.dim, matrices=mats)
 
 
 def direct_sum(a: GroupRep, b: GroupRep) -> GroupRep:
     _same_group(a, b)
-    mats = tuple(
-        PrimeMatrix.dense(_block_extension(x.entries, y.entries), a.p)
-        for x, y in zip(a.matrices, b.matrices)
-    )
+    mats = tuple(_block_extension(x, y) for x, y in zip(a.matrices, b.matrices))
     return GroupRep(group=a.group, p=a.p, dim=a.dim + b.dim, matrices=mats)
 
 
 def _zero_rep(group: GroupSpec, p: int) -> GroupRep:
-    zero = PrimeMatrix.dense(np.zeros((0, 0), np.int64), p)
+    zero = np.zeros((0, 0), np.int64)
     return GroupRep(group=group, p=p, dim=0, matrices=(zero,) * group.generators)
 
 
@@ -290,11 +283,11 @@ class SymmetricTower:
         last = np.array([v[-1] for v in new])
         mats = []
         for gp, gx in zip(prev.matrices, self.rep.matrices):
-            g_of_w = gp.entries[:, ws]
+            g_of_w = gp[:, ws]
             out = np.zeros((len(new), len(new)), np.int64)
             for i in range(d):
-                out[merge[:, i]] += g_of_w * gx.entries[i, last] % p
-            mats.append(PrimeMatrix.dense(out % p, p))
+                out[merge[:, i]] += g_of_w * gx[i, last] % p
+            mats.append(out)  # GroupRep reduces mod p
         self._reps.append(GroupRep(group=self.rep.group, p=p, dim=len(new), matrices=tuple(mats)))
         self._index = new
 
@@ -350,7 +343,7 @@ def is_projective(rep: GroupRep) -> bool:
     return all(k == rep.p for k in witness_type(rep).parts)
 
 
-def hom_basis(a: GroupRep, b: GroupRep) -> list[PrimeMatrix]:
+def hom_basis(a: GroupRep, b: GroupRep) -> list[np.ndarray]:
     """Canonical basis of intertwiners a -> b (matrices of shape dim b x dim a)."""
     _same_group(a, b)
     p = a.p
@@ -363,11 +356,11 @@ def hom_basis(a: GroupRep, b: GroupRep) -> list[PrimeMatrix]:
     for ga, gb in zip(a.matrices, b.matrices):
         # row-major vec: vec(gb @ F) = (gb kron I) vec F, vec(F @ ga) = (I kron ga^T) vec F
         rows.append(
-            (kron_arrays(gb.entries, eye_a, p) - kron_arrays(eye_b, ga.entries.T, p)) % p
+            (kron_arrays(gb, eye_a, p) - kron_arrays(eye_b, ga.T, p)) % p
         )
     stacked = np.concatenate(rows, axis=0)
     basis = nullspace_mod(stacked, p)
-    return [PrimeMatrix.dense(v.reshape(db, da), p) for v in basis]
+    return [v.reshape(db, da) for v in basis]
 
 
 # -------------------------------------------------------------- serialization
@@ -383,7 +376,7 @@ def rep_to_json(rep: GroupRep) -> dict:
             "sylow_witness": rep.group.sylow_witness,
         },
         "dim": rep.dim,
-        "matrices": [m.entries.tolist() for m in rep.matrices],
+        "matrices": [m.tolist() for m in rep.matrices],
     }
 
 
@@ -398,7 +391,7 @@ def rep_from_json(obj: dict) -> GroupRep:
         )
         p = int(obj["p"])
         dim = int(obj["dim"])
-        mats = tuple(PrimeMatrix.dense(as_residues(m, p), p) for m in obj["matrices"])
+        mats = tuple(np.asarray(m, dtype=np.int64) for m in obj["matrices"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed representation object: {exc}") from exc
     return _checked(GroupRep(group=group, p=p, dim=dim, matrices=mats))

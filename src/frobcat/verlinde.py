@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import induced_on_subquotient, is_prime
+from .linalg import check_modulus, induced_on_subquotient, rank_mod
 from .nilmod import (
     JordanType,
     NilModule,
@@ -48,8 +48,7 @@ class FusionElement:
     mult: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        check_modulus(self.p)
         if len(self.mult) != self.p - 1:
             raise ValueError(f"need {self.p - 1} multiplicities")
         if any(m < 0 for m in self.mult):
@@ -176,7 +175,7 @@ def natfunc_hom_dims(x: NilModule, i: int) -> dict:
     q = multiplicity_space(x, i)
     b = functor_B(x, i)
     induced = induced_on_subquotient(x.powers[i - 1], q.sup, q.sub, b.sup, b.sub)
-    if not (q.dim == b.dim and induced.rank() == b.dim):
+    if not (q.dim == b.dim and rank_mod(induced, x.p) == b.dim):
         raise AssertionError("quotient does not map isomorphically onto the block space")
     return {
         "hom": q.sup.dim,

@@ -11,7 +11,6 @@ import numpy as np
 
 from frobcat.frobenius import CyclicPower, cyclic_power
 from frobcat.linalg import (
-    PrimeMatrix,
     Quotient,
     Subspace,
     as_residues,
@@ -71,7 +70,7 @@ def power_rep(cp: CyclicPower) -> GroupRep:
         out = np.zeros((n, n), np.int64)
         for j in range(n):
             out[:, j] = cp.apply_generator(k, cols[:, j])
-        mats.append(PrimeMatrix.dense(out, cp.p))
+        mats.append(out)
     return GroupRep(group=cp.base.group, p=cp.p, dim=n, matrices=tuple(mats))
 
 
@@ -93,12 +92,7 @@ def subquotient_components(x: GroupRep) -> tuple[list[GroupRep], list[GroupRep]]
     gens = power_rep(cp).matrices
 
     def induced(q) -> GroupRep:
-        mats = tuple(
-            induced_on_subquotient(g.entries, q.sup, q.sub)
-            if q.dim
-            else PrimeMatrix.dense(np.zeros((0, 0), np.int64), p)
-            for g in gens
-        )
+        mats = tuple(induced_on_subquotient(g, q.sup, q.sub) for g in gens)
         return GroupRep(group=x.group, p=p, dim=q.dim, matrices=mats)
 
     fs = [induced(functor_B(m, i)) for i in range(1, p)]
@@ -125,12 +119,12 @@ def six_periodic_pairs(s) -> list[dict]:
     """
     p = s.x.p
     mods = [_shift_module(cyclic_power(w)) for w in (s.x, s.y, s.z)]
-    inj, surj = _kron_power(s.inj.entries, p), _kron_power(s.surj.entries, p)
+    inj, surj = _kron_power(s.inj, p), _kron_power(s.surj, p)
     dims, alpha, beta = {}, {}, {}
     for i in range(1, p):
         ex, ey, ez = (functor_E(m, i) for m in mods)
-        al = induced_on_subquotient(inj, ex.sup, ex.sub, ey.sup, ey.sub).entries
-        be = induced_on_subquotient(surj, ey.sup, ey.sub, ez.sup, ez.sub).entries
+        al = induced_on_subquotient(inj, ex.sup, ex.sub, ey.sup, ey.sub)
+        be = induced_on_subquotient(surj, ey.sup, ey.sub, ez.sup, ez.sub)
         assert rank_mod(al, p) == ex.dim, f"alpha_{i} is not injective"
         assert rank_mod(be, p) == ez.dim, f"beta_{i} is not surjective"
         assert not np.any(mat_mul(be, al, p)), f"beta_{i} alpha_{i} is not zero"
@@ -190,8 +184,8 @@ def quotient_symmetric_powers(rep: GroupRep, top: int) -> list[tuple[GroupRep, l
         comps = np.asarray([c % d for c in nonpiv], dtype=np.int64)
         mats = []
         for gp, gx in zip(prev.matrices, rep.matrices):
-            cols = (gp.entries[:, ws][:, None, :] * gx.entries[:, comps][None, :, :]).reshape(q, s_new) % p
-            mats.append(PrimeMatrix.dense(mat_mul(cmat, cols, p), p))
+            cols = (gp[:, ws][:, None, :] * gx[:, comps][None, :, :]).reshape(q, s_new) % p
+            mats.append(mat_mul(cmat, cols, p))
         monos = [tuple(sorted(prev_monos[w] + (i,))) for w, i in zip(ws.tolist(), comps.tolist())]
         out.append((GroupRep(group=rep.group, p=p, dim=s_new, matrices=tuple(mats)), monos))
         mu = cmat
@@ -202,11 +196,11 @@ def _kernel_of_power(m, k: int) -> Subspace:
     # D^k from D on every call, as the flag's own powers are not used here
     if k == 0:
         return Subspace.zero(m.p, m.dim)
-    return Subspace.from_rows(nullspace_mod(mat_pow(m.D.entries, k, m.p), m.p), m.p)
+    return Subspace.from_rows(nullspace_mod(mat_pow(m.D, k, m.p), m.p), m.p)
 
 
 def _image_of_power(m, k: int) -> Subspace:
-    return Subspace.from_rows(mat_pow(m.D.entries, k, m.p).T, m.p)
+    return Subspace.from_rows(mat_pow(m.D, k, m.p).T, m.p)
 
 
 def intersected_subquotient(m, i: int, j: int | None = None, s: int | None = None) -> Quotient:
@@ -231,7 +225,7 @@ def intersected_hom_dims(m, i: int) -> dict:
     """`natfunc_hom_dims(m, i)`: the quotient M_i is carried onto B_i by D^{i-1}."""
     q = intersected_multiplicity_space(m, i)
     b = intersected_subquotient(m, i - 1, j=i)
-    induced = induced_on_subquotient(mat_pow(m.D.entries, i - 1, m.p), q.sup, q.sub, b.sup, b.sub)
-    assert q.dim == b.dim == induced.rank()
+    induced = induced_on_subquotient(mat_pow(m.D, i - 1, m.p), q.sup, q.sub, b.sup, b.sub)
+    assert q.dim == b.dim == rank_mod(induced, m.p)
     dims = {"hom": q.sup.dim, "negligible": q.sub.dim, "quotient_dim": q.dim}
     return dict(dims, iso_onto_block_space=True)

@@ -123,7 +123,7 @@ def test_criterion_02_single_block_functor_dims():
     for n in range(1, 9):
         for m in range(1, n + 1):
             mod = jordan_module(p, n, (m,))
-            d = mod.D.entries
+            d = mod.D
             powers = [np.eye(m, dtype=np.int64)]
             for _ in range(n):
                 powers.append(powers[-1] @ d % p)
@@ -283,7 +283,7 @@ def test_criterion_10_symmetric_action_on_multiplicity_spaces():
     restricted = restrict_to_nilmodule(rep, "b", 3)
     b1 = functor_B(restricted, 1)
     induced = induced_on_subquotient(evaluate_word(rep, "a"), b1.sup, b1.sub)
-    assert induced.entries.tolist() == [[2]]
+    assert induced.tolist() == [[2]]
     assert time.perf_counter() - start < 300.0
 
 

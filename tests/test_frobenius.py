@@ -26,7 +26,7 @@ from frobcat.frobenius import (
     six_periodic_check,
     sp_multiplicity_spaces,
 )
-from frobcat.linalg import BudgetError, PrimeMatrix, induced_on_subquotient
+from frobcat.linalg import BudgetError, induced_on_subquotient
 from frobcat.nilmod import JordanType, functor_B, functor_E, jordan_matrix, nil_module
 from frobcat.repcat import (
     GroupRep,
@@ -56,7 +56,7 @@ def witness_jordan(rep):
             group=cyclic_group(rep.p),
             p=rep.p,
             dim=rep.dim,
-            matrices=(PrimeMatrix.dense((np.eye(rep.dim, dtype=np.int64) - d) % rep.p, rep.p),),
+            matrices=((np.eye(rep.dim, dtype=np.int64) - d) % rep.p,),
         )
     )
 
@@ -109,7 +109,7 @@ def test_first_component_is_the_identity_functor():
         image = frobenius_components(x)
         assert image.f(1).dim == x.dim
         for got, src in zip(image.f(1).matrices, x.matrices):
-            assert np.array_equal(got.entries, src.entries)
+            assert np.array_equal(got, src)
         for i in range(2, x.p):
             assert image.f(i).dim == 0
             assert image.g(i).dim == x.dim
@@ -137,13 +137,13 @@ def test_components_match_dense_subquotient_route():
 def test_morphism_functoriality():
     p = 5
     a, b, c = cyclic_rep(p, (3,)), cyclic_rep(p, (4,)), cyclic_rep(p, (2,))
-    f = hom_basis(a, b)[0].entries
-    g = hom_basis(b, c)[0].entries
+    f = hom_basis(a, b)[0]
+    g = hom_basis(b, c)[0]
     ff = frobenius_on_morphism(f, a, b)
     gg = frobenius_on_morphism(g, b, c)
     comp = frobenius_on_morphism(g @ f % p, a, c)
-    got = gg["f_maps"][0].entries @ ff["f_maps"][0].entries % p
-    assert np.array_equal(comp["f_maps"][0].entries, got)
+    got = gg["f_maps"][0] @ ff["f_maps"][0] % p
+    assert np.array_equal(comp["f_maps"][0], got)
     assert len(ff["g_maps"]) == p - 1
     not_equivariant = np.zeros((b.dim, a.dim), np.int64)
     not_equivariant[0, 0] = 1
@@ -168,16 +168,21 @@ def test_rep_ses_validation_and_determinism():
     x = cyclic_rep(p, (1,))
     z = cyclic_rep(p, (2,))
     ses = rep_extension_from_phi(x, z, [[0, 0]])
-    bad_surj = PrimeMatrix.dense(np.array([[1, 0, 0], [0, 0, 1]]), p)
+    bad_surj = np.array([[1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="composition"):
         RepSES(x=ses.x, y=ses.y, z=ses.z, inj=ses.inj, surj=bad_surj)
+    # the maps are held reduced mod p and read-only
+    shifted = RepSES(x=ses.x, y=ses.y, z=ses.z, inj=ses.inj + p, surj=ses.surj - p)
+    assert np.array_equal(shifted.inj, ses.inj) and np.array_equal(shifted.surj, ses.surj)
+    with pytest.raises(ValueError):
+        shifted.surj[0, 0] = 1
     with pytest.raises(ValueError, match="wrong shape"):
         rep_extension_from_phi(cyclic_rep(p, (2,)), z, [[0, 0]])  # one row, not broadcast
     again = random_rep_ses(p, 8, seed=11, index=2)
     twice = random_rep_ses(p, 8, seed=11, index=2)
-    assert np.array_equal(again.y.matrices[0].entries, twice.y.matrices[0].entries)
+    assert np.array_equal(again.y.matrices[0], twice.y.matrices[0])
     other = random_rep_ses(p, 8, seed=11, index=3)
-    assert not np.array_equal(again.y.matrices[0].entries, other.y.matrices[0].entries)
+    assert not np.array_equal(again.y.matrices[0], other.y.matrices[0])
 
 
 def test_six_periodic_minimal_example():
@@ -260,10 +265,7 @@ def test_multiplicity_quotients_match_dense_decomposition():
         upow = np.array([[1]], np.int64)
         for _ in range(p):
             upow = np.kron(upow, u) % p
-        rep = GroupRep(
-            group=cyclic_group(p), p=p, dim=n,
-            matrices=(PrimeMatrix.dense(upow, p),),
-        )
+        rep = GroupRep(group=cyclic_group(p), p=p, dim=n, matrices=(upow,))
         t = decompose_cyclic(rep)
         assert [q.dim for q in quotients] == [t.multiplicity(j) for j in range(1, p)]
     with pytest.raises(ValueError):
@@ -312,4 +314,4 @@ def test_sp_sign_character_p3_m2():
     restricted = restrict_to_nilmodule(rep, "b", 3)
     b1 = functor_B(restricted, 1)
     induced = induced_on_subquotient(evaluate_word(rep, "a"), b1.sup, b1.sub)
-    assert induced.entries.tolist() == [[2]]
+    assert induced.tolist() == [[2]]

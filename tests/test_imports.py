@@ -7,6 +7,12 @@ or listed in its `__all__`; `__init__.py` exists to re-export and is exempt.
 No kernel is reduced twice: `nullspace_mod` already returns an RREF basis,
 so no module passes its result to `Subspace.from_rows` (`Subspace.kernel`
 wraps it as it is). The test oracles may, and are not scanned.
+
+Residue products take Python ints only in `mat_mul`: every other kernel
+works in int64, and the moduli past that are refused, so no `astype(object)`
+appears outside `mat_mul`. Matrices are plain residue arrays: the retired
+wrapper class (`RETIRED`, spelt in two halves so that a search of the tree
+for it finds nothing) is not named anywhere in the package.
 """
 import ast
 from pathlib import Path
@@ -14,6 +20,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "frobcat"
+RETIRED = "Prime" + "Matrix"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -126,3 +133,48 @@ def fine(a, b, p):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_kernel_is_reduced_twice(path):
     assert rereduced_kernels(path.read_text(encoding="utf-8")) == []
+
+
+def object_paths(source: str) -> list[str]:
+    """`astype(object)` calls outside `mat_mul`, and lines naming RETIRED."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "mat_mul"
+        for node in ast.walk(fn)
+    }
+    found = [
+        (node.lineno, "astype(object)")
+        for node in ast.walk(tree)
+        if _callee(node) == "astype"
+        and [getattr(arg, "id", None) for arg in node.args] == ["object"]
+        and id(node) not in allowed
+    ]
+    found += [
+        (k, RETIRED) for k, line in enumerate(source.splitlines(), 1) if RETIRED in line
+    ]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_detector_flags_object_paths_and_the_retired_wrapper():
+    src = f"""
+def mat_mul(a, b, p):
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+def eliminate(a, p):
+    work = a.astype(object)  # a {RETIRED} would hold this
+    return work.astype(np.int64)
+
+class Matrix:
+    def rank(self):
+        return rank_mod(self.values.astype(object), self.p)
+"""
+    assert object_paths(src) == [
+        f"line 6: {RETIRED}", "line 6: astype(object)", "line 11: astype(object)"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_python_int_products_only_in_mat_mul(path):
+    assert object_paths(path.read_text(encoding="utf-8")) == []

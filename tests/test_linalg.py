@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from frobcat.linalg import (
     DEFAULT_BUDGET_MB,
     BudgetError,
-    PrimeMatrix,
     Quotient,
     Subspace,
     check_budget,
+    check_modulus,
+    frozen_matrix,
     induced_on_subquotient,
     inverse_mod,
     is_prime,
@@ -75,12 +76,11 @@ def test_rref_blocked_matches_reference(data, p):
 def test_rank_transpose_and_nullity(data, p):
     a = random_matrix(data.draw, p)
     r = rank_mod(a, p)
-    assert r == rank_mod(a.T, p) == PrimeMatrix.dense(a, p).rank()
+    assert r == rank_mod(a.T, p)
     ns = nullspace_mod(a, p)
     assert ns.shape[0] == a.shape[1] - r
     if ns.size:
         assert not np.any(mat_mul(a, ns.T, p))
-        assert not np.any(mat_mul(PrimeMatrix.dense(a, p).entries, ns.T, p))
 
 
 def test_nullspace_is_canonical():
@@ -136,15 +136,21 @@ def test_kron_arrays():
     assert kron_arrays(a, b, 5).tolist() == [[3, 1], [4, 3]]
 
 
-def test_prime_matrix_validation():
+def test_frozen_matrix_validation():
+    # the owners' one helper: a reduced, read-only, 2-D copy
+    with pytest.raises(ValueError, match="2-dimensional"):
+        frozen_matrix(np.zeros(3, dtype=int), 3)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        frozen_matrix(np.zeros((1, 2, 2), dtype=int), 3)
+    with pytest.raises(ValueError, match="too large"):
+        frozen_matrix(np.eye(2, dtype=int), 4294967311)
+    given = np.arange(-1, 5).reshape(2, 3)
+    m = frozen_matrix(given, 5)
+    assert m.dtype == np.int64 and m.tolist() == [[4, 0, 1], [2, 3, 4]]
     with pytest.raises(ValueError):
-        PrimeMatrix.dense(np.eye(2, dtype=int), 4)
-    with pytest.raises(ValueError, match="2-dimensional"):
-        PrimeMatrix.dense(np.zeros(3, dtype=int), 3)
-    with pytest.raises(ValueError, match="2-dimensional"):
-        PrimeMatrix(3, np.zeros(3, np.int64))
-    m = PrimeMatrix.dense(np.arange(6).reshape(2, 3), 5)
-    assert m.shape == (2, 3) and m.entries.tolist() == [[0, 1, 2], [3, 4, 0]]
+        m[0, 0] = 1
+    given[0, 0] = 3  # a copy: the caller's array neither changes it nor is frozen
+    assert m[0, 0] == 4
 
 
 def test_subspace_operations():
@@ -200,7 +206,7 @@ def test_induced_on_subquotient():
     sup = Subspace.from_rows(np.array([[1, 0, 0], [0, 1, 0]]), p)
     sub = Subspace.from_rows(np.array([[1, 0, 0]]), p)
     ind = induced_on_subquotient(d, sup, sub)
-    assert ind.shape == (1, 1) and ind.entries[0, 0] == 0
+    assert ind.shape == (1, 1) and ind[0, 0] == 0
     # e1 -> e3 leaves the denominator, so no induced map exists
     bad = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     with pytest.raises(ValueError):
@@ -235,9 +241,10 @@ def test_budget_guards_dense_kron(monkeypatch):
 
 # Differential tests at the sizes where rref splits into products, at the
 # default settings: every result is checked against the Python-int oracles.
-# The two largest moduli take mat_mul's object path, and the last one also
-# the object base case, since (p-1)^2 passes 2^63 there.
-DIFF_MODULI = (2, 3, 7, 65521, 2**31 - 1, 4294967311)
+# The two largest moduli take mat_mul's object path; the last is the largest
+# accepted prime, (p-1)^2 just below 2^63, so the int64 entrywise products of
+# the pivot loops and rank_stack run at their edge.
+DIFF_MODULI = (2, 3, 7, 65521, 2**31 - 1, 3037000493)
 
 
 def thin_product(rng, p, rows, cols, rank):
@@ -480,15 +487,6 @@ def test_rank_is_invariant_under_invertible_row_and_column_operations(p):
         assert rank_mod(paq, p) == rank_mod(a, p) == len(rref_naive(a, p)[1])
 
 
-def test_rank_is_exact_past_the_int64_product_bound():
-    # (p-1)^2 > 2^63: int64 products of residues would wrap
-    p = 4294967311
-    rng = rng_for(5, 0)
-    for _ in range(30):
-        a = thin_product(rng, p, 6, 6, 3)
-        assert rank_mod(a, p) == len(rref_naive(a, p)[1]) == 3
-
-
 def test_oversize_rref_is_refused_before_allocating(monkeypatch):
     monkeypatch.delenv("FROBCAT_BUDGET_MB", raising=False)
     # a zero-stride view: 10^10 entries that take no memory until copied
@@ -505,6 +503,24 @@ def test_oversize_rref_is_refused_before_allocating(monkeypatch):
 
 
 def test_modulus_past_the_int64_product_bound_is_refused():
-    with pytest.raises(ValueError, match="too large"):
-        PrimeMatrix.dense(np.eye(2, dtype=np.int64), 4294967311)
-    PrimeMatrix.dense(np.eye(2, dtype=np.int64), 2**31 - 1)
+    # (p-1)^2 > 2^63: int64 products of residues would wrap, so every kernel
+    # refuses p before it eliminates, as check_modulus does
+    p = 4294967311
+    a = np.eye(3, dtype=np.int64)
+    refusals = [
+        lambda: check_modulus(p),
+        lambda: rref(a, p),
+        lambda: rank_mod(a, p),
+        lambda: rank_stack(a[None], p),
+        lambda: nullspace_mod(a, p),
+        lambda: Subspace.from_rows(a, p),
+        lambda: Subspace.kernel(a, p),
+        lambda: solve_right(a, a[0], p),
+        lambda: inverse_mod(a, p),
+    ]
+    for call in refusals:
+        with pytest.raises(ValueError, match="too large"):
+            call()
+    for accepted in (2**31 - 1, 3037000493):
+        check_modulus(accepted)
+        assert rank_mod(a, accepted) == 3

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import PrimeMatrix, mat_mul, random_invertible, rref
+from frobcat.linalg import mat_mul, random_invertible, rref
 from frobcat.nilmod import (
     JordanType,
+    NilModule,
     ShortExactSeq,
     _type_from_ranks,
     direct_sum_module,
@@ -44,10 +45,20 @@ def test_nil_module_validation():
         nil_module(np.zeros((2, 2), int), 5, 0)
     with pytest.raises(ValueError, match="square"):
         nil_module(np.zeros((2, 3), int), 5, 3)
-    with pytest.raises(ValueError, match="modulus"):
-        nil_module(PrimeMatrix.dense(np.zeros((2, 2), int), 3), 5, 3)
-    m = nil_module(PrimeMatrix.dense(np.eye(2, k=-1, dtype=int), 3), 3, 2)
-    assert (m.p, m.n, m.dim) == (3, 2, 2)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        NilModule(5, 3, np.zeros(3, int))
+    # the module checks its own modulus, once
+    with pytest.raises(ValueError, match="not prime"):
+        NilModule(4, 3, np.zeros((2, 2), int))
+    with pytest.raises(ValueError, match="too large"):
+        NilModule(4294967311, 3, np.zeros((2, 2), int))
+    # and holds D reduced mod p, read-only
+    given = np.array([[0, 0], [4, 3]])
+    m = NilModule(3, 2, given)
+    assert (m.p, m.n, m.dim) == (3, 2, 2) and m.D.tolist() == [[0, 0], [1, 0]]
+    with pytest.raises(ValueError):
+        m.D[0, 0] = 1
+    assert given.flags.writeable
 
 
 def test_jordan_type_basics():
@@ -78,7 +89,7 @@ def test_jordan_type_is_conjugation_invariant(parts, p, seed):
     m = jordan_module(p, n, parts)
     assert jordan_type(m).parts == parts
     q, q_inv = random_invertible(p, m.dim, rng_for(seed, 0))
-    conj = mat_mul(mat_mul(q, m.D.entries, p), q_inv, p)
+    conj = mat_mul(mat_mul(q, m.D, p), q_inv, p)
     assert jordan_type(nil_module(conj, p, n)).parts == parts
 
 
@@ -194,10 +205,10 @@ def test_functors_build_each_power_once(monkeypatch):
         functor_B(m, i)
     for i in range(0, m.n + 1):
         functor_E(m, i)
-    assert sum(b is m.D.entries for b in right_factors) == m.n - 1
-    assert m.powers[1] is m.D.entries
+    assert sum(b is m.D for b in right_factors) == m.n - 1
+    assert m.powers[1] is m.D
     for k, power in enumerate(m.powers):
-        assert np.array_equal(power, np.linalg.matrix_power(m.D.entries, k) % 5)
+        assert np.array_equal(power, np.linalg.matrix_power(m.D, k) % 5)
 
 
 def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
@@ -250,7 +261,7 @@ def test_powers_are_read_only():
             arr[0, 0] = 1
     with pytest.raises(ValueError):
         m.powers[1].fill(0)
-    assert m.powers[1].tolist() == m.D.entries.tolist()
+    assert m.powers[1].tolist() == m.D.tolist()
 
 
 def test_multiplicity_space_index_errors():
@@ -275,17 +286,15 @@ def test_ses_validation():
     assert jordan_type(good.y).parts == (2,)
     with pytest.raises(ValueError):
         # zero injection is not injective
-        ShortExactSeq(
-            x=x,
-            y=good.y,
-            z=z,
-            inj=PrimeMatrix.dense(np.zeros((2, 1), int), p),
-            surj=good.surj,
-        )
+        ShortExactSeq(x=x, y=good.y, z=z, inj=np.zeros((2, 1), int), surj=good.surj)
     with pytest.raises(ValueError):
         # swapped legs: composition b @ a is no longer zero
-        bad_inj = PrimeMatrix.dense(np.array([[0], [1]]), p)
-        ShortExactSeq(x=x, y=good.y, z=z, inj=bad_inj, surj=good.surj)
+        ShortExactSeq(x=x, y=good.y, z=z, inj=np.array([[0], [1]]), surj=good.surj)
+    # the maps are held reduced mod p and read-only
+    again = ShortExactSeq(x=x, y=good.y, z=z, inj=[[6], [-5]], surj=[[0, -4]])
+    assert again.inj.tolist() == [[1], [0]] and again.surj.tolist() == [[0, 1]]
+    with pytest.raises(ValueError):
+        again.inj[0, 0] = 2
     with pytest.raises(ValueError):
         # identity middle map intertwines nothing here: wrong shapes
         ShortExactSeq(x=x, y=good.y, z=good.y, inj=good.inj, surj=good.surj)
@@ -315,8 +324,8 @@ def test_random_nil_module_deterministic():
     a = random_nil_module(5, 4, 7, seed=42, index=3)
     b = random_nil_module(5, 4, 7, seed=42, index=3)
     c = random_nil_module(5, 4, 7, seed=42, index=4)
-    assert np.array_equal(a.D.entries, b.D.entries)
-    assert not np.array_equal(a.D.entries, c.D.entries)
+    assert np.array_equal(a.D, b.D)
+    assert not np.array_equal(a.D, c.D)
     assert random_nil_module(3, 2, 0, seed=1).dim == 0
 
 

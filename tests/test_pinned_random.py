@@ -34,7 +34,7 @@ def _digest(items) -> str:
 
 def _cyclic_reps(p):
     return [
-        random_cyclic_rep(p, dim, seed, index).matrices[0].entries
+        random_cyclic_rep(p, dim, seed, index).matrices[0]
         for seed in SEEDS
         for dim, index in ((1, 0), (p, 1), (2 * p + 1, 2), (9, 3))
     ]
@@ -42,7 +42,7 @@ def _cyclic_reps(p):
 
 def _nil_modules(p):
     return [
-        random_nil_module(p, n, dim, seed, index).D.entries
+        random_nil_module(p, n, dim, seed, index).D
         for seed in SEEDS
         for n, dim, index in ((1, 3, 0), (2, 5, 1), (p, 8, 2), (6, 11, 3))
     ]
@@ -53,8 +53,8 @@ def _rep_ses(p):
     for seed in SEEDS:
         for index in range(3):
             s = random_rep_ses(p, 8, seed, index)
-            out += [s.x.matrices[0].entries, s.y.matrices[0].entries, s.z.matrices[0].entries]
-            out += [s.inj.entries, s.surj.entries]
+            out += [s.x.matrices[0], s.y.matrices[0], s.z.matrices[0]]
+            out += [s.inj, s.surj]
     return out
 
 
@@ -69,7 +69,7 @@ def _extensions(p):
                 x = jordan_module(p, n, [min(k, n) for k in xp])
                 z = jordan_module(p, n, [min(k, n) for k in zp])
                 s = random_extension(x, z, seed, n)
-                out += [s.y.D.entries, s.inj.entries, s.surj.entries]
+                out += [s.y.D, s.inj, s.surj]
     return out
 
 

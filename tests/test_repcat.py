@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import PrimeMatrix, inverse_mod, mat_mul
+from frobcat.linalg import inverse_mod, mat_mul
 from frobcat.repcat import (
     GroupRep,
     SymmetricTower,
@@ -37,24 +37,39 @@ from oracles import quotient_symmetric_powers
 
 
 def test_validate_messages():
-    zero = GroupRep(
-        group=cyclic_group(3), p=3, dim=1,
-        matrices=(PrimeMatrix.dense(np.array([[0]]), 3),),
-    )
+    zero = GroupRep(group=cyclic_group(3), p=3, dim=1, matrices=(np.array([[0]]),))
     assert validate(zero) == ["generator 'a' is not invertible mod 3"]
-    two = GroupRep(
-        group=cyclic_group(3), p=3, dim=1,
-        matrices=(PrimeMatrix.dense(np.array([[2]]), 3),),
-    )
+    two = GroupRep(group=cyclic_group(3), p=3, dim=1, matrices=(np.array([[2]]),))
     problems = validate(two)
     assert problems[0] == "relation 'aaa' is violated"
     assert "sylow witness 'a'" in problems[1]
     assert validate(cyclic_rep(5, (3, 1))) == []
 
 
+def test_group_rep_holds_reduced_read_only_generators():
+    group = cyclic_group(3)
+    # the rep checks its own modulus, once
+    with pytest.raises(ValueError, match="not prime"):
+        GroupRep(group=group, p=4, dim=1, matrices=(np.array([[1]]),))
+    with pytest.raises(ValueError, match="too large"):
+        GroupRep(group=group, p=4294967311, dim=1, matrices=(np.array([[1]]),))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        GroupRep(group=group, p=3, dim=1, matrices=(np.array([1]),))
+    with pytest.raises(ValueError, match="shape"):
+        GroupRep(group=group, p=3, dim=2, matrices=(np.ones((2, 3), int),))
+    with pytest.raises(ValueError, match="one matrix per generator"):
+        GroupRep(group=group, p=3, dim=1, matrices=())
+    given = np.array([[4, -2], [3, 7]])
+    rep = GroupRep(group=group, p=3, dim=2, matrices=(given,))
+    assert rep.matrices[0].tolist() == [[1, 1], [0, 1]]
+    with pytest.raises(ValueError):
+        rep.matrices[0][0, 0] = 2
+    assert given.flags.writeable and given[0, 0] == 4
+
+
 def test_evaluate_word():
     r = cyclic_rep(5, (2,))
-    a = r.matrices[0].entries
+    a = r.matrices[0]
     assert np.array_equal(evaluate_word(r, "aa"), mat_mul(a, a, 5))
     assert np.array_equal(evaluate_word(r, "aA"), np.eye(2, dtype=int))
     with pytest.raises(ValueError):
@@ -85,7 +100,7 @@ def test_evaluate_word_squares_each_run(monkeypatch):
             want = np.eye(rep.dim, dtype=np.int64)
             for ch in word:
                 idx = ord(ch.lower()) - 97
-                g = rep.matrices[idx].entries
+                g = rep.matrices[idx]
                 want = want @ (g if ch.islower() else inverse_mod(g, p)) % p
             calls.clear()
             assert np.array_equal(evaluate_word(rep, word), want), word
@@ -96,7 +111,7 @@ def test_evaluate_word_squares_each_run(monkeypatch):
 
 
 def unvalidated(group, p, *gens):
-    mats = tuple(PrimeMatrix.dense(np.array(g), p) for g in gens)
+    mats = tuple(np.array(g) for g in gens)
     return GroupRep(group=group, p=p, dim=mats[0].shape[0], matrices=mats)
 
 
@@ -196,18 +211,14 @@ def test_hom_basis_dimension_table():
             ra, rb = cyclic_rep(p, (a,)), cyclic_rep(p, (b,))
             basis = hom_basis(ra, rb)
             assert len(basis) == min(a, b)
-            ga, gb = ra.matrices[0].entries, rb.matrices[0].entries
+            ga, gb = ra.matrices[0], rb.matrices[0]
             for f in basis:
-                assert np.array_equal(
-                    mat_mul(f.entries, ga, p), mat_mul(gb, f.entries, p)
-                )
+                assert np.array_equal(mat_mul(f, ga, p), mat_mul(gb, f, p))
 
 
 def test_hom_basis_zero_dim():
     p = 3
-    zero = GroupRep(group=cyclic_group(p), p=p, dim=0, matrices=(
-        PrimeMatrix.dense(np.zeros((0, 0), int), p),
-    ))
+    zero = GroupRep(group=cyclic_group(p), p=p, dim=0, matrices=(np.zeros((0, 0), int),))
     assert hom_basis(zero, cyclic_rep(p, (1,))) == []
 
 
@@ -248,7 +259,7 @@ def test_symmetric_tower_matches_quotient_construction():
             assert sorted(perm) == list(range(len(order)))
             got = tower.power(m)
             for g, h in zip(got.matrices, honest.matrices):
-                assert np.array_equal(g.entries[np.ix_(perm, perm)], h.entries)
+                assert np.array_equal(g[np.ix_(perm, perm)], h)
 
 
 def test_symmetric_tower_two_generators():
@@ -259,9 +270,7 @@ def test_symmetric_tower_two_generators():
 
 def test_symmetric_power_zero_dim_rep():
     p = 3
-    zero = GroupRep(group=cyclic_group(p), p=p, dim=0, matrices=(
-        PrimeMatrix.dense(np.zeros((0, 0), int), p),
-    ))
+    zero = GroupRep(group=cyclic_group(p), p=p, dim=0, matrices=(np.zeros((0, 0), int),))
     assert symmetric_power(zero, 0).dim == 1
     assert symmetric_power(zero, 3).dim == 0
 
@@ -270,7 +279,7 @@ def test_json_round_trip():
     r = random_cyclic_rep(7, 4, seed=5)
     back = rep_from_json(rep_to_json(r))
     assert back.p == r.p and back.dim == r.dim
-    assert np.array_equal(back.matrices[0].entries, r.matrices[0].entries)
+    assert np.array_equal(back.matrices[0], r.matrices[0])
 
 
 def test_json_rejects_malformed_and_invalid():

@@ -4,7 +4,6 @@ from math import comb
 import numpy as np
 import pytest
 
-from frobcat.linalg import PrimeMatrix
 from frobcat.repcat import GroupRep, cyclic_group, cyclic_rep, trivial_rep
 from frobcat.series import TruncSeries, growth_check, hilbert_coeffs
 
@@ -33,10 +32,7 @@ def test_hilbert_coeffs_known_dimensions():
 
 def test_hilbert_zero_dimensional_rep():
     p = 3
-    zero = GroupRep(
-        group=cyclic_group(p), p=p, dim=0,
-        matrices=(PrimeMatrix.dense(np.zeros((0, 0), int), p),),
-    )
+    zero = GroupRep(group=cyclic_group(p), p=p, dim=0, matrices=(np.zeros((0, 0), int),))
     s = hilbert_coeffs(zero, 12)
     assert s.coeffs == (1,) + (0,) * 12
     report = growth_check(s)
@@ -81,6 +77,15 @@ def test_growth_check_flags_doubling_and_fibonacci_growth():
             report = growth_check(TruncSeries(tuple(coeffs)))
             assert report["flagged"], t
             assert abs(report["ratio_estimate"] - rate) < 1e-3
+
+
+def test_growth_check_takes_roots_past_the_float_range():
+    # 4^600 is past 2^1024: its root estimate goes through the logarithm
+    report = growth_check(TruncSeries(tuple(4**m for m in range(601))))
+    assert report["flagged"]
+    assert abs(report["final_root_estimate"] - 4.0) < 1e-12
+    assert abs(report["max_root_estimate"] - 4.0) < 1e-12
+    assert abs(report["ratio_estimate"] - 4.0) < 1e-12
 
 
 def test_growth_check_rejects_short_series():
