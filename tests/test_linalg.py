@@ -487,6 +487,21 @@ def test_rank_is_invariant_under_invertible_row_and_column_operations(p):
         assert rank_mod(paq, p) == rank_mod(a, p) == len(rref_naive(a, p)[1])
 
 
+def test_rank_is_exact_past_the_int64_product_bound():
+    # (p-1)^2 > 2^63: int64 products of residues would wrap, so rank_mod
+    # refuses such p instead of answering; at the largest accepted prime,
+    # (p-1)^2 just below 2^63, it agrees with the Python-int oracle
+    refused, edge = 4294967311, 3037000493
+    rng = rng_for(5, 0)
+    for _ in range(30):
+        a = thin_product(rng, refused, 6, 6, 3)
+        assert len(rref_naive(a, refused)[1]) == 3
+        with pytest.raises(ValueError, match="too large"):
+            rank_mod(a, refused)
+        b = thin_product(rng, edge, 6, 6, 3)
+        assert rank_mod(b, edge) == len(rref_naive(b, edge)[1]) == 3
+
+
 def test_oversize_rref_is_refused_before_allocating(monkeypatch):
     monkeypatch.delenv("FROBCAT_BUDGET_MB", raising=False)
     # a zero-stride view: 10^10 entries that take no memory until copied
