@@ -76,7 +76,6 @@ from .frobenius import (
     DIM_CAPS,
     CyclicPower,
     FrobeniusImage,
-    RepSES,
     check_additivity,
     check_monoidality,
     cyclic_power,

@@ -30,9 +30,9 @@ from .linalg import (
     random_invertible,
 )
 from .nilmod import (
+    ShortExactSeq,
     _block_extension,
     _block_maps,
-    _check_ses_maps,
     _draw_coupling,
     _extension_space,
     jordan_matrix,
@@ -59,7 +59,6 @@ __all__ = [
     "DIM_CAPS",
     "CyclicPower",
     "FrobeniusImage",
-    "RepSES",
     "cyclic_power",
     "frobenius_components",
     "frobenius_on_morphism",
@@ -228,7 +227,7 @@ def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
     if fm.shape != (dst.dim, src.dim):
         raise ValueError("morphism shape mismatch")
     for gs, gd in zip(src.matrices, dst.matrices):
-        if np.any((mat_mul(fm, gs, p) - mat_mul(gd, fm, p)) % p):
+        if not np.array_equal(mat_mul(fm, gs, p), mat_mul(gd, fm, p)):
             raise ValueError("not an intertwiner")
     zero = np.zeros((0, 0), np.int64)
     return {"f_maps": (fm,) + (zero,) * (p - 2), "g_maps": (fm,) * (p - 1)}
@@ -284,23 +283,6 @@ def check_monoidality(x: GroupRep, y: GroupRep) -> dict:
 # ------------------------------------------------------------ exact sequences
 
 
-@dataclass(frozen=True, eq=False)
-class RepSES:
-    """0 -> X -> Y -> Z -> 0 of representations of one group."""
-
-    x: GroupRep
-    y: GroupRep
-    z: GroupRep
-    inj: np.ndarray
-    surj: np.ndarray
-
-    def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
-        if x.group != y.group or y.group != z.group or not (x.p == y.p == z.p):
-            raise ValueError("sequence must stay inside one category")
-        _check_ses_maps(self, zip(x.matrices, y.matrices, z.matrices), "the action")
-
-
 @lru_cache(maxsize=512)
 def _rep_extension_space(p: int, gx_bytes: bytes, dx: int, gz_bytes: bytes, dz: int):
     """Couplings phi keeping [[gx, phi], [0, gz]] of order dividing p: the
@@ -308,32 +290,41 @@ def _rep_extension_space(p: int, gx_bytes: bytes, dx: int, gz_bytes: bytes, dz: 
     return _extension_space(p, p, gx_bytes, dx, gz_bytes, dz)
 
 
-def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> RepSES:
-    """Extension of Z by X of cyclic reps with the given coupling block."""
+def _block_generator(x: GroupRep, z: GroupRep, phi) -> np.ndarray:
+    """[[x, phi], [0, z]] on the one generator of a cyclic group."""
     if x.group.generators != 1 or x.group != z.group:
         raise ValueError("extension sampling implemented for one-generator groups")
-    gen = _block_extension(x.matrices[0], z.matrices[0], phi)
-    y = _checked(GroupRep(group=x.group, p=x.p, dim=x.dim + z.dim, matrices=(gen,)))
+    return _block_extension(x.matrices[0], z.matrices[0], phi)
+
+
+def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> ShortExactSeq:
+    """Extension of Z by X of cyclic reps; the caller's coupling block is validated."""
+    gen = _block_generator(x, z, phi)
+    y = _checked(GroupRep(group=x.group, p=x.p, dim=len(gen), matrices=(gen,)))
     inj, surj = _block_maps(x.dim, z.dim)
-    return RepSES(x=x, y=y, z=z, inj=inj, surj=surj)
+    return ShortExactSeq(x=x, y=y, z=z, inj=inj, surj=surj)
 
 
-def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) -> RepSES:
+def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) -> ShortExactSeq:
+    """A random extension of Z by X, its middle conjugated by a random q; Y is
+    a rep by construction, as its coupling is drawn from those keeping it of order p."""
     p = x.p
+    gen = _block_generator(x, z, None)  # refuses before anything is drawn
     basis = _rep_extension_space(
         p, x.matrices[0].tobytes(), x.dim, z.matrices[0].tobytes(), z.dim
     )
     # q below comes from the same stream, after the coupling draw
     rng = rng_for(seed, index)
-    ses = rep_extension_from_phi(x, z, _draw_coupling(basis, rng, p, (x.dim, z.dim)))
+    gen[: x.dim, x.dim :] = _draw_coupling(basis, rng, p, (x.dim, z.dim))
     # conjugate the middle so the section solve is exercised on a skew basis
-    q, qinv = random_invertible(p, ses.y.dim, rng)
-    ymat = mat_mul(mat_mul(q, ses.y.matrices[0], p), qinv, p)
-    y = GroupRep(group=x.group, p=p, dim=ses.y.dim, matrices=(ymat,))
-    return RepSES(x=x, y=y, z=z, inj=mat_mul(q, ses.inj, p), surj=mat_mul(ses.surj, qinv, p))
+    q, qinv = random_invertible(p, len(gen), rng)
+    gen = mat_mul(mat_mul(q, gen, p), qinv, p)
+    y = GroupRep(group=x.group, p=p, dim=len(gen), matrices=(gen,))
+    # the block maps carried by q: q times the inclusion, the projection times q^-1
+    return ShortExactSeq(x=x, y=y, z=z, inj=q[:, : x.dim], surj=qinv[x.dim :])
 
 
-def random_rep_ses(p: int, dim_cap: int, seed: int, index: int) -> RepSES:
+def random_rep_ses(p: int, dim_cap: int, seed: int, index: int) -> ShortExactSeq:
     """Random SES of cyclic reps with dim Y <= dim_cap."""
     rng = rng_for(seed, 4 * index)
     dx = int(rng.integers(1, dim_cap))
@@ -343,7 +334,7 @@ def random_rep_ses(p: int, dim_cap: int, seed: int, index: int) -> RepSES:
     return random_rep_extension(x, z, seed, 4 * index + 3)
 
 
-def six_periodic_check(s: RepSES) -> dict:
+def six_periodic_check(s: ShortExactSeq) -> dict:
     """Periodic exactness of ... G_i(X) -> G_i(Y) -> G_i(Z) -> G_{p-i}(X) -> ...
 
     In closed form: every G_i is the Frobenius twist, which is exact, so
@@ -385,7 +376,7 @@ def fpdim_of_F(x: GroupRep) -> float:
     return value
 
 
-def exactness_report(ses_list: list[RepSES]) -> dict:
+def exactness_report(ses_list: list[ShortExactSeq]) -> dict:
     """Dimension-preservation, additivity, and componentwise exactness over a sample."""
     violations = []
     p = ses_list[0].x.p if ses_list else 0
@@ -460,10 +451,11 @@ def _multiplicity_quotients(p: int, m: int) -> tuple[list[Quotient], int]:
     # the p + 1 powers and up to p kernel bases the module keeps, the three
     # arrays that build the operator and one elimination's working set
     check_budget((2 * p + 8) * n * n * 8, "diagonal power module and its kernel flag")
-    u = (np.eye(m, dtype=np.int64) + jordan_matrix((m,))) % p
+    # u and its Kronecker powers have 0/1 entries: residues, with no reduction
+    u = np.eye(m, dtype=np.int64) + jordan_matrix((m,))
     upow = np.array([[1]], dtype=np.int64)
     for _ in range(p):
-        upow = np.kron(upow, u) % p
+        upow = np.kron(upow, u)
     module = nil_module(np.eye(n, dtype=np.int64) - upow, p, p)  # the module reduces mod p
     del upow  # the module keeps p + 1 powers of this size; do not hold one more
     return [multiplicity_space(module, j) for j in range(1, p)], n
@@ -548,7 +540,7 @@ def frobenius_on_simple(p: int, m: int) -> tuple[FusionElement, ...]:
     mults = [[0] * (p - 1) for _ in range(p - 1)]
     for j, q in enumerate(quotients, start=1):
         smat = _permutation_induced(q, rot_perm)
-        t = jordan_type(nil_module((np.eye(q.dim, dtype=np.int64) - smat) % p, p, p))
+        t = jordan_type(nil_module(np.eye(q.dim, dtype=np.int64) - smat, p, p))
         for i in range(1, p):
             mults[i - 1][j - 1] += t.multiplicity(i)
     return tuple(FusionElement(p, tuple(row)) for row in mults)

@@ -15,11 +15,15 @@ owner boundary; only `mat_mul` forms Python-int products, for the accepted p
 past its float64 bound. The owners of matrices (group reps, nil-modules,
 exact sequences) hold them as read-only residue arrays from `frozen_matrix`.
 `rank_stack` ranks a stack of small matrices in one lockstep sweep.
+Each array is reduced mod p once, where it enters: a kernel reduces its
+input, an owner its matrices. So `kron_arrays` is exact (entries below p^2,
+within int64), and the consumer reduces it.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,8 +72,9 @@ def check_budget(nbytes: int, what: str) -> None:
         )
 
 
+@cache
 def is_prime(p: int) -> bool:
-    """Trial division; the moduli used here are tiny."""
+    """Trial division, once per modulus and process: owners check theirs on construction."""
     if p < 2:
         return False
     d = 2
@@ -405,14 +410,12 @@ def solve_right(a, b, p: int) -> np.ndarray:
 
     b may be a vector or a matrix of stacked right-hand columns.
     """
-    a = as_residues(a, p)
-    b = as_residues(b, p)
+    b = np.asarray(b)
     vec = b.ndim == 1
     if vec:
         b = b[:, None]
-    aug = np.concatenate([a, b], axis=1)
-    red, pivots = rref(aug, p)
-    n = a.shape[1]
+    red, pivots = rref(np.concatenate([np.asarray(a), b], axis=1), p)  # rref reduces a and b
+    n = np.shape(a)[1]
     if any(c >= n for c in pivots):
         raise ValueError("inconsistent linear system")
     x = np.zeros((n, b.shape[1]), dtype=np.int64)
@@ -452,11 +455,12 @@ def random_invertible(p: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
             return q, q_inv
 
 
-def kron_arrays(a, b, p: int) -> np.ndarray:
+def kron_arrays(a, b) -> np.ndarray:
+    """The exact Kronecker product of two residue arrays, priced before it is built."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     check_budget(a.size * b.size * 8, "kron product")
-    return np.kron(a, b) % p
+    return np.kron(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,8 +540,7 @@ class Subspace:
         a, b = self.basis, other.basis
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.p, self.ambient)
-        stacked = np.concatenate([a.T, (-b.T) % self.p], axis=1)
-        combos = nullspace_mod(stacked, self.p)
+        combos = nullspace_mod(np.concatenate([a.T, -b.T], axis=1), self.p)  # it reduces -b.T
         vecs = mat_mul(combos[:, : self.dim], a, self.p)
         return Subspace.from_rows(vecs, self.p)
 
@@ -583,12 +586,11 @@ class Quotient:
         return len(self.coord_columns)
 
     def coords(self, vecs) -> np.ndarray:
-        v = as_residues(vecs, self.p)
-        if not self.sup.contains_vectors(v):
+        if not self.sup.contains_vectors(vecs):
             raise ValueError("vector is not in the quotient numerator")
-        reduced = self.sub.reduce(v)
+        reduced = self.sub.reduce(vecs)  # reduce takes vecs mod p
         if self.dim == 0:
-            return np.zeros(v.shape[:-1] + (0,), dtype=np.int64)
+            return np.zeros(reduced.shape[:-1] + (0,), dtype=np.int64)
         return reduced[..., list(self.coord_columns)]
 
 

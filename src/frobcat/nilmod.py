@@ -75,6 +75,14 @@ class NilModule:
     def dim(self) -> int:
         return self.D.shape[0]
 
+    @property
+    def category(self) -> tuple[int, int]:
+        return self.p, self.n
+
+    @property
+    def operators(self) -> tuple[np.ndarray]:
+        return (self.D,)
+
     @cached_property
     def powers(self) -> tuple[np.ndarray, ...]:
         """D^0, ..., D^n as read-only arrays."""
@@ -281,49 +289,39 @@ def multiplicity_vector(n: int, i: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class ShortExactSeq:
-    """0 -> X -> Y -> Z -> 0 of NilModules with explicit maps."""
+    """0 -> X -> Y -> Z -> 0 of nil-modules or of reps, all of one `category`,
+    with maps held reduced and read-only and checked exact on construction:
+    both intertwine the objects' `operators`."""
 
-    x: NilModule
-    y: NilModule
-    z: NilModule
+    x: object
+    y: object
+    z: object
     inj: np.ndarray
     surj: np.ndarray
 
     def __post_init__(self):
         x, y, z = self.x, self.y, self.z
-        if not (x.p == y.p == z.p and x.n == y.n == z.n):
-            raise ValueError("all three modules must share p and n")
-        _check_ses_maps(self, [(x.D, y.D, z.D)], "D")
-
-
-def _check_ses_maps(s, operators, acting: str) -> None:
-    """Reduce and freeze s.inj and s.surj; raise ValueError unless they make
-    0 -> X -> Y -> Z -> 0 exact.
-
-    `s` has x, y, z (each with p and dim) and the maps inj and surj; both
-    maps must intertwine every (X, Y, Z) triple of operator arrays in
-    `operators`, which `acting` names in the messages.
-    """
-    x, y, z = s.x, s.y, s.z
-    p = x.p
-    a, b = frozen_matrix(s.inj, p), frozen_matrix(s.surj, p)
-    object.__setattr__(s, "inj", a)
-    object.__setattr__(s, "surj", b)
-    if a.shape != (y.dim, x.dim) or b.shape != (z.dim, y.dim):
-        raise ValueError("map shapes do not match")
-    if y.dim != x.dim + z.dim:
-        raise ValueError("middle dimension must be the sum")
-    if rank_mod(a, p) != x.dim:
-        raise ValueError("injection is not injective")
-    if rank_mod(b, p) != z.dim:
-        raise ValueError("surjection is not surjective")
-    if np.any(mat_mul(b, a, p)):
-        raise ValueError("composition is not zero")
-    for ox, oy, oz in operators:
-        if np.any((mat_mul(a, ox, p) - mat_mul(oy, a, p)) % p):
-            raise ValueError(f"injection does not intertwine {acting}")
-        if np.any((mat_mul(b, oy, p) - mat_mul(oz, b, p)) % p):
-            raise ValueError(f"surjection does not intertwine {acting}")
+        if not x.category == y.category == z.category:
+            raise ValueError("sequence must stay inside one category")
+        p = x.p
+        a, b = frozen_matrix(self.inj, p), frozen_matrix(self.surj, p)
+        object.__setattr__(self, "inj", a)
+        object.__setattr__(self, "surj", b)
+        if a.shape != (y.dim, x.dim) or b.shape != (z.dim, y.dim):
+            raise ValueError("map shapes do not match")
+        if y.dim != x.dim + z.dim:
+            raise ValueError("middle dimension must be the sum")
+        if rank_mod(a, p) != x.dim:
+            raise ValueError("injection is not injective")
+        if rank_mod(b, p) != z.dim:
+            raise ValueError("surjection is not surjective")
+        if np.any(mat_mul(b, a, p)):
+            raise ValueError("composition is not zero")
+        for ox, oy, oz in zip(x.operators, y.operators, z.operators):
+            if not np.array_equal(mat_mul(a, ox, p), mat_mul(oy, a, p)):
+                raise ValueError("injection does not intertwine the operators")
+            if not np.array_equal(mat_mul(b, oy, p), mat_mul(oz, b, p)):
+                raise ValueError("surjection does not intertwine the operators")
 
 
 def _e_dims(ranks: tuple[int, ...], dim: int, n: int) -> tuple[int, ...]:
@@ -356,7 +354,8 @@ def _coupling_constraint(px: list, pz: list, n: int, p: int) -> np.ndarray:
     size = len(px[0]) * len(pz[0])
     constraint = np.zeros((size, size), np.int64)
     for a in range(n):
-        constraint = (constraint + kron_arrays(px[a], pz[n - 1 - a].T, p)) % p
+        # a residue plus an exact product of two: below p^2, so within int64
+        constraint = (constraint + kron_arrays(px[a], pz[n - 1 - a].T)) % p
     return constraint
 
 

@@ -100,6 +100,14 @@ class GroupRep:
         if any(m.shape != (self.dim, self.dim) for m in mats):
             raise ValueError("generator matrix shape mismatch")
 
+    @property
+    def category(self) -> tuple[GroupSpec, int]:
+        return self.group, self.p
+
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        return self.matrices
+
 
 def evaluate_word(rep: GroupRep, word: str) -> np.ndarray:
     """Left-to-right product of generator matrices; uppercase = inverse.
@@ -185,14 +193,14 @@ def permutation_rep(group: GroupSpec, p: int, perms) -> GroupRep:
 
 
 def cyclic_rep(p: int, parts) -> GroupRep:
-    """Rep of Z/p with generator unipotent of Jordan type `parts` (parts <= p)."""
+    """Rep of Z/p with generator unipotent of Jordan type `parts` (parts <= p): a rep
+    by construction, as (1 + J)^p = 1 + J^p = 1 with every block at most p."""
     parts = tuple(int(k) for k in parts)
     if any(not 1 <= k <= p for k in parts):
         raise ValueError(f"block sizes must lie in [1, {p}]")
-    dim = sum(parts)
     gen = jordan_matrix(parts)  # priced there
     np.fill_diagonal(gen, 1)
-    return _checked(GroupRep(group=cyclic_group(p), p=p, dim=dim, matrices=(gen,)))
+    return GroupRep(group=cyclic_group(p), p=p, dim=sum(parts), matrices=(gen,))
 
 
 def regular_cyclic_rep(p: int) -> GroupRep:
@@ -218,13 +226,13 @@ def random_cyclic_rep(p: int, dim: int, seed: int, index: int = 0) -> GroupRep:
 
 
 def _same_group(a: GroupRep, b: GroupRep) -> None:
-    if a.group != b.group or a.p != b.p:
+    if a.category != b.category:
         raise ValueError("representations live over different groups or moduli")
 
 
 def tensor(a: GroupRep, b: GroupRep) -> GroupRep:
     _same_group(a, b)
-    mats = tuple(kron_arrays(x, y, a.p) for x, y in zip(a.matrices, b.matrices))
+    mats = tuple(kron_arrays(x, y) for x, y in zip(a.matrices, b.matrices))  # GroupRep reduces
     return GroupRep(group=a.group, p=a.p, dim=a.dim * b.dim, matrices=mats)
 
 
@@ -355,11 +363,8 @@ def hom_basis(a: GroupRep, b: GroupRep) -> list[np.ndarray]:
     eye_b = np.eye(db, dtype=np.int64)
     for ga, gb in zip(a.matrices, b.matrices):
         # row-major vec: vec(gb @ F) = (gb kron I) vec F, vec(F @ ga) = (I kron ga^T) vec F
-        rows.append(
-            (kron_arrays(gb, eye_a, p) - kron_arrays(eye_b, ga.T, p)) % p
-        )
-    stacked = np.concatenate(rows, axis=0)
-    basis = nullspace_mod(stacked, p)
+        rows.append(kron_arrays(gb, eye_a) - kron_arrays(eye_b, ga.T))
+    basis = nullspace_mod(np.concatenate(rows, axis=0), p)  # nullspace_mod reduces the stack
     return [v.reshape(db, da) for v in basis]
 
 

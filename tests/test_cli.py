@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from frobcat.cli import CliError, load_rep, parse_module_spec, run
+from frobcat.linalg import DEFAULT_BUDGET_MB
 from frobcat.repcat import cyclic_rep, rep_to_json
 
 
@@ -114,6 +116,11 @@ HOSTILE_INPUTS = {
         ["semisimplify", "--p", "3", "--module", "1000000000*J2"], 2, "module generator needs",
         1.0,
     ),
+    # a module given by its parts is a rep by construction, and is not validated
+    "semisimplify-module-of-dim-3000": (
+        ["semisimplify", "--p", "3", "--module", "3000*J1"], 0, None, 2.0
+    ),
+    "frob-module-of-dim-3000": (["frob", "--p", "3", "--module", "1000*J3"], 0, None, 8.0),
     # the coefficients and their output lines are priced before any is built
     "hilbert-terms-1e9": (
         ["hilbert", "--p", "3", "--module", "J2", "--terms", "1000000000"], 2, "needs", 1.0
@@ -144,6 +151,19 @@ def test_hostile_input(case, capsys, tmp_path):
         assert err == ""
     else:
         assert err.startswith("error: ") and message in err
+
+
+def test_module_command_stays_within_the_default_budget(capsys):
+    # a 3000-dimensional --module rep: the generator's 72 MB and one rank of 1 - g
+    tracemalloc.start()
+    try:
+        assert run(["semisimplify", "--p", "3", "--module", "3000*J1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < DEFAULT_BUDGET_MB * 1024 * 1024
+    lines, _ = lines_of(capsys)
+    assert "image\t3000*L_1" in lines
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):

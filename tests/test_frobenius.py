@@ -22,12 +22,18 @@ from frobcat.frobenius import (
     random_rep_extension,
     random_rep_ses,
     rep_extension_from_phi,
-    RepSES,
     six_periodic_check,
     sp_multiplicity_spaces,
 )
 from frobcat.linalg import BudgetError, induced_on_subquotient
-from frobcat.nilmod import JordanType, functor_B, functor_E, jordan_matrix, nil_module
+from frobcat.nilmod import (
+    JordanType,
+    ShortExactSeq,
+    functor_B,
+    functor_E,
+    jordan_matrix,
+    nil_module,
+)
 from frobcat.repcat import (
     GroupRep,
     cyclic_group,
@@ -170,19 +176,39 @@ def test_rep_ses_validation_and_determinism():
     ses = rep_extension_from_phi(x, z, [[0, 0]])
     bad_surj = np.array([[1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="composition"):
-        RepSES(x=ses.x, y=ses.y, z=ses.z, inj=ses.inj, surj=bad_surj)
+        ShortExactSeq(x=ses.x, y=ses.y, z=ses.z, inj=ses.inj, surj=bad_surj)
     # the maps are held reduced mod p and read-only
-    shifted = RepSES(x=ses.x, y=ses.y, z=ses.z, inj=ses.inj + p, surj=ses.surj - p)
+    shifted = ShortExactSeq(x=ses.x, y=ses.y, z=ses.z, inj=ses.inj + p, surj=ses.surj - p)
     assert np.array_equal(shifted.inj, ses.inj) and np.array_equal(shifted.surj, ses.surj)
     with pytest.raises(ValueError):
         shifted.surj[0, 0] = 1
     with pytest.raises(ValueError, match="wrong shape"):
         rep_extension_from_phi(cyclic_rep(p, (2,)), z, [[0, 0]])  # one row, not broadcast
+    # one generator only, refused before anything is drawn
+    s3 = symmetric_perm_rep(3)
+    with pytest.raises(ValueError, match="one-generator"):
+        random_rep_extension(s3, s3, seed=1)
     again = random_rep_ses(p, 8, seed=11, index=2)
     twice = random_rep_ses(p, 8, seed=11, index=2)
     assert np.array_equal(again.y.matrices[0], twice.y.matrices[0])
     other = random_rep_ses(p, 8, seed=11, index=3)
     assert not np.array_equal(again.y.matrices[0], other.y.matrices[0])
+
+
+
+def test_one_exact_sequence_type_for_both_categories():
+    p = 3
+    x = z = cyclic_rep(p, (1,))
+    ses = rep_extension_from_phi(x, z, [[1]])
+    # exact as spaces, but the injection does not commute with the generator
+    with pytest.raises(ValueError, match="injection does not intertwine"):
+        ShortExactSeq(x=x, y=ses.y, z=z, inj=[[1], [1]], surj=[[-1, 1]])
+    # a nil-module of the same dimension and modulus is in another category
+    nil = nil_module(np.zeros((1, 1), np.int64), p, p)
+    with pytest.raises(ValueError, match="one category"):
+        ShortExactSeq(x=nil, y=ses.y, z=z, inj=ses.inj, surj=ses.surj)
+    assert nil.category == (p, p) and ses.y.category == (ses.y.group, p)
+    assert nil.operators[0] is nil.D and ses.y.operators is ses.y.matrices
 
 
 def test_six_periodic_minimal_example():

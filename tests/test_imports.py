@@ -13,6 +13,12 @@ works in int64, and the moduli past that are refused, so no `astype(object)`
 appears outside `mat_mul`. Matrices are plain residue arrays: the retired
 wrapper class (`RETIRED`, spelt in two halves so that a search of the tree
 for it finds nothing) is not named anywhere in the package.
+
+Representations are validated where outside data enters, and nowhere else:
+`validate` and `_checked` (which raises on its messages) are called only
+from `ENTRY_POINTS`, the builders whose matrices or coupling come from the
+caller or a claim under test; what the library builds from checked parts is
+a representation by construction.
 """
 import ast
 from pathlib import Path
@@ -178,3 +184,51 @@ class Matrix:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_python_int_products_only_in_mat_mul(path):
     assert object_paths(path.read_text(encoding="utf-8")) == []
+
+
+ENTRY_POINTS = {
+    "rep_from_json", "permutation_rep", "rep_extension_from_phi", "sp_multiplicity_spaces"
+}
+
+
+def validation_calls(source: str) -> list[str]:
+    """Calls of `validate` or `_checked` outside ENTRY_POINTS and `_checked` itself."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in ENTRY_POINTS | {"_checked"}
+        for node in ast.walk(fn)
+    }
+    found = [
+        (node.lineno, _callee(node))
+        for node in ast.walk(tree)
+        if _callee(node) in ("validate", "_checked") and id(node) not in allowed
+    ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detector_flags_validation_outside_the_entry_points():
+    src = """
+def _checked(rep):
+    problems = validate(rep)
+    return rep
+
+def rep_from_json(obj):
+    return _checked(GroupRep(**obj))
+
+def cyclic_rep(p, parts):
+    return _checked(GroupRep(p=p, parts=parts))
+
+class Tower:
+    def power(self, m):
+        return repcat.validate(self.reps[m])
+
+assert not validate(trivial_rep(3))
+"""
+    assert validation_calls(src) == ["line 10: _checked", "line 14: validate", "line 16: validate"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_reps_are_validated_only_where_outside_data_enters(path):
+    assert validation_calls(path.read_text(encoding="utf-8")) == []

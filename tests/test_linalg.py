@@ -27,6 +27,7 @@ from frobcat.linalg import (
     rref,
     solve_right,
 )
+from frobcat.nilmod import random_nil_module
 from frobcat.seeding import rng_for
 from oracles import mat_mul_naive, rref_naive
 
@@ -43,6 +44,14 @@ def random_matrix(draw, p, max_dim=9):
 def test_is_prime():
     assert [q for q in range(2, 30) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+def test_each_modulus_is_trial_divided_once():
+    # every NilModule checks its modulus; near 2^31.5 one trial division takes milliseconds
+    is_prime.cache_clear()
+    for index in range(20):
+        random_nil_module(3037000493, 2, 3, seed=5, index=index)
+    assert is_prime.cache_info().misses == 1
 
 
 def test_rref_known_values():
@@ -133,7 +142,8 @@ def test_mat_pow():
 def test_kron_arrays():
     a = np.array([[1, 2]])
     b = np.array([[3], [4]])
-    assert kron_arrays(a, b, 5).tolist() == [[3, 1], [4, 3]]
+    # exact: the consumer reduces it
+    assert kron_arrays(a, b).tolist() == [[3, 6], [4, 8]]
 
 
 def test_frozen_matrix_validation():
@@ -236,7 +246,7 @@ def test_budget_guards_dense_kron(monkeypatch):
     monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
     big = np.ones((200, 200), dtype=int)
     with pytest.raises(BudgetError):
-        kron_arrays(big, big, 3)
+        kron_arrays(big, big)
 
 
 # Differential tests at the sizes where rref splits into products, at the

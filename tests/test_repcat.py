@@ -46,6 +46,16 @@ def test_validate_messages():
     assert validate(cyclic_rep(5, (3, 1))) == []
 
 
+def test_cyclic_rep_is_a_rep_by_construction(monkeypatch):
+    # (1 + J)^p = 1 + J^p = 1 for blocks of size at most p: nothing to validate
+    def refuse(rep):
+        raise AssertionError("cyclic_rep validated its own construction")
+
+    monkeypatch.setattr("frobcat.repcat.validate", refuse)
+    rep = cyclic_rep(3, (3, 2, 1))
+    assert decompose_cyclic(rep).parts == (3, 2, 1)
+
+
 def test_group_rep_holds_reduced_read_only_generators():
     group = cyclic_group(3)
     # the rep checks its own modulus, once
