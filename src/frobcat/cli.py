@@ -39,6 +39,7 @@ from .nilmod import (
 )
 from .repcat import (
     GroupRep,
+    _json_int,
     cyclic_rep,
     random_cyclic_rep,
     rep_from_json,
@@ -387,12 +388,8 @@ def _trial_fpdim(p: int, seed: int, t: int, cap: int) -> list[dict]:
 
 def _trial_lemm1(p: int, seed: int, t: int, cap: int) -> list[dict]:
     m = t + 1
-    if m > p - 1:
-        return []
-    try:
-        sp_multiplicity_spaces(p, m)
-    except AssertionError as exc:
-        return [{"trial": t, "m": m, "reason": str(exc)}]
+    if m <= p - 1:
+        sp_multiplicity_spaces(p, m)  # asserts the projectivity pattern
     return []
 
 
@@ -439,7 +436,10 @@ def _suite_report(name: str, p: int, seed: int, cap: int | None, trial_list, rep
         raise CliError(f"trial indices must be nonnegative, got {trial_list[0]}")
     violations = []
     for t in trial_list:
-        violations.extend(suite.run_trial(p, seed, t, cap))
+        try:
+            violations.extend(suite.run_trial(p, seed, t, cap))
+        except AssertionError as exc:  # a claim under test failed: replayable by its index
+            violations.append({"trial": t, "reason": str(exc)})
     report = {
         "schema": 1,
         "check": name,
@@ -472,13 +472,13 @@ def _cmd_check(args) -> tuple[dict, list[str], int]:
             with open(args.replay, "r", encoding="utf-8") as fh:
                 prev = json.load(fh)
             name = prev["check"]
-            p = int(prev["p"])
-            seed = int(prev["seed"])
-            cap = int(prev["dim_cap"])
-            trial_list = sorted({int(v["trial"]) for v in prev["violations"]})
+            p = _json_int(prev["p"], "p")
+            seed = _json_int(prev["seed"], "seed")
+            cap = _json_int(prev["dim_cap"], "dim_cap")
+            trial_list = sorted({_json_int(v["trial"], "trial") for v in prev["violations"]})
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"malformed replay file: {exc}") from exc
-        if name not in SUITES:
+        if type(name) is not str or name not in SUITES:
             raise CliError(f"unknown suite {name!r} in replay file")
         return _suite_report(name, p, seed, cap, trial_list, replay=True)
     if not args.suite:

@@ -35,8 +35,8 @@ from .nilmod import (
     _block_maps,
     _draw_coupling,
     _extension_space,
+    _power_list,
     jordan_matrix,
-    jordan_type,
     multiplicity_space,
     multiplicity_vector,
     nil_module,
@@ -45,6 +45,8 @@ from .repcat import (
     GroupRep,
     _checked,
     _zero_rep,
+    cyclic_group,
+    decompose_cyclic,
     direct_sum,
     random_cyclic_rep,
     symmetric_group,
@@ -283,11 +285,12 @@ def check_monoidality(x: GroupRep, y: GroupRep) -> dict:
 # ------------------------------------------------------------ exact sequences
 
 
-@lru_cache(maxsize=512)
-def _rep_extension_space(p: int, gx_bytes: bytes, dx: int, gz_bytes: bytes, dz: int):
+# maxsize=0 stores and hashes nothing; perfbench/tracer.py reads its cache_info()
+@lru_cache(maxsize=0)
+def _rep_extension_space(gx: np.ndarray, gz: np.ndarray, p: int) -> np.ndarray:
     """Couplings phi keeping [[gx, phi], [0, gz]] of order dividing p: the
     nil-module constraint of order p, read on the generators themselves."""
-    return _extension_space(p, p, gx_bytes, dx, gz_bytes, dz)
+    return _extension_space(_power_list(gx, p - 1, p), _power_list(gz, p - 1, p), p, p)
 
 
 def _block_generator(x: GroupRep, z: GroupRep, phi) -> np.ndarray:
@@ -310,13 +313,12 @@ def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) ->
     a rep by construction, as its coupling is drawn from those keeping it of order p."""
     p = x.p
     gen = _block_generator(x, z, None)  # refuses before anything is drawn
-    basis = _rep_extension_space(
-        p, x.matrices[0].tobytes(), x.dim, z.matrices[0].tobytes(), z.dim
-    )
+    basis = _rep_extension_space(x.matrices[0], z.matrices[0], p)
     # q below comes from the same stream, after the coupling draw
     rng = rng_for(seed, index)
     gen[: x.dim, x.dim :] = _draw_coupling(basis, rng, p, (x.dim, z.dim))
-    # conjugate the middle so the section solve is exercised on a skew basis
+    # conjugated, the maps are q's first columns and q^-1's last rows: the sequence's
+    # rank and intertwining checks and six_periodic_check's comparisons see a skew basis
     q, qinv = random_invertible(p, len(gen), rng)
     gen = mat_mul(mat_mul(q, gen, p), qinv, p)
     y = GroupRep(group=x.group, p=p, dim=len(gen), matrices=(gen,))
@@ -529,9 +531,9 @@ def frobenius_on_simple(p: int, m: int) -> tuple[FusionElement, ...]:
     """Image of the m-th simple under the shift functor, inside the fusion ring.
 
     The diagonal structure is semisimplified first (its block-multiplicity
-    quotients M_j), then the induced factor rotation on each M_j is read
-    off by Jordan type: component i collects L_j with the multiplicity of
-    size-i rotation blocks, free blocks dropping out.
+    quotients M_j), then the induced factor rotation on each M_j, a rep of
+    Z/p, is read off by `decompose_cyclic`: component i collects L_j with the
+    multiplicity of size-i rotation blocks, free blocks dropping out.
     """
     if p not in (2, 3, 5):
         raise ValueError("p outside {2, 3, 5} (budget)")
@@ -540,7 +542,7 @@ def frobenius_on_simple(p: int, m: int) -> tuple[FusionElement, ...]:
     mults = [[0] * (p - 1) for _ in range(p - 1)]
     for j, q in enumerate(quotients, start=1):
         smat = _permutation_induced(q, rot_perm)
-        t = jordan_type(nil_module(np.eye(q.dim, dtype=np.int64) - smat, p, p))
+        t = decompose_cyclic(GroupRep(group=cyclic_group(p), p=p, dim=q.dim, matrices=(smat,)))
         for i in range(1, p):
             mults[i - 1][j - 1] += t.multiplicity(i)
     return tuple(FusionElement(p, tuple(row)) for row in mults)

@@ -359,22 +359,16 @@ def _coupling_constraint(px: list, pz: list, n: int, p: int) -> np.ndarray:
     return constraint
 
 
-@lru_cache(maxsize=512)
-def _extension_space(p: int, n: int, dx_bytes: bytes, dx_dim: int, dz_bytes: bytes, dz_dim: int):
-    """Nullspace basis of the Y^n = 0 constraint on the coupling block.
+# maxsize=0 stores and hashes nothing; perfbench/tracer.py reads its cache_info()
+@lru_cache(maxsize=0)
+def _extension_space(px: list, pz: list, n: int, p: int) -> np.ndarray:
+    """Nullspace basis of the Y^n = 0 constraint on the coupling block phi of
+    Y = [[X, phi], [0, Z]], from the powers px, pz the caller holds (n from D^0).
 
     X and Z need not be nilpotent: with the generators of Z/p-reps and n = p
     the same constraint keeps Y of order dividing p.
     """
-    dx = np.frombuffer(dx_bytes, dtype=np.int64).reshape(dx_dim, dx_dim)
-    dz = np.frombuffer(dz_bytes, dtype=np.int64).reshape(dz_dim, dz_dim)
-    px = _power_list(dx, n - 1, p)
-    pz = _power_list(dz, n - 1, p)
     return nullspace_mod(_coupling_constraint(px, pz, n, p), p)
-
-
-def _coupling_basis(x: NilModule, z: NilModule) -> np.ndarray:
-    return _extension_space(x.p, x.n, x.D.tobytes(), x.dim, z.D.tobytes(), z.dim)
 
 
 def extension_from_phi(x: NilModule, z: NilModule, phi) -> ShortExactSeq:
@@ -394,7 +388,8 @@ def _draw_coupling(basis: np.ndarray, rng, p: int, shape: tuple[int, int]) -> np
 
 def random_extension(x: NilModule, z: NilModule, seed: int, index: int = 0) -> ShortExactSeq:
     """Uniformly random admissible extension of Z by X, deterministic in (seed, index)."""
-    phi = _draw_coupling(_coupling_basis(x, z), rng_for(seed, index), x.p, (x.dim, z.dim))
+    basis = _extension_space(x.powers, z.powers, x.n, x.p)
+    phi = _draw_coupling(basis, rng_for(seed, index), x.p, (x.dim, z.dim))
     return extension_from_phi(x, z, phi)
 
 
@@ -436,7 +431,7 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     px, pz = x.powers, z.powers
     rx, rz = rank_sequence(x), rank_sequence(z)
 
-    basis = _coupling_basis(x, z)
+    basis = _extension_space(px, pz, n, p)
     coeffs = np.zeros((trials, basis.shape[0]), np.int64)
     for t in range(trials):
         if basis.shape[0]:
@@ -466,14 +461,15 @@ def extension_survey(x: NilModule, z: NilModule, trials: int, seed: int) -> dict
     ey = dim_y - rank_rows[:, half] - rank_rows[:, n - half]
     e_additive = (ey == np.add(_e_dims(rx, dx, n), _e_dims(rz, dz, n))).all(axis=1)
     split = (rank_rows == np.add(rx, rz)).all(axis=1)
+    x_parts, z_parts = _type_from_ranks(rx, n).parts, _type_from_ranks(rz, n).parts
     violations = [
         {
             "trial": t,
             "seed": seed,
             "p": p,
             "n": n,
-            "x_parts": list(jordan_type(x).parts),
-            "z_parts": list(jordan_type(z).parts),
+            "x_parts": list(x_parts),
+            "z_parts": list(z_parts),
             "phi": phis[t].tolist(),
         }
         for t in np.flatnonzero(e_additive & ~split).tolist()

@@ -385,18 +385,29 @@ def rep_to_json(rep: GroupRep) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """value if it is a JSON integer; a float, string or boolean raises ValueError naming field."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def rep_from_json(obj: dict) -> GroupRep:
     """Parse and fully validate; raises ValueError naming the first violation."""
     try:
         group = GroupSpec(
             name=str(obj["group"]["name"]),
-            generators=int(obj["group"]["generators"]),
+            generators=_json_int(obj["group"]["generators"], "group.generators"),
             relations=tuple(str(w) for w in obj["group"]["relations"]),
             sylow_witness=str(obj["group"]["sylow_witness"]),
         )
-        p = int(obj["p"])
-        dim = int(obj["dim"])
+        p = _json_int(obj["p"], "p")
+        dim = _json_int(obj["dim"], "dim")
+        for entry in (v for m in obj["matrices"] for row in m for v in row):
+            _json_int(entry, "matrix entry")
         mats = tuple(np.asarray(m, dtype=np.int64) for m in obj["matrices"])
+    except OverflowError as exc:
+        raise ValueError("matrix entry lies outside int64") from exc
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed representation object: {exc}") from exc
     return _checked(GroupRep(group=group, p=p, dim=dim, matrices=mats))

@@ -76,22 +76,9 @@ def growth_check(s: TruncSeries) -> dict:
         "root test and ratio method on the computed tail; a finite prefix cannot "
         "prove the radius of convergence, this is a growth diagnostic only"
     )
-    if all(c == 0 for i, c in tail.items() if i > 0):
-        return {
-            "verdict": "polynomial",
-            "order": t,
-            "root_estimates": [],
-            "max_root_estimate": 0.0,
-            "final_root_estimate": 0.0,
-            "ratio_estimate": 0.0,
-            "threshold": threshold,
-            "flagged": False,
-            "note": note,
-        }
-    estimates = [_root(c, i) for i, c in tail.items() if i > 0 and c > 0]
-    positive = [i for i, c in tail.items() if i > 0 and c > 0]
-    final = _root(tail[positive[-1]], positive[-1])
-    max_est = max(estimates)
+    positive = [i for i, c in tail.items() if c > 0]  # none when the tail vanishes
+    estimates = [_root(tail[i], i) for i in positive]
+    max_est = max(estimates, default=0.0)
     # i * c_i / c_{i-1} for every i in the tail whose predecessor is positive
     scaled = [
         (i, i * c / s.coeffs[i - 1]) for i, c in tail.items() if i > tail_start and s.coeffs[i - 1] > 0
@@ -102,11 +89,11 @@ def growth_check(s: TruncSeries) -> dict:
     else:
         ratio_est = max_est
     return {
-        "verdict": "non-polynomial",
+        "verdict": "non-polynomial" if positive else "polynomial",
         "order": t,
         "root_estimates": estimates,
         "max_root_estimate": max_est,
-        "final_root_estimate": final,
+        "final_root_estimate": estimates[-1] if estimates else 0.0,
         "ratio_estimate": ratio_est,
         "threshold": threshold,
         "flagged": ratio_est > threshold,

@@ -44,10 +44,20 @@ def test_fusion_rejects_composite(capsys):
     assert "error: p = 4 is not prime" in err
 
 
-def _replay(check, p, trial=0, dim_cap=4):
+def _replay(check, p, trial=0, dim_cap=4, seed=0):
     """A replay file's contents; the test writes it out and passes its path."""
     violations = [{"trial": trial}]
-    return {"check": check, "p": p, "seed": 0, "dim_cap": dim_cap, "violations": violations}
+    return {"check": check, "p": p, "seed": seed, "dim_cap": dim_cap, "violations": violations}
+
+
+def _rep_file(entry=None, **fields):
+    """A rep file's contents: J2 at p = 3 with `fields` replaced and, given
+    `entry`, its first matrix entry replaced."""
+    obj = rep_to_json(cyclic_rep(3, (2,)))
+    obj.update(fields)
+    if entry is not None:
+        obj["matrices"][0][0][0] = entry
+    return obj
 
 
 # argv, exit status, stderr fragment (None: no message), wall-clock bound in s;
@@ -103,6 +113,44 @@ HOSTILE_INPUTS = {
     "replay-negative-cap": (
         ["check", "--replay", _replay("splitting", 3, dim_cap=-1)], 2,
         "--dim-cap must be nonnegative", 1.0,
+    ),
+    # outside JSON is read as integers, or refused naming the field; never rounded
+    "replay-p-float": (
+        ["check", "--replay", _replay("nilmod", 3.7)], 2, "p must be an integer, got 3.7", 1.0
+    ),
+    "replay-seed-float": (
+        ["check", "--replay", _replay("nilmod", 3, seed=1.9)], 2,
+        "seed must be an integer, got 1.9", 1.0,
+    ),
+    "replay-trial-float": (
+        ["check", "--replay", _replay("nilmod", 3, trial=0.5)], 2,
+        "trial must be an integer, got 0.5", 1.0,
+    ),
+    "replay-dim-cap-boolean": (
+        ["check", "--replay", _replay("nilmod", 3, dim_cap=True)], 2,
+        "dim_cap must be an integer, got True", 1.0,
+    ),
+    "replay-check-not-a-string": (
+        ["check", "--replay", _replay(["nilmod"], 3)], 2, "unknown suite ['nilmod']", 1.0
+    ),
+    "rep-file-entry-float": (
+        ["semisimplify", "--rep-file", _rep_file(entry=1.9)], 2,
+        "matrix entry must be an integer, got 1.9", 1.0,
+    ),
+    "rep-file-p-float": (
+        ["semisimplify", "--rep-file", _rep_file(p=3.7)], 2, "p must be an integer, got 3.7", 1.0
+    ),
+    "rep-file-dim-string": (
+        ["semisimplify", "--rep-file", _rep_file(dim="2")], 2,
+        "dim must be an integer, got '2'", 1.0,
+    ),
+    "rep-file-entry-past-int64": (
+        ["semisimplify", "--rep-file", _rep_file(entry=2**70)], 2,
+        "matrix entry lies outside int64", 1.0,
+    ),
+    "rep-file-entry-boolean": (
+        ["semisimplify", "--rep-file", _rep_file(entry=True)], 2,
+        "matrix entry must be an integer, got True", 1.0,
     ),
     "green-at-p-13": (["green", "--p", "13"], 0, None, 0.5),
     # P^2 rows of up to P entries: priced before any row is built
@@ -209,6 +257,34 @@ def test_internal_fault_exits_3(monkeypatch, capsys):
     assert out == [""]
     assert err.startswith("internal error: AssertionError: invariant broken\n")
     assert "Traceback" in err
+
+
+def test_failed_claim_in_a_trial_is_a_replayable_violation(monkeypatch, tmp_path, capsys):
+    import dataclasses
+
+    import frobcat.cli
+
+    suite = frobcat.cli.SUITES["nilmod"]
+    ran = []
+
+    def trial(p, seed, t, cap):
+        ran.append(t)
+        if t == 2:
+            raise AssertionError("claim failed")
+        return suite.run_trial(p, seed, t, cap)
+
+    monkeypatch.setitem(frobcat.cli.SUITES, "nilmod", dataclasses.replace(suite, run_trial=trial))
+    assert run(["check", "--suite", "nilmod", "--p", "3", "--trials", "4", "--format", "json"]) == 1
+    lines, _ = lines_of(capsys)
+    assert ran == [0, 1, 2, 3]
+    assert json.loads(lines[0])["violations"] == [{"trial": 2, "reason": "claim failed"}]
+    path = tmp_path / "report.json"
+    path.write_text(lines[0])
+    ran.clear()
+    assert run(["check", "--replay", str(path), "--format", "json"]) == 1
+    lines, _ = lines_of(capsys)
+    assert ran == [2]
+    assert json.loads(lines[0])["replayed_trials"] == [2]
 
 
 def test_green_command(capsys):

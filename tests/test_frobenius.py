@@ -8,6 +8,7 @@ from frobcat.frobenius import (
     DIM_CAPS,
     _diag_indices,
     _multiplicity_quotients,
+    _rep_extension_space,
     _shift_perm,
     _word_digits,
     check_additivity,
@@ -29,9 +30,12 @@ from frobcat.linalg import BudgetError, induced_on_subquotient
 from frobcat.nilmod import (
     JordanType,
     ShortExactSeq,
+    _extension_space,
+    extension_survey,
     functor_B,
     functor_E,
     jordan_matrix,
+    jordan_module,
     nil_module,
 )
 from frobcat.repcat import (
@@ -194,6 +198,24 @@ def test_rep_ses_validation_and_determinism():
     other = random_rep_ses(p, 8, seed=11, index=3)
     assert not np.array_equal(again.y.matrices[0], other.y.matrices[0])
 
+
+
+def test_coupling_spaces_are_formed_afresh_and_kept_nowhere():
+    x, z = jordan_module(3, 3, (2, 1)), jordan_module(3, 3, (3,))
+    xr, zr = cyclic_rep(3, (2,)), cyclic_rep(3, (1,))
+    gx, gz = xr.matrices[0], zr.matrices[0]
+    extension_survey(x, z, 4, seed=3)
+    random_rep_extension(xr, zr, seed=3)
+    for space in (_extension_space, _rep_extension_space):
+        info = space.cache_info()
+        assert (info.maxsize, info.currsize) == (0, 0)
+    # equal inputs give equal bases in distinct arrays: no caller shares another's
+    for first, second in (
+        (_extension_space(x.powers, z.powers, 3, 3), _extension_space(x.powers, z.powers, 3, 3)),
+        (_rep_extension_space(gx, gz, 3), _rep_extension_space(gx, gz, 3)),
+    ):
+        assert first is not second and np.array_equal(first, second)
+        assert len(first)  # a nonzero coupling space
 
 
 def test_one_exact_sequence_type_for_both_categories():

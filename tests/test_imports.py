@@ -14,6 +14,10 @@ appears outside `mat_mul`. Matrices are plain residue arrays: the retired
 wrapper class (`RETIRED`, spelt in two halves so that a search of the tree
 for it finds nothing) is not named anywhere in the package.
 
+Array contents never become bytes: no `.tobytes(` and no `np.frombuffer(`
+appears in the package, so no cache can be keyed on an array's contents
+again (each lookup hashed two matrices and rarely hit).
+
 Representations are validated where outside data enters, and nowhere else:
 `validate` and `_checked` (which raises on its messages) are called only
 from `ENTRY_POINTS`, the builders whose matrices or coupling come from the
@@ -184,6 +188,33 @@ class Matrix:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_python_int_products_only_in_mat_mul(path):
     assert object_paths(path.read_text(encoding="utf-8")) == []
+
+
+def array_bytes(source: str) -> list[str]:
+    """Lines that turn array contents into bytes (`.tobytes(`) or back (`np.frombuffer(`)."""
+    return [
+        f"line {k}"
+        for k, line in enumerate(source.splitlines(), 1)
+        if ".tobytes(" in line or "np.frombuffer(" in line
+    ]
+
+
+def test_detector_flags_array_bytes():
+    src = """
+@lru_cache(maxsize=512)
+def _space(p, d_bytes, dim):
+    d = np.frombuffer(d_bytes, dtype=np.int64).reshape(dim, dim)
+    return nullspace_mod(d, p)
+
+def basis(m):
+    return _space(m.p, m.D.tobytes(), m.dim), m.D.tolist()
+"""
+    assert array_bytes(src) == ["line 4", "line 8"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_array_contents_become_bytes(path):
+    assert array_bytes(path.read_text(encoding="utf-8")) == []
 
 
 ENTRY_POINTS = {

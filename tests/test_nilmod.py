@@ -349,6 +349,27 @@ def test_survey_matches_per_trial_route(p, n, dx, dz, seed):
     assert report["violations"] == []
 
 
+def test_extension_couplings_read_the_modules_own_powers(monkeypatch):
+    # the nilpotency checks of X and Z formed their powers, and the coupling
+    # space reads those: only a sampled extension's middle forms its own
+    import frobcat.nilmod
+
+    x = random_nil_module(3, 3, 4, seed=57, index=0)
+    z = random_nil_module(3, 3, 3, seed=57, index=1)
+    formed = []
+    power_list = frobcat.nilmod._power_list
+
+    def spy(d, n, p):
+        formed.append(d)
+        return power_list(d, n, p)
+
+    monkeypatch.setattr(frobcat.nilmod, "_power_list", spy)
+    extension_survey(x, z, 6, seed=57)
+    assert formed == []
+    s = random_extension(x, z, seed=57)
+    assert len(formed) == 1 and formed[0] is s.y.D
+
+
 def test_survey_report_fields():
     x = jordan_module(3, 3, (2, 1))
     z = jordan_module(3, 3, (3,))
