@@ -1,23 +1,24 @@
 """Exact linear algebra over prime fields F_p.
 
 All matrices are numpy int64 arrays with entries reduced into [0, p).
-Every matrix product goes through `mat_mul`: one float64 GEMM, exact while
-every partial sum is an integer below 2^53, that is (p-1)^2 * k < 2^53 for
-inner size k, then an int64 remainder; past that bound the product runs in
-Python ints. `rref` splits rows recursively so that its work is a few such
-products. Blocks of at most 16 rows have three base cases: up to 196 entries,
-one pivot at a time on lists of Python ints; up to 64 columns, one pivot at a
-time on the array; past that, a panel of 32 live columns at a time, whose row
-transform one product applies to the rest. Entrywise residue products are
-int64, so `as_residues`, which every kernel but `mat_mul` reduces its input
-with, refuses p with (p-1)^2 >= 2^63, as `check_modulus` does at the CLI and
-owner boundary; only `mat_mul` forms Python-int products, for the accepted p
-past its float64 bound. The owners of matrices (group reps, nil-modules,
-exact sequences) hold them as read-only residue arrays from `frozen_matrix`.
-`rank_stack` ranks a stack of small matrices in one lockstep sweep.
-Each array is reduced mod p once, where it enters: a kernel reduces its
-input, an owner its matrices. So `kron_arrays` is exact (entries below p^2,
-within int64), and the consumer reduces it.
+Every matrix product goes through `mat_mul`, in one of three exact regimes
+chosen by the bound (p-1)^2 * k on its partial sums, for inner size k: one
+float32 GEMM while the bound is below 2^24, one float64 GEMM while it is
+below 2^53, each then reduced in int64, and past that four float64 GEMMs of
+16-bit halves, recombined in int64 (`_split_mul`). `rref` splits rows
+recursively so that its work is a few such products. Blocks of at most 16
+rows have three base cases: up to 196 entries, one pivot at a time on lists
+of Python ints; up to 64 columns, one pivot at a time on the array; past
+that, a panel of 32 live columns at a time, whose row transform one product
+applies to the rest. Entrywise residue products are int64, so `as_residues`,
+which every kernel reduces its input with, and `mat_mul` refuse p with
+(p-1)^2 >= 2^63, as `check_modulus` does at the CLI and owner boundary; no
+kernel forms products in Python-int arrays. The owners of matrices (group
+reps, nil-modules, exact sequences) hold them as read-only residue arrays
+from `frozen_matrix`. `rank_stack` ranks a stack of small matrices in one
+lockstep sweep. Each array is reduced mod p once, where it enters: a kernel
+reduces its input, an owner its matrices. So `kron_arrays` is exact (entries
+below p^2, within int64), and the consumer reduces it.
 """
 from __future__ import annotations
 
@@ -372,23 +373,77 @@ def _kernel_rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return basis, tuple(free.tolist())
 
 
-def mat_mul(a, b, p: int) -> np.ndarray:
-    """Exact modular product of residue arrays.
+# A product of residues below p over inner size k has every partial sum an
+# integer of size at most (p-1)^2 * k, so a float GEMM is exact while that
+# bound stays below its significand: 2^24 for float32, 2^53 for float64.
+_FLOAT32_EXACT = 2**24
+_FLOAT64_EXACT = 2**53
+# Past 2^53 each operand is split into halves below 2^16; a GEMM of halves is
+# exact over at most 2^21 inner terms, since (2^16 - 1)^2 * 2^21 < 2^53.
+_HALF_BITS = 16
+_SPLIT_SLICE = 2**21
 
-    One float64 GEMM while every partial sum is an integer below 2^53, that
-    is (p-1)^2 * k < 2^53 for inner size k, then an int64 remainder; Python
-    ints (object arrays) beyond.
+
+def mat_mul(a, b, p: int) -> np.ndarray:
+    """Exact modular product of residue arrays, in the narrowest exact float.
+
+    With k the inner size, the regime follows from the bound (p-1)^2 * k
+    alone: one float32 GEMM below 2^24, one float64 GEMM below 2^53, each
+    then taken to int64 and reduced. Past that, the split float64 product of
+    _split_mul, which is exact for every p that check_modulus accepts. The
+    float copies and the product are priced before they are made.
     """
+    _check_int64_products(p)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
     if inner == 0 or a.size == 0 or b.size == 0:
         return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    if (p - 1) * (p - 1) * inner < 2**53:
-        c = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    bound = (p - 1) * (p - 1) * inner
+    cells = a.size // inner * (b.size // inner)
+    if bound >= _FLOAT64_EXACT:
+        # the four halves, a GEMM result, its int64 copy and two int64 sums
+        check_budget(8 * (2 * (a.size + b.size) + 4 * cells), "matrix product")
+        return _split_mul(a, b, p)
+    dtype, width = (np.float32, 4) if bound < _FLOAT32_EXACT else (np.float64, 8)
+    # the float operands and product, and the int64 result
+    check_budget(width * (a.size + b.size + cells) + 8 * cells, "matrix product")
+    c = (a.astype(dtype) @ b.astype(dtype)).astype(np.int64)
+    c %= p
+    return c
+
+
+def _split_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for p < 2^31.5 (so (p-1)^2 < 2^63), with float64 GEMMs.
+
+    The error-free splitting of Ozaki, Ogita, Oishi and Rump, as FFLAS-FFPACK
+    uses it for word-size primes: a = a1 * 2^16 + a0 and b likewise, with
+    halves below 2^16, so a @ b = a1b1 * 2^32 + (a1b0 + a0b1) * 2^16 + a0b0.
+    Each GEMM of halves is exact over a slice of at most _SPLIT_SLICE inner
+    terms; the parts are recombined in int64 by shifts of 16 bits, each
+    followed by a remainder, so no value passes 2^63. The slices' residues
+    are added and reduced once.
+    """
+    mask = (1 << _HALF_BITS) - 1
+    a1, a0 = (a >> _HALF_BITS).astype(np.float64), (a & mask).astype(np.float64)
+    b1, b0 = (b >> _HALF_BITS).astype(np.float64), (b & mask).astype(np.float64)
+    total = None
+    for start in range(0, a.shape[-1], _SPLIT_SLICE):
+        cut = slice(start, start + _SPLIT_SLICE)
+        x1, x0, y1, y0 = a1[..., cut], a0[..., cut], b1[cut], b0[cut]
+        c = (x1 @ y1).astype(np.int64)
         c %= p
-        return c
-    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+        c <<= _HALF_BITS
+        c += (x1 @ y0).astype(np.int64)
+        c += (x0 @ y1).astype(np.int64)
+        c %= p
+        c <<= _HALF_BITS
+        c += (x0 @ y0).astype(np.int64)
+        c %= p
+        total = c if total is None else total + c
+    if a.shape[-1] > _SPLIT_SLICE:
+        total %= p
+    return total
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:
@@ -456,11 +511,14 @@ def random_invertible(p: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kron_arrays(a, b) -> np.ndarray:
-    """The exact Kronecker product of two residue arrays, priced before it is built."""
+    """The exact Kronecker product of two residue matrices, priced before it
+    is built: one broadcast product, reshaped, which skips np.kron's generic
+    handling of any number of dimensions."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     check_budget(a.size * b.size * 8, "kron product")
-    return np.kron(a, b)
+    (m, n), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * r, n * s)
 
 
 @dataclass(frozen=True, eq=False)

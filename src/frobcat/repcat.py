@@ -392,14 +392,24 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_str(value, field: str) -> str:
+    """value if it is a JSON string; anything else raises ValueError naming field."""
+    if type(value) is not str:
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def rep_from_json(obj: dict) -> GroupRep:
     """Parse and fully validate; raises ValueError naming the first violation."""
     try:
+        relations = obj["group"]["relations"]
+        if type(relations) is not list:
+            raise ValueError(f"group.relations must be a list of strings, got {relations!r}")
         group = GroupSpec(
-            name=str(obj["group"]["name"]),
+            name=_json_str(obj["group"]["name"], "group.name"),
             generators=_json_int(obj["group"]["generators"], "group.generators"),
-            relations=tuple(str(w) for w in obj["group"]["relations"]),
-            sylow_witness=str(obj["group"]["sylow_witness"]),
+            relations=tuple(_json_str(w, "group.relations entry") for w in relations),
+            sylow_witness=_json_str(obj["group"]["sylow_witness"], "group.sylow_witness"),
         )
         p = _json_int(obj["p"], "p")
         dim = _json_int(obj["dim"], "dim")

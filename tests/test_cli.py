@@ -50,11 +50,12 @@ def _replay(check, p, trial=0, dim_cap=4, seed=0):
     return {"check": check, "p": p, "seed": seed, "dim_cap": dim_cap, "violations": violations}
 
 
-def _rep_file(entry=None, **fields):
-    """A rep file's contents: J2 at p = 3 with `fields` replaced and, given
-    `entry`, its first matrix entry replaced."""
+def _rep_file(entry=None, group=(), **fields):
+    """A rep file's contents: J2 at p = 3 with `fields` and the `group` fields
+    replaced and, given `entry`, its first matrix entry replaced."""
     obj = rep_to_json(cyclic_rep(3, (2,)))
     obj.update(fields)
+    obj["group"].update(group)
     if entry is not None:
         obj["matrices"][0][0][0] = entry
     return obj
@@ -151,6 +152,19 @@ HOSTILE_INPUTS = {
     "rep-file-entry-boolean": (
         ["semisimplify", "--rep-file", _rep_file(entry=True)], 2,
         "matrix entry must be an integer, got True", 1.0,
+    ),
+    # a string of relations was read as one relation per letter
+    "rep-file-relations-string": (
+        ["semisimplify", "--rep-file", _rep_file(group={"relations": "aaa"})], 2,
+        "group.relations must be a list of strings, got 'aaa'", 1.0,
+    ),
+    "rep-file-relation-not-a-string": (
+        ["semisimplify", "--rep-file", _rep_file(group={"relations": ["aaa", 3]})], 2,
+        "group.relations entry must be a string, got 3", 1.0,
+    ),
+    "rep-file-name-number": (
+        ["semisimplify", "--rep-file", _rep_file(group={"name": 17})], 2,
+        "group.name must be a string, got 17", 1.0,
     ),
     "green-at-p-13": (["green", "--p", "13"], 0, None, 0.5),
     # P^2 rows of up to P entries: priced before any row is built

@@ -123,14 +123,75 @@ def test_inverse_and_random_invertible():
         inverse_mod(np.zeros((2, 2), int), p)
 
 
-def test_mat_mul_object_fallback_for_large_modulus():
-    # (p-1)^2 already exceeds the float-exact bound, so the slow path runs
-    p = 2**31 - 1
-    a = np.array([[p - 1, p - 2]])
-    b = np.array([[p - 1], [p - 3]])
+def test_mat_mul_split_regime_for_large_modulus():
+    # (p-1)^2 alone passes the float64-exact bound, so the split regime runs:
+    # 16-bit halves, four float64 GEMMs, recombined in int64; all-(p-1)
+    # operands give the largest halves and partial sums, at blocked sizes
+    for p in (2**31 - 1, 3037000493):
+        a = np.array([[p - 1, p - 2]])
+        b = np.array([[p - 1], [p - 3]])
+        want = ((p - 1) * (p - 1) + (p - 2) * (p - 3)) % p
+        assert mat_mul(a, b, p).tolist() == [[want]]
+        full = np.full((70, 300), p - 1, dtype=np.int64)
+        assert np.array_equal(mat_mul(full, full.T, p), np.full((70, 70), 300 % p))
+        rng = rng_for(p, 7)
+        x = rng.integers(0, p, size=(64, 300))
+        y = rng.integers(0, p, size=(300, 90))
+        assert np.array_equal(mat_mul(x, y, p), mat_mul_naive(x, y, p))
+
+
+def extreme_operands(p, k, rng):
+    """A 48 x k and a k x 48 residue matrix, random but for a first row and
+    column of (1, p-1, ..., p-1): their product's first entry is the largest
+    odd partial sum, 1 + (k-1)(p-1)^2, which a float too narrow for it rounds."""
+    a = rng.integers(0, p, size=(48, k))
+    b = rng.integers(0, p, size=(k, 48))
+    a[0] = b[:, 0] = p - 1
+    a[0, 0] = b[0, 0] = 1
+    return a, b
+
+
+# (p, k) on both sides of each regime bound on (p-1)^2 * k: float32 below
+# 2^24, float64 below 2^53, the split float64 product past it. 257 at k = 256
+# sits exactly on 2^24; at k = 1024 a float32 product would round its odd sums.
+REGIME_CASES = [
+    (251, 256, "float32"),
+    (257, 256, "float64"),
+    (257, 1024, "float64"),
+    (5931641, 256, "float64"),
+    (5931649, 256, "split"),
+    (2**31 - 1, 256, "split"),
+    (3037000493, 256, "split"),
+]
+
+
+@pytest.mark.parametrize("p, k, regime", REGIME_CASES, ids=lambda v: str(v))
+def test_mat_mul_is_exact_on_both_sides_of_each_regime_bound(p, k, regime):
+    bound = (p - 1) ** 2 * k
+    expect = "float32" if bound < 2**24 else "float64" if bound < 2**53 else "split"
+    assert expect == regime
+    a, b = extreme_operands(p, k, rng_for(p, k))
     got = mat_mul(a, b, p)
-    want = ((p - 1) * (p - 1) + (p - 2) * (p - 3)) % p
-    assert got.tolist() == [[want]]
+    assert got[0, 0] == (1 + (k - 1) * (p - 1) ** 2) % p
+    assert np.array_equal(got, mat_mul_naive(a, b, p))
+    # a stack of left operands, as the extension surveys pass them
+    stack = np.stack([a, a[::-1]])
+    assert np.array_equal(mat_mul(stack, b, p)[1], got[::-1])
+
+
+def test_mat_mul_slices_an_inner_dimension_past_2_21():
+    # the split regime's GEMMs of halves are exact over 2^21 inner terms;
+    # with halves 2^16 - 1 (the residue 65535) an unsliced sum of k > 2^21 + 64
+    # terms passes 2^53, and k is odd, so the exact sum is odd
+    p = 3037000493
+    k = 2**21 + 2**16 + 1  # 16.5 MB per int64 operand
+    a = np.full((1, k), 2**16 - 1, dtype=np.int64)
+    assert mat_mul(a, a.T, p).tolist() == [[k * (2**16 - 1) ** 2 % p]]
+    rng = rng_for(p, 1)
+    x = rng.integers(0, p, size=(1, k))
+    y = rng.integers(0, p, size=(k, 1))
+    want = sum(int(u) * int(v) for u, v in zip(x[0].tolist(), y[:, 0].tolist())) % p
+    assert mat_mul(x, y, p).tolist() == [[want]]
 
 
 def test_mat_pow():
@@ -144,6 +205,19 @@ def test_kron_arrays():
     b = np.array([[3], [4]])
     # exact: the consumer reduces it
     assert kron_arrays(a, b).tolist() == [[3, 6], [4, 8]]
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((0, 3), (2, 2)), ((2, 2), (3, 0)), ((1, 5), (4, 3)), ((5, 1), (2, 6)), ((3, 4), (5, 2))],
+)
+def test_kron_arrays_matches_np_kron(a_shape, b_shape):
+    rng = rng_for(7, 3)
+    a = rng.integers(0, 49, size=a_shape)
+    b = rng.integers(0, 49, size=b_shape)
+    got = kron_arrays(a, b)
+    assert got.dtype == np.int64
+    assert got.shape == np.kron(a, b).shape and np.array_equal(got, np.kron(a, b))
 
 
 def test_frozen_matrix_validation():
@@ -251,9 +325,10 @@ def test_budget_guards_dense_kron(monkeypatch):
 
 # Differential tests at the sizes where rref splits into products, at the
 # default settings: every result is checked against the Python-int oracles.
-# The two largest moduli take mat_mul's object path; the last is the largest
-# accepted prime, (p-1)^2 just below 2^63, so the int64 entrywise products of
-# the pivot loops and rank_stack run at their edge.
+# mat_mul's products run in float32 at p = 2, 3 and 7, in float64 at 65521,
+# and split into 16-bit halves at the two largest moduli; the last is the
+# largest accepted prime, (p-1)^2 just below 2^63, so the int64 entrywise
+# products of the pivot loops and rank_stack run at their edge.
 DIFF_MODULI = (2, 3, 7, 65521, 2**31 - 1, 3037000493)
 
 
@@ -527,9 +602,24 @@ def test_oversize_rref_is_refused_before_allocating(monkeypatch):
         rank_mod(np.ones((400, 400), np.int64), 7)
 
 
+def test_oversize_product_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
+    # zero-stride views: 25 * 10^6 entries each, which take no memory until copied
+    left = np.broadcast_to(np.int64(1), (5000, 5000))
+    start = time.perf_counter()
+    for p in (7, 65521, 2**31 - 1):  # float32, float64 and split operand copies
+        with pytest.raises(BudgetError, match="matrix product"):
+            mat_mul(left, left, p)
+    assert time.perf_counter() - start < 1.0
+    # within the budget: a 100 x 100 product's copies take about 0.2 MB
+    small = np.ones((100, 100), np.int64)
+    assert np.array_equal(mat_mul(small, small, 7), np.full((100, 100), 100 % 7))
+
+
 def test_modulus_past_the_int64_product_bound_is_refused():
-    # (p-1)^2 > 2^63: int64 products of residues would wrap, so every kernel
-    # refuses p before it eliminates, as check_modulus does
+    # (p-1)^2 > 2^63: int64 products of residues would wrap, and mat_mul's
+    # 16-bit halves would not cover a residue, so every kernel refuses p
+    # before it eliminates or multiplies, as check_modulus does
     p = 4294967311
     a = np.eye(3, dtype=np.int64)
     refusals = [
@@ -542,6 +632,7 @@ def test_modulus_past_the_int64_product_bound_is_refused():
         lambda: Subspace.kernel(a, p),
         lambda: solve_right(a, a[0], p),
         lambda: inverse_mod(a, p),
+        lambda: mat_mul(a, a, p),
     ]
     for call in refusals:
         with pytest.raises(ValueError, match="too large"):
