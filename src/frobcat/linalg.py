@@ -5,15 +5,23 @@ Every matrix product goes through `mat_mul`, in one of three exact regimes
 chosen by the bound (p-1)^2 * k on its partial sums, for inner size k: one
 float32 GEMM while the bound is below 2^24, one float64 GEMM while it is
 below 2^53, each then reduced in int64, and past that four float64 GEMMs of
-16-bit halves, recombined in int64 (`_split_mul`). `rref` splits rows
-recursively so that its work is a few such products. Blocks of at most 16
-rows have three base cases: up to 196 entries, one pivot at a time on lists
-of Python ints; up to 64 columns, one pivot at a time on the array; past
-that, a panel of 32 live columns at a time, whose row transform one product
+16-bit halves, recombined in int64 (`_split_mul`). Every elimination update
+x - a @ b is one fused multiply-subtract (`_mul_sub`): one GEMM and one
+reduction of t - a @ b + x, t a multiple of p at least the product bound,
+whose regime follows from that bound plus p. The remainder after a GEMM
+(`_remainder`) is Barrett's multiply-shift while bound * ceil(2^s / p) <
+2^63 and the array has at least 4096 entries, and `%` otherwise. `rref`
+splits rows recursively so that its work is a few such products; the
+recursion stacks its merged rows unsorted, and `rref` (past one leaf) and
+`Subspace.add` sort their result by pivot once. Blocks of at most 16 rows
+have three base cases: up to 196 entries, one pivot at a time on lists of
+Python ints; up to 64 columns, one pivot at a time on the array; past that,
+a panel of 32 live columns at a time, whose row transform one product
 applies to the rest. Entrywise residue products are int64, so `as_residues`,
-which every kernel reduces its input with, and `mat_mul` refuse p with
-(p-1)^2 >= 2^63, as `check_modulus` does at the CLI and owner boundary; no
-kernel forms products in Python-int arrays. The owners of matrices (group
+which every kernel reduces its input with (input already in range is only
+copied), and `mat_mul` refuse p with (p-1)^2 >= 2^63, as `check_modulus`
+does at the CLI and owner boundary; no kernel forms products in Python-int
+arrays. The owners of matrices (group
 reps, nil-modules, exact sequences) hold them as read-only residue arrays
 from `frozen_matrix`. `rank_stack` ranks a stack of small matrices in one
 lockstep sweep. Each array is reduced mod p once, where it enters: a kernel
@@ -100,10 +108,20 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
+# Below this many entries one int64 `%` costs less than the numpy calls that
+# would avoid it: the range scans of as_residues, the steps of _remainder.
+_SMALL_CELLS = 2**12
+
+
 def as_residues(a, p: int) -> np.ndarray:
-    """Coerce to an int64 array of residues in [0, p); refuses p with (p-1)^2 >= 2^63."""
+    """A fresh int64 array of the residues of a in [0, p); refuses p with
+    (p-1)^2 >= 2^63. Past _SMALL_CELLS entries, input already in range is
+    only copied: the copy and two scans cost about a quarter of the `%`."""
     _check_int64_products(p)
-    return np.asarray(a, dtype=np.int64) % p
+    arr = np.array(a, dtype=np.int64)
+    if arr.size < _SMALL_CELLS or arr.min() < 0 or arr.max() >= p:
+        arr %= p
+    return arr
 
 
 def frozen_matrix(a, p: int) -> np.ndarray:
@@ -135,6 +153,9 @@ def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
     if arr.size == 0:
         return np.zeros((0, cols), np.int64), ()
     red, pivots = _eliminate(arr, p, reduced)
+    if rows > _LEAF_ROWS:  # the recursion merged its blocks unsorted
+        order = np.argsort(pivots)
+        red, pivots = red[order], pivots[order]
     return red, tuple(pivots.tolist())
 
 
@@ -150,14 +171,16 @@ _TINY_CELLS = 196
 
 
 def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Echelon rows and pivot array of the residue matrix a, which it may overwrite.
+    """Echelon rows and pivot array of the residue matrix a, which it may
+    overwrite; the rows are in pivot order only within a leaf.
 
     Row-recursive: R1 = RREF(top half); the bottom half minus bottom[:, P1] @ R1
     vanishes on the pivot columns P1, so only its other columns are eliminated,
-    recursively; R1 is then cleared on the new pivots with one more product,
-    and the rows are merged by pivot. Only the first product is needed for an
-    echelon form, so reduced=False skips the second along the bottom halves.
-    Both products go through mat_mul, as do the panels of _eliminate_rows.
+    recursively; R1 is then cleared on the new pivots with one more update,
+    and the rows are stacked, R1's first. Only the first update is needed for
+    an echelon form, so reduced=False skips the second along the bottom halves.
+    Both updates are fused multiply-subtracts (_mul_sub); the panels of
+    _eliminate_rows go through mat_mul.
     """
     m, n = a.shape
     if m <= _LEAF_ROWS:
@@ -170,18 +193,19 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.nda
 
 
 def _extend(top, ptop, bottom, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Echelon rows and pivot array of the span of RREF rows `top` (pivots
-    `ptop`, not written to) and residue rows `bottom`.
+    """Echelon rows and pivot array of the span of reduced rows `top` (pivots
+    `ptop`, in any order; not written to) and residue rows `bottom`.
 
     bottom minus bottom[:, ptop] @ top vanishes on ptop, so only its rows'
     other columns are eliminated; top is then cleared on the new pivots
-    (reduced=True only) and the rows are merged by pivot.
+    (reduced=True only). The rows are returned unsorted, top's first: the
+    caller sorts its result by pivot once.
     """
     n = top.shape[1]
     free = np.ones(n, bool)
     free[ptop] = False
     rest = np.flatnonzero(free)
-    low = _sub(bottom[:, rest], mat_mul(bottom[:, ptop], top[:, rest], p), p)
+    low = _mul_sub(bottom[:, rest], bottom[:, ptop], top[:, rest], p)
     low = low[low.any(axis=1)]
     if not low.size:
         return top, ptop
@@ -192,10 +216,8 @@ def _extend(top, ptop, bottom, p: int, reduced: bool) -> tuple[np.ndarray, np.nd
     out[:r1] = top
     out[r1:, rest] = low
     if reduced:
-        out[:r1, rest] = _sub(top[:, rest], mat_mul(top[:, plow], low, p), p)
-    pivots = np.concatenate([ptop, plow])
-    order = np.argsort(pivots)
-    return out[order], pivots[order]
+        out[:r1, rest] = _mul_sub(top[:, rest], top[:, plow], low, p)
+    return out, np.concatenate([ptop, plow])
 
 
 def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -266,17 +288,24 @@ def _pivot_lists(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.n
 
 
 def _pivot_loop(work: np.ndarray, p: int, reduced: bool, r: int, cols: int) -> tuple[int, list[int]]:
-    """Pivot columns [0, cols) of work in place from row r; returns the next row and the pivots."""
+    """Pivot columns [0, cols) of work in place from row r; returns the next row and the pivots.
+
+    Each pivot costs one nonzero scan of its column (a dead column costs one
+    scan of the live block more) and one outer-product update, which an
+    echelon form skips when the scan found no row below to clear.
+    """
     pivots = []
     c = 0
     while r < len(work) and c < cols:
-        if not work[r:, c].any():
+        found = work[r:, c].nonzero()[0]
+        if not found.size:
             live = work[r:, c:cols].any(axis=0)
             if not live.any():
                 break
             c += int(live.argmax())
+            found = work[r:, c].nonzero()[0]
         tail = work[:, c:]
-        k = r + int(tail[r:, 0].nonzero()[0][0])
+        k = r + int(found[0])
         if k != r:
             work[[r, k]] = work[[k, r]]
         inv = pow(int(tail[r, 0]), -1, p)
@@ -284,24 +313,17 @@ def _pivot_loop(work: np.ndarray, p: int, reduced: bool, r: int, cols: int) -> t
             tail[r] *= inv
             tail[r] %= p
         # rows to clear: all others, or in echelon form only those below
-        hit = tail if reduced else tail[r + 1 :]
-        col = hit[:, :1].copy()
-        if reduced:
-            col[r] = 0
-        if col.any():
+        if reduced or found.size > 1:
+            hit = tail if reduced else tail[r + 1 :]
+            col = hit[:, :1].copy()
+            if reduced:
+                col[r] = 0
             hit -= col * tail[r]
             hit %= p
         pivots.append(c)
         r += 1
         c += 1
     return r, pivots
-
-
-def _sub(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x - y mod p for int64 residues: p is added where the difference is negative."""
-    d = x - y
-    d += p & (d >> 63)
-    return d
 
 
 def rank_mod(a, p: int) -> int:
@@ -318,9 +340,9 @@ def rank_stack(a, p: int) -> np.ndarray:
     taken again, and no inverse is needed. The rank is the number of pivots
     found.
     """
+    t, m, n = np.shape(a)
+    check_budget(2 * t * m * n * 8, "stacked rank")  # the residue copy and one product
     a = as_residues(a, p)
-    t, m, n = a.shape
-    check_budget(2 * a.size * 8, "stacked rank")  # the residue copy and one product
     ranks = np.zeros(t, np.int64)
     at = np.arange(t)
     for c in range(n):
@@ -389,27 +411,91 @@ def mat_mul(a, b, p: int) -> np.ndarray:
 
     With k the inner size, the regime follows from the bound (p-1)^2 * k
     alone: one float32 GEMM below 2^24, one float64 GEMM below 2^53, each
-    then taken to int64 and reduced. Past that, the split float64 product of
-    _split_mul, which is exact for every p that check_modulus accepts. The
-    float copies and the product are priced before they are made.
+    then taken to int64 and reduced by _remainder. Past that, the split
+    float64 product of _split_mul, which is exact for every p that
+    check_modulus accepts. The float copies and the product are priced
+    before they are made.
     """
+    return _product(a, b, p, None)
+
+
+def _mul_sub(x: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """x - a @ b mod p for residue arrays, with one product and one reduction.
+
+    The GEMM forms g = a @ b; with t the least multiple of p at least the
+    product bound (p-1)^2 * k, t - g is formed in the same float and x added
+    in int64, so one remainder of t - g + x, which lies in [0, t + p), gives
+    the answer. The float must hold t, which is below (p-1)^2 * k + p: the
+    regime follows from that bound, p above mat_mul's, and past 2^53 the
+    split product is subtracted as residues. Priced as mat_mul is. With an
+    empty product x itself is returned.
+    """
+    return _product(a, b, p, x)
+
+
+def _product(a, b, p: int, x: np.ndarray | None) -> np.ndarray:
+    """a @ b mod p (x None), or x - a @ b mod p: mat_mul and _mul_sub."""
     _check_int64_products(p)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
     if inner == 0 or a.size == 0 or b.size == 0:
-        return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64) if x is None else x
     bound = (p - 1) * (p - 1) * inner
+    top = -(-bound // p) * p  # t of _mul_sub
+    if x is not None:
+        bound += p  # the fused update's floats hold t < (p-1)^2 * k + p
     cells = a.size // inner * (b.size // inner)
     if bound >= _FLOAT64_EXACT:
         # the four halves, a GEMM result, its int64 copy and two int64 sums
         check_budget(8 * (2 * (a.size + b.size) + 4 * cells), "matrix product")
-        return _split_mul(a, b, p)
+        c = _split_mul(a, b, p)
+        if x is None:
+            return c
+        np.subtract(x, c, out=c)
+        c += p & (c >> 63)  # p where the difference is negative
+        return c
     dtype, width = (np.float32, 4) if bound < _FLOAT32_EXACT else (np.float64, 8)
     # the float operands and product, and the int64 result
     check_budget(width * (a.size + b.size + cells) + 8 * cells, "matrix product")
-    c = (a.astype(dtype) @ b.astype(dtype)).astype(np.int64)
-    c %= p
+    c = a.astype(dtype) @ b.astype(dtype)
+    if x is None:
+        return _remainder(c.astype(np.int64), p, bound)
+    np.subtract(top, c, out=c)
+    c = c.astype(np.int64)
+    c += x
+    return _remainder(c, p, top + p - 1)
+
+
+# Barrett's reduction works in slices of this many entries, so that its
+# quotient buffer stays in cache.
+_BARRETT_SLICE = 2**15
+
+
+def _remainder(c: np.ndarray, p: int, bound: int) -> np.ndarray:
+    """c mod p in place, for a C-contiguous int64 array c with entries in [0, bound].
+
+    Barrett's multiply-shift: with s = bits(bound) + bits(p) and m the
+    ceiling of 2^s / p, (x * m) >> s is x // p for every x in [0, bound],
+    since x * (m * p - 2^s) <= bound * (p - 1) < 2^s. That takes a multiply,
+    a shift, a multiply and a subtraction, where `%` takes an int64 division
+    per entry, and it is used while bound * m < 2^63 and c has at least
+    _SMALL_CELLS entries; otherwise `%`.
+    """
+    shift = bound.bit_length() + p.bit_length()
+    m = -(-(1 << shift) // p)
+    if c.size < _SMALL_CELLS or bound * m >= 2**63:
+        c %= p
+        return c
+    flat = c.reshape(-1)
+    q = np.empty(min(flat.size, _BARRETT_SLICE), np.int64)
+    for start in range(0, flat.size, _BARRETT_SLICE):
+        x = flat[start : start + _BARRETT_SLICE]
+        t = q[: x.size]
+        np.multiply(x, m, out=t)
+        t >>= shift
+        t *= p
+        x -= t
     return c
 
 
@@ -565,7 +651,7 @@ class Subspace:
         if self.dim == 0:
             return v
         coeff = v[..., list(self.pivots)]
-        return _sub(v, mat_mul(coeff, self.basis, self.p), self.p)
+        return _mul_sub(v, coeff, self.basis, self.p)
 
     def contains_vectors(self, vecs) -> bool:
         return not np.any(self.reduce(vecs))
@@ -578,20 +664,25 @@ class Subspace:
     def add(self, other) -> "Subspace":
         """The span of this subspace and `other`, a Subspace or rows.
 
-        The rows are reduced modulo this basis with one product; only the
-        remainder, on this basis's free columns, is eliminated.
+        The rows are reduced modulo this basis with one fused update; only
+        the remainder, on this basis's free columns, is eliminated, and the
+        merged rows are sorted by pivot once. The rows are priced from their
+        shape before their residue copy is made.
         """
-        rows = as_residues(other.basis if isinstance(other, Subspace) else other, self.p)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.shape[1] != self.ambient:
-            raise ValueError(f"rows of width {rows.shape[1]} in a subspace of F_p^{self.ambient}")
-        _price_rows(*rows.shape)
+        rows = other.basis if isinstance(other, Subspace) else other
+        shape = np.shape(rows)
+        if len(shape) == 1:
+            shape = (1,) + shape
+        if shape[1] != self.ambient:
+            raise ValueError(f"rows of width {shape[1]} in a subspace of F_p^{self.ambient}")
+        _price_rows(*shape)
+        rows = as_residues(rows, self.p).reshape(shape)
         ptop = np.array(self.pivots, dtype=np.intp)
         basis, piv = _extend(self.basis, ptop, rows, self.p, True)
         if basis is self.basis:
             return self
-        return Subspace(p=self.p, basis=basis, pivots=tuple(piv.tolist()))
+        order = np.argsort(piv)
+        return Subspace(p=self.p, basis=basis[order], pivots=tuple(piv[order].tolist()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style: kernel of [A^T | -B^T] gives the common combos."""

@@ -15,6 +15,10 @@ that are refused, so no `astype(object)` appears anywhere in the package,
 wrapper class (`RETIRED`, spelt in two halves so that a search of the tree
 for it finds nothing) is not named anywhere in the package.
 
+Every elimination update is one fused multiply-subtract: no `_sub(` call
+and no `-` in the package takes a `mat_mul(` product, since `_mul_sub` forms
+x - a @ b with one product and one reduction.
+
 Array contents never become bytes: no `.tobytes(` and no `np.frombuffer(`
 appears in the package, so no cache can be keyed on an array's contents
 again (each lookup hashed two matrices and rarely hit).
@@ -183,6 +187,43 @@ class Matrix:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_python_int_products_only_in_mat_mul(path):
     assert object_paths(path.read_text(encoding="utf-8")) == []
+
+
+def unfused_updates(source: str) -> list[str]:
+    """`_sub(` calls and subtractions with a `mat_mul(` call among their operands."""
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if _callee(node) == "_sub":
+            operands = node.args
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            operands = [node.left, node.right]
+        else:
+            continue
+        if any(_callee(inner) == "mat_mul" for arg in operands for inner in ast.walk(arg)):
+            found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detector_flags_an_unfused_update():
+    src = """
+def extend(top, bottom, ptop, rest, p):
+    low = _sub(bottom[:, rest], mat_mul(bottom[:, ptop], top[:, rest], p), p)
+    return low
+
+def reduce(v, coeff, basis, p):
+    return (v - linalg.mat_mul(coeff, basis, p)) % p
+
+def fine(v, coeff, basis, p):
+    y = mat_mul(coeff, basis, p)
+    return _mul_sub(v, coeff, basis, p), _sub(v, y, p), v.shape[0] - 1
+"""
+    assert unfused_updates(src) == ["line 3", "line 7"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_multiply_subtract_is_fused(path):
+    assert unfused_updates(path.read_text(encoding="utf-8")) == []
 
 
 def array_bytes(source: str) -> list[str]:

@@ -1,16 +1,23 @@
 """Exact linear algebra over F_p: elimination, subspaces, quotients."""
 import functools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frobcat.linalg
 from frobcat.linalg import (
+    _BARRETT_SLICE,
+    _SMALL_CELLS,
     DEFAULT_BUDGET_MB,
     BudgetError,
     Quotient,
     Subspace,
+    _mul_sub,
+    _remainder,
+    as_residues,
     check_budget,
     check_modulus,
     frozen_matrix,
@@ -140,11 +147,11 @@ def test_mat_mul_split_regime_for_large_modulus():
         assert np.array_equal(mat_mul(x, y, p), mat_mul_naive(x, y, p))
 
 
-def extreme_operands(p, k, rng):
-    """A 48 x k and a k x 48 residue matrix, random but for a first row and
+def extreme_operands(p, k, rng, rows=48):
+    """A rows x k and a k x 48 residue matrix, random but for a first row and
     column of (1, p-1, ..., p-1): their product's first entry is the largest
     odd partial sum, 1 + (k-1)(p-1)^2, which a float too narrow for it rounds."""
-    a = rng.integers(0, p, size=(48, k))
+    a = rng.integers(0, p, size=(rows, k))
     b = rng.integers(0, p, size=(k, 48))
     a[0] = b[:, 0] = p - 1
     a[0, 0] = b[0, 0] = 1
@@ -192,6 +199,109 @@ def test_mat_mul_slices_an_inner_dimension_past_2_21():
     y = rng.integers(0, p, size=(k, 1))
     want = sum(int(u) * int(v) for u, v in zip(x[0].tolist(), y[:, 0].tolist())) % p
     assert mat_mul(x, y, p).tolist() == [[want]]
+
+
+# (p, k) on both sides of each regime bound of the fused update, which sits
+# p above mat_mul's: (p-1)^2 * k + p below 2^24 in float32, below 2^53 in
+# float64, and the split product past that. The update forms t - a @ b + x,
+# t the least multiple of p at least (p-1)^2 * k; at 257 and k = 256, t is
+# 2^24 + 1, and at 5931649 t is odd and past 2^53, so a float too narrow for
+# the fused bound would round it.
+FUSED_CASES = [
+    (251, 256, "float32"),
+    (257, 256, "float64"),
+    (5931641, 256, "float64"),
+    (5931649, 256, "split"),
+    (2**31 - 1, 256, "split"),
+    (3037000493, 256, "split"),
+]
+
+
+@pytest.mark.parametrize("p, k, regime", FUSED_CASES, ids=lambda v: str(v))
+def test_mul_sub_is_exact_on_both_sides_of_each_fused_bound(p, k, regime, monkeypatch):
+    bound = (p - 1) ** 2 * k + p
+    assert regime == ("float32" if bound < 2**24 else "float64" if bound < 2**53 else "split")
+    splits = []
+    real = frobcat.linalg._split_mul
+    monkeypatch.setattr(frobcat.linalg, "_split_mul", lambda *a: splits.append(1) or real(*a))
+    rng = rng_for(p, k + 1)
+    a, b = extreme_operands(p, k, rng, rows=100)  # blocked, and past _SMALL_CELLS entries
+    a[1] = 0  # a zero row of the product: its entries are t + x, the largest formed
+    a[2] = b[:, 1] = p - 1  # the product bound itself, so t - a @ b is at its least
+    product = mat_mul_naive(a, b, p)
+    for x in (
+        np.zeros_like(product),
+        np.full_like(product, p - 1),
+        rng.integers(0, p, size=product.shape),
+    ):
+        got = _mul_sub(x, a, b, p)
+        want = (x.astype(object) - product) % p
+        assert np.array_equal(got, want.astype(np.int64))
+        assert got[0, 0] == (int(x[0, 0]) - 1 - (k - 1) * (p - 1) ** 2) % p
+    assert len(splits) == (3 if regime == "split" else 0)
+    # one vector less a vector-by-matrix product, as Subspace.reduce takes it
+    x = rng.integers(0, p, size=48)
+    want = (x.astype(object) - mat_mul_naive(a[2:3], b, p)[0]) % p
+    assert np.array_equal(_mul_sub(x, a[2], b, p), want.astype(np.int64))
+
+
+def test_mul_sub_of_an_empty_product_is_x():
+    x = np.arange(6, dtype=np.int64).reshape(2, 3)
+    assert _mul_sub(x, np.zeros((2, 0), np.int64), np.zeros((0, 3), np.int64), 7) is x
+
+
+def remainder_cases(p, bound):
+    """Entries of [0, bound] that test a quotient: the ends, residue p - 1
+    just below the bound, and random entries."""
+    top = bound - (bound + 1) % p  # the largest entry at most bound of residue p - 1
+    edges = [0, 1, p - 1, bound, bound - 1, top, max(top - p, 0)]
+    return edges + rng_for(p, bound % 1000).integers(0, bound + 1, size=200).tolist()
+
+
+# (p, bound, barrett): Barrett's multiply-shift needs bound * m < 2^63, with m
+# the ceiling of 2^s / p and s = bits(bound) + bits(p); at these p that holds
+# up to bound 2^31 - 1 and fails from 2^31, where x * m would wrap for x near
+# the bound.
+REMAINDER_SWITCH = [
+    (2, 2**31 - 1, True),
+    (2, 2**31, False),
+    (7, (7 - 1) ** 2 * 900, True),
+    (7, 2**31 - 1, True),
+    (7, 2**31, False),
+    (65521, 2**31 - 1, True),
+    (65521, (65521 - 1) ** 2 * 900, False),
+    (3037000493, 2**31 - 1, True),
+    (3037000493, 2**62, False),
+]
+
+
+@pytest.mark.parametrize("p, bound, barrett", REMAINDER_SWITCH, ids=lambda v: str(v))
+def test_remainder_is_exact_on_both_sides_of_each_switch(p, bound, barrett):
+    shift = bound.bit_length() + p.bit_length()
+    assert (bound * -(-(1 << shift) // p) < 2**63) == barrett
+    values = remainder_cases(p, bound)
+    # fewer entries than _SMALL_CELLS take `%`; more take Barrett where the
+    # bound allows, in slices of _BARRETT_SLICE, the last one partial
+    for size in (len(values), _SMALL_CELLS - 1, _SMALL_CELLS, 2 * _BARRETT_SLICE + 5):
+        flat = np.resize(np.array(values, dtype=np.int64), size)
+        c = flat.reshape(-1, 5) if size % 5 == 0 else flat
+        want = [v % p for v in c.reshape(-1).tolist()]
+        got = _remainder(c.copy(), p, bound)
+        assert got.shape == c.shape and got.reshape(-1).tolist() == want
+
+
+def test_products_reduce_on_both_sides_of_the_size_switch():
+    # a product or update of fewer than _SMALL_CELLS entries is reduced by
+    # `%`, a larger one by Barrett's multiply-shift; both match the oracle
+    p, k = 7, 300
+    rng = rng_for(p, 9)
+    for rows in (_SMALL_CELLS // 96, _SMALL_CELLS // 96 + 1, 200):
+        a, b = extreme_operands(p, k, rng, rows=rows)
+        b = np.concatenate([b, b[:, ::-1]], axis=1)  # 96 columns
+        want = mat_mul_naive(a, b, p)
+        assert np.array_equal(mat_mul(a, b, p), want)
+        x = rng.integers(0, p, size=want.shape)
+        assert np.array_equal(_mul_sub(x, a, b, p), (x - want) % p)
 
 
 def test_mat_pow():
@@ -380,6 +490,33 @@ def test_rref_and_rank_match_oracle_at_blocked_sizes(p):
         assert rank_mod(a, p) == len(want_p)
 
 
+def reversed_echelon(rng, p, rows, cols, rank):
+    """An echelon matrix of the given rank with its rows reversed, then
+    combinations of them: the later a row, the earlier its leading column,
+    so the merges of the recursion put new pivots before old ones."""
+    ech = np.triu(rng.integers(1, p, size=(rank, cols)))
+    extra = mat_mul_naive(rng.integers(0, p, size=(rows - rank, rank)), ech, p)
+    return np.concatenate([ech[::-1], extra])
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_rref_sorts_its_merged_rows_into_pivot_order(p):
+    # past 16 rows the recursion merges its blocks unsorted and rref sorts
+    # the result once; in both modes the pivots come out strictly increasing
+    rng = rng_for(p, 6)
+    for rows in (17, 31, 64, 150, 300):
+        cases = [
+            rng.integers(0, p, size=(rows, 40)),
+            thin_product(rng, p, rows, 90, min(rows, 90) // 2 + 1),
+            reversed_echelon(rng, p, rows, 80, min(rows, 80) - 3),
+        ]
+        for a in cases:
+            for reduced in (True, False):
+                piv = rref(a, p, reduced)[1]
+                assert all(x < y for x, y in zip(piv, piv[1:]))
+            check_rref_against_oracle(a, p)
+
+
 def staircase(rng, p, rows, bands, width=33, gap=40):
     """Random combinations of `bands` rows, each nonzero on its own run of
     `width` columns, the runs `gap` zero columns apart: every panel of a
@@ -535,6 +672,51 @@ def test_subspace_add_matches_oracle_at_blocked_sizes(p):
 
 
 @pytest.mark.parametrize("p", DIFF_MODULI)
+def test_subspace_add_sorts_its_merge_into_the_canonical_basis(p):
+    # new rows whose pivots fall before, between and after the basis's:
+    # the span is the canonical basis of the stacked rows
+    rng = rng_for(p, 8)
+    n = 120
+    late = np.concatenate([np.zeros((40, 60), np.int64), thin_product(rng, p, 40, 60, 30)], axis=1)
+    sub = Subspace.from_rows(late, p)
+    for rows in (
+        reversed_echelon(rng, p, 20, n, 15),
+        thin_product(rng, p, 50, n, 35),
+        np.concatenate([reversed_echelon(rng, p, 17, n, 17), late[:5]]),
+        rng.integers(0, p, size=n),
+    ):
+        want = Subspace.from_rows(np.concatenate([sub.basis, np.atleast_2d(rows)]), p)
+        got = sub.add(rows)
+        assert got == want
+        assert list(got.pivots) == sorted(got.pivots)
+        assert got == Subspace.from_rows(rows, p).add(sub)
+
+
+def test_as_residues_copies_input_in_range_and_reduces_the_rest():
+    # on both sides of _SMALL_CELLS, where input in range is copied, not divided
+    p = 7
+    rng = rng_for(p, 10)
+    for size in (12, _SMALL_CELLS + 3):
+        inside = rng.integers(0, p, size=size)
+        kept = inside.copy()
+        got = as_residues(inside, p)
+        assert got.dtype == np.int64 and np.array_equal(got, kept)
+        assert not np.shares_memory(got, inside)
+        got[:] = 1
+        assert np.array_equal(inside, kept)
+        frozen = kept.copy()
+        frozen.flags.writeable = False
+        got = as_residues(frozen, p)
+        got[0] = 5  # writable, and the caller's array is not
+        assert frozen[0] == kept[0]
+        for outside in (kept - 3 * p, kept + p, np.where(kept % 2, -kept, kept + 10**12)):
+            assert np.array_equal(as_residues(outside, p), np.asarray(outside) % p)
+        assert np.array_equal(as_residues(kept.astype(np.int8), p), kept)
+        assert np.array_equal(as_residues(kept.tolist(), p), kept)
+    assert as_residues([-1, 7, 15, 6], p).tolist() == [6, 0, 1, 6]
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
 def test_subspace_reduce_and_intersect_match_oracle(p):
     rng = rng_for(p, 1)
     n = 160
@@ -600,6 +782,31 @@ def test_oversize_rref_is_refused_before_allocating(monkeypatch):
     monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
     with pytest.raises(BudgetError, match="row reduction"):
         rank_mod(np.ones((400, 400), np.int64), 7)
+
+
+def refused_peak(call, what):
+    """The traced peak, in bytes, of a call that must raise BudgetError naming `what`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=what):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversize_stacked_rank_is_refused_before_the_residue_copy(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
+    # a zero-stride view: 6.25 MB once copied into residues
+    stack = np.broadcast_to(np.int64(1), (200, 64, 64))
+    assert refused_peak(lambda: rank_stack(stack, 7), "stacked rank") < 2**20
+
+
+def test_oversize_subspace_add_is_refused_before_the_residue_copy(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
+    # a zero-stride view: 12.2 MB once copied into residues
+    rows = np.broadcast_to(np.int64(1), (400, 4000))
+    assert refused_peak(lambda: Subspace.zero(7, 4000).add(rows), "row reduction") < 2**20
 
 
 def test_oversize_product_is_refused_before_allocating(monkeypatch):
