@@ -16,13 +16,11 @@ from .linalg import (
     nullspace_mod,
     rank_mod,
     rref,
-    solve_right,
 )
 from .nilmod import (
     JordanType,
     NilModule,
     ShortExactSeq,
-    direct_sum_module,
     extension_from_phi,
     extension_survey,
     functor_B,
@@ -45,9 +43,6 @@ from .repcat import (
     cyclic_rep,
     decompose_cyclic,
     direct_sum,
-    dual,
-    hom_basis,
-    is_projective,
     permutation_rep,
     regular_cyclic_rep,
     rep_from_json,
@@ -55,7 +50,6 @@ from .repcat import (
     restrict_to_nilmodule,
     symmetric_group,
     symmetric_perm_rep,
-    symmetric_power,
     tensor,
     trivial_rep,
     validate,
@@ -67,7 +61,6 @@ from .verlinde import (
     fpdim_simple,
     fusion_matrix,
     fusion_tensor,
-    natfunc_hom_dims,
     semisimplify,
     verlinde_cone_report,
     verlinde_weights,
@@ -82,7 +75,6 @@ from .frobenius import (
     exactness_report,
     fpdim_of_F,
     frobenius_components,
-    frobenius_on_morphism,
     frobenius_on_simple,
     frobenius_order_abstract,
     random_rep_extension,

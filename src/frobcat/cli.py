@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import traceback
@@ -438,7 +439,8 @@ def _suite_report(name: str, p: int, seed: int, cap: int | None, trial_list, rep
     for t in trial_list:
         try:
             violations.extend(suite.run_trial(p, seed, t, cap))
-        except AssertionError as exc:  # a claim under test failed: replayable by its index
+        # a claim under test failed, or refused a value the trial built: replayable by its index
+        except (AssertionError, ValueError) as exc:
             violations.append({"trial": t, "reason": str(exc)})
     report = {
         "schema": 1,
@@ -557,7 +559,8 @@ _HANDLERS = {
 def run(argv: list[str]) -> int:
     """Parse and execute; returns the exit status: 0 clean, 1 violations found,
     2 usage error or refused input, 3 internal fault (any other exception,
-    reported as `internal error: ...` with its traceback on stderr)."""
+    reported as `internal error: ...` with its traceback on stderr). A reader
+    that closes stdout early leaves the status as it is."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -573,10 +576,17 @@ def run(argv: list[str]) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            print(json.dumps(report, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; stdout goes to devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return status
 
 

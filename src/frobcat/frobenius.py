@@ -10,8 +10,12 @@ has length p, so the component quotients have canonical bases along the
 diagonal words, where g^(tensor p) has entries g^p = g over F_p. The
 functors are therefore the Frobenius twist in closed form: F_1 = G_i = X,
 F_i = 0 for i >= 2. The twist is exact, so the six-periodic sequence is the
-short exact sequence itself with zero connecting maps. `cyclic_power` builds
-the power space for the honest constructions in `tests/oracles.py`.
+short exact sequence itself with zero connecting maps. On the simples of the
+semisimplified category Ver_p the functor is a closed form too:
+`frobenius_on_simple` sends L_m to one simple of Ver_p ⊠ Ver_p. The power
+spaces themselves are built only for the honest constructions in
+`tests/oracles.py`, and for the symmetric-group action of
+`sp_multiplicity_spaces`.
 """
 from __future__ import annotations
 
@@ -25,14 +29,13 @@ from .linalg import (
     Quotient,
     Subspace,
     check_budget,
-    frozen_matrix,
+    check_modulus,
     mat_mul,
     random_invertible,
 )
 from .nilmod import (
     ShortExactSeq,
     _block_extension,
-    _block_maps,
     _draw_coupling,
     _extension_space,
     _power_list,
@@ -43,10 +46,7 @@ from .nilmod import (
 )
 from .repcat import (
     GroupRep,
-    _checked,
     _zero_rep,
-    cyclic_group,
-    decompose_cyclic,
     direct_sum,
     random_cyclic_rep,
     symmetric_group,
@@ -55,7 +55,7 @@ from .repcat import (
     witness_type,
 )
 from .seeding import rng_for
-from .verlinde import FusionElement, _fuse_simples, fpdim_simple
+from .verlinde import FusionElement, _fuse_simples, fpdim_simple, simple, zero
 
 __all__ = [
     "DIM_CAPS",
@@ -63,10 +63,8 @@ __all__ = [
     "FrobeniusImage",
     "cyclic_power",
     "frobenius_components",
-    "frobenius_on_morphism",
     "check_additivity",
     "check_monoidality",
-    "rep_extension_from_phi",
     "random_rep_extension",
     "random_rep_ses",
     "six_periodic_check",
@@ -218,23 +216,6 @@ def frobenius_components(x: GroupRep) -> FrobeniusImage:
     return image
 
 
-def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
-    """Induced maps on all components of an intertwiner src -> dst.
-
-    Like the components, in closed form: f itself on F_1 and on every G_i,
-    the 0 x 0 map on F_i for i >= 2.
-    """
-    p = src.p
-    fm = frozen_matrix(f, p)
-    if fm.shape != (dst.dim, src.dim):
-        raise ValueError("morphism shape mismatch")
-    for gs, gd in zip(src.matrices, dst.matrices):
-        if not np.array_equal(mat_mul(fm, gs, p), mat_mul(gd, fm, p)):
-            raise ValueError("not an intertwiner")
-    zero = np.zeros((0, 0), np.int64)
-    return {"f_maps": (fm,) + (zero,) * (p - 2), "g_maps": (fm,) * (p - 1)}
-
-
 def check_additivity(x: GroupRep, y: GroupRep) -> dict:
     """F_i(X + Y) vs F_i(X) + F_i(Y) (and G_i), by dim and witness Jordan type.
 
@@ -298,14 +279,6 @@ def _block_generator(x: GroupRep, z: GroupRep, phi) -> np.ndarray:
     if x.group.generators != 1 or x.group != z.group:
         raise ValueError("extension sampling implemented for one-generator groups")
     return _block_extension(x.matrices[0], z.matrices[0], phi)
-
-
-def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> ShortExactSeq:
-    """Extension of Z by X of cyclic reps; the caller's coupling block is validated."""
-    gen = _block_generator(x, z, phi)
-    y = _checked(GroupRep(group=x.group, p=x.p, dim=len(gen), matrices=(gen,)))
-    inj, surj = _block_maps(x.dim, z.dim)
-    return ShortExactSeq(x=x, y=y, z=z, inj=inj, surj=surj)
 
 
 def random_rep_extension(x: GroupRep, z: GroupRep, seed: int, index: int = 0) -> ShortExactSeq:
@@ -528,21 +501,18 @@ def sp_multiplicity_spaces(p: int, m: int) -> dict:
 
 
 def frobenius_on_simple(p: int, m: int) -> tuple[FusionElement, ...]:
-    """Image of the m-th simple under the shift functor, inside the fusion ring.
+    """Image of the simple L_m of Ver_p under the shift functor, in closed form.
 
-    The diagonal structure is semisimplified first (its block-multiplicity
-    quotients M_j), then the induced factor rotation on each M_j, a rep of
-    Z/p, is read off by `decompose_cyclic`: component i collects L_j with the
-    multiplicity of size-i rotation blocks, free blocks dropping out.
+    Entry i - 1 is the class of F_i(L_m) in the fusion ring, so the tuple is
+    F(L_m) in Ver_p ⊠ Ver_p: eps^(m+1) L_m ⊠ eps^(m+1), with eps = L_{p-1}
+    and eps L_m = L_{p-m} (Ostrik). Component m carries L_1 when m is odd,
+    component p - m carries L_{p-1} when m is even, and every other component
+    is zero. `tests/oracles.power_space_image_of_simple` derives the same
+    classes on the m^p-dimensional power space.
     """
-    if p not in (2, 3, 5):
-        raise ValueError("p outside {2, 3, 5} (budget)")
-    quotients, _ = _multiplicity_quotients(p, m)
-    _, rot_perm = _factor_permutations(m, p)
-    mults = [[0] * (p - 1) for _ in range(p - 1)]
-    for j, q in enumerate(quotients, start=1):
-        smat = _permutation_induced(q, rot_perm)
-        t = decompose_cyclic(GroupRep(group=cyclic_group(p), p=p, dim=q.dim, matrices=(smat,)))
-        for i in range(1, p):
-            mults[i - 1][j - 1] += t.multiplicity(i)
-    return tuple(FusionElement(p, tuple(row)) for row in mults)
+    check_modulus(p)
+    if not 1 <= m <= p - 1:
+        raise ValueError(f"m = {m} outside [1, {p - 1}]")
+    check_budget((p - 1) ** 2 * 8, "fusion classes of the shift components")
+    index, label = (m, 1) if m % 2 else (p - m, p - 1)
+    return tuple(simple(p, label) if i == index else zero(p) for i in range(1, p))

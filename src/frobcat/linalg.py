@@ -47,7 +47,6 @@ __all__ = [
     "nullspace_mod",
     "mat_mul",
     "mat_pow",
-    "solve_right",
     "inverse_mod",
     "kron_arrays",
     "induced_on_subquotient",
@@ -544,25 +543,6 @@ def mat_pow(a, k: int, p: int) -> np.ndarray:
         base = base_sq
         k >>= 1
     return np.eye(n, dtype=np.int64) if result is None else result
-
-
-def solve_right(a, b, p: int) -> np.ndarray:
-    """Solve a @ x = b exactly; raises ValueError if inconsistent.
-
-    b may be a vector or a matrix of stacked right-hand columns.
-    """
-    b = np.asarray(b)
-    vec = b.ndim == 1
-    if vec:
-        b = b[:, None]
-    red, pivots = rref(np.concatenate([np.asarray(a), b], axis=1), p)  # rref reduces a and b
-    n = np.shape(a)[1]
-    if any(c >= n for c in pivots):
-        raise ValueError("inconsistent linear system")
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for row, col in enumerate(pivots):
-        x[col] = red[row, n:]
-    return x[:, 0] if vec else x
 
 
 def _inverse_or_none(a: np.ndarray, p: int) -> np.ndarray | None:

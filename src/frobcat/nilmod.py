@@ -33,7 +33,6 @@ __all__ = [
     "ShortExactSeq",
     "nil_module",
     "jordan_module",
-    "direct_sum_module",
     "rank_sequence",
     "jordan_type",
     "functor_B",
@@ -154,12 +153,6 @@ def _block_extension(x: np.ndarray, z: np.ndarray, phi=None) -> np.ndarray:
 def _block_maps(dx: int, dz: int) -> tuple[np.ndarray, np.ndarray]:
     """Inclusion of the top block and projection onto the bottom one."""
     return np.eye(dx + dz, dx, dtype=np.int64), np.eye(dz, dx + dz, k=dx, dtype=np.int64)
-
-
-def direct_sum_module(x: NilModule, z: NilModule) -> NilModule:
-    if (x.p, x.n) != (z.p, z.n):
-        raise ValueError("summands must share p and n")
-    return nil_module(_block_extension(x.D, z.D), x.p, x.n)
 
 
 def _power_list(d: np.ndarray, n: int, p: int) -> list[np.ndarray]:

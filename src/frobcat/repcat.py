@@ -20,7 +20,6 @@ from .linalg import (
     kron_arrays,
     mat_mul,
     mat_pow,
-    nullspace_mod,
     rank_mod,
 )
 from .nilmod import (
@@ -49,15 +48,11 @@ __all__ = [
     "evaluate_word",
     "validate",
     "tensor",
-    "dual",
     "direct_sum",
     "SymmetricTower",
-    "symmetric_power",
     "restrict_to_nilmodule",
     "decompose_cyclic",
     "witness_type",
-    "is_projective",
-    "hom_basis",
     "rep_to_json",
     "rep_from_json",
 ]
@@ -236,11 +231,6 @@ def tensor(a: GroupRep, b: GroupRep) -> GroupRep:
     return GroupRep(group=a.group, p=a.p, dim=a.dim * b.dim, matrices=mats)
 
 
-def dual(a: GroupRep) -> GroupRep:
-    mats = tuple(inverse_mod(m, a.p).T for m in a.matrices)
-    return GroupRep(group=a.group, p=a.p, dim=a.dim, matrices=mats)
-
-
 def direct_sum(a: GroupRep, b: GroupRep) -> GroupRep:
     _same_group(a, b)
     mats = tuple(_block_extension(x, y) for x, y in zip(a.matrices, b.matrices))
@@ -300,10 +290,6 @@ class SymmetricTower:
         self._index = new
 
 
-def symmetric_power(rep: GroupRep, m: int) -> GroupRep:
-    return SymmetricTower(rep).power(m)
-
-
 # ----------------------------------------------------- restriction and Green ring
 
 
@@ -344,28 +330,6 @@ def witness_type(rep: GroupRep) -> JordanType:
     of the restriction to the cyclic subgroup it generates."""
     w = rep.group.sylow_witness
     return _jordan_type_at(rep, w, f"sylow witness {w!r} does not have order dividing {rep.p}")
-
-
-def is_projective(rep: GroupRep) -> bool:
-    """Free over the order-p witness: all Jordan blocks of 1 - rho(w) have size p."""
-    return all(k == rep.p for k in witness_type(rep).parts)
-
-
-def hom_basis(a: GroupRep, b: GroupRep) -> list[np.ndarray]:
-    """Canonical basis of intertwiners a -> b (matrices of shape dim b x dim a)."""
-    _same_group(a, b)
-    p = a.p
-    da, db = a.dim, b.dim
-    if da == 0 or db == 0:
-        return []
-    rows = []
-    eye_a = np.eye(da, dtype=np.int64)
-    eye_b = np.eye(db, dtype=np.int64)
-    for ga, gb in zip(a.matrices, b.matrices):
-        # row-major vec: vec(gb @ F) = (gb kron I) vec F, vec(F @ ga) = (I kron ga^T) vec F
-        rows.append(kron_arrays(gb, eye_a) - kron_arrays(eye_b, ga.T))
-    basis = nullspace_mod(np.concatenate(rows, axis=0), p)  # nullspace_mod reduces the stack
-    return [v.reshape(db, da) for v in basis]
 
 
 # -------------------------------------------------------------- serialization

@@ -11,15 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_modulus, induced_on_subquotient, rank_mod
-from .nilmod import (
-    JordanType,
-    NilModule,
-    functor_B,
-    jordan_type,
-    multiplicity_space,
-    multiplicity_vector,
-)
+from .linalg import check_modulus
+from .nilmod import JordanType, NilModule, jordan_type, multiplicity_vector
 from .repcat import GroupRep, decompose_cyclic
 
 __all__ = [
@@ -33,7 +26,6 @@ __all__ = [
     "fpdim",
     "fpdim_perron",
     "semisimplify",
-    "natfunc_hom_dims",
     "verlinde_weights",
     "concave_weights_to_cone",
     "verlinde_cone_report",
@@ -161,28 +153,6 @@ def semisimplify(x) -> FusionElement:
     else:
         raise ValueError("semisimplify expects a NilModule or a cyclic GroupRep")
     return _class_of(p, t)
-
-
-def natfunc_hom_dims(x: NilModule, i: int) -> dict:
-    """Hom and negligible-hom dimensions from the i-th simple, with the quotient.
-
-    hom = dim Ker D^i; negligible = dim(Ker D^i cap Im D + Ker D^{i-1});
-    the quotient is the block-multiplicity space M_i, carried isomorphically
-    onto B_i by D^{i-1}, which is verified by an explicit induced map.
-    """
-    if not 1 <= i <= x.p - 1:
-        raise ValueError(f"index {i} outside [1, {x.p - 1}]")
-    q = multiplicity_space(x, i)
-    b = functor_B(x, i)
-    induced = induced_on_subquotient(x.powers[i - 1], q.sup, q.sub, b.sup, b.sub)
-    if not (q.dim == b.dim and rank_mod(induced, x.p) == b.dim):
-        raise AssertionError("quotient does not map isomorphically onto the block space")
-    return {
-        "hom": q.sup.dim,
-        "negligible": q.sub.dim,
-        "quotient_dim": q.dim,
-        "iso_onto_block_space": True,
-    }
 
 
 def verlinde_weights(p: int) -> "WeightVector":

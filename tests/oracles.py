@@ -1,29 +1,53 @@
-"""Reference constructions the tests compare production code against.
+"""Reference constructions the tests compare production code against, and
+the few routines that only tests call.
 
-Each one computes honestly what production code computes in closed form or
-by a faster route: elimination one pivot at a time, the shift functors as
-subquotients of the dense p-th tensor power, the maps of the six-periodic
-sequence induced on those subquotients, symmetric powers as quotients
-of S^{m-1} tensor X by relation matrices, and the kernel/image subquotients
-of a nil-module with every meet taken by `Subspace.intersect`.
+Each reference computes honestly what production code computes in closed
+form or by a faster route: elimination one pivot at a time, the shift
+functors as subquotients of the dense p-th tensor power, the maps of the
+six-periodic sequence induced on those subquotients, the shift functor's
+image of each simple of Ver_p read off the rotation of the power space,
+symmetric powers as quotients of S^{m-1} tensor X by relation matrices, and
+the kernel/image subquotients of a nil-module with every meet taken by
+`Subspace.intersect`.
+
+The rest have no caller in the package: exact solving, bases of
+intertwiners, the shift functor on a morphism, extensions with a given
+coupling, and the hom and negligible-hom counts of a nil-module.
 """
 import numpy as np
 
-from frobcat.frobenius import CyclicPower, cyclic_power
+from frobcat.frobenius import (
+    CyclicPower,
+    _block_generator,
+    _factor_permutations,
+    _multiplicity_quotients,
+    _permutation_induced,
+    cyclic_power,
+)
 from frobcat.linalg import (
     Quotient,
     Subspace,
     as_residues,
     check_budget,
+    frozen_matrix,
     induced_on_subquotient,
+    kron_arrays,
     mat_mul,
     mat_pow,
     nullspace_mod,
     rank_mod,
     rref,
 )
-from frobcat.nilmod import functor_B, functor_E, nil_module
-from frobcat.repcat import GroupRep, trivial_rep
+from frobcat.nilmod import (
+    ShortExactSeq,
+    _block_maps,
+    functor_B,
+    functor_E,
+    multiplicity_space,
+    nil_module,
+)
+from frobcat.repcat import GroupRep, _checked, _same_group, cyclic_group, decompose_cyclic, trivial_rep
+from frobcat.verlinde import FusionElement
 
 
 def rref_naive(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -229,3 +253,113 @@ def intersected_hom_dims(m, i: int) -> dict:
     assert q.dim == b.dim == rank_mod(induced, m.p)
     dims = {"hom": q.sup.dim, "negligible": q.sub.dim, "quotient_dim": q.dim}
     return dict(dims, iso_onto_block_space=True)
+
+
+def rotation_classes(p: int, m: int) -> tuple[FusionElement, ...]:
+    """`frobenius_on_simple(p, m)` on the m^p-dimensional power space, at any p.
+
+    The diagonal structure is semisimplified first (its block-multiplicity
+    quotients M_j), then the induced factor rotation on each M_j, a rep of
+    Z/p, is read off by `decompose_cyclic`: component i collects L_j with the
+    multiplicity of size-i rotation blocks, free blocks dropping out. The
+    caller keeps m^p small; `power_space_image_of_simple` refuses large p.
+    """
+    quotients, _ = _multiplicity_quotients(p, m)
+    _, rot_perm = _factor_permutations(m, p)
+    mults = [[0] * (p - 1) for _ in range(p - 1)]
+    for j, q in enumerate(quotients, start=1):
+        smat = _permutation_induced(q, rot_perm)
+        t = decompose_cyclic(GroupRep(group=cyclic_group(p), p=p, dim=q.dim, matrices=(smat,)))
+        for i in range(1, p):
+            mults[i - 1][j - 1] += t.multiplicity(i)
+    return tuple(FusionElement(p, tuple(row)) for row in mults)
+
+
+def power_space_image_of_simple(p: int, m: int) -> tuple[FusionElement, ...]:
+    """`rotation_classes` at the primes where every m fits the budget."""
+    if p not in (2, 3, 5):
+        raise ValueError("p outside {2, 3, 5} (budget)")
+    return rotation_classes(p, m)
+
+
+def solve_right(a, b, p: int) -> np.ndarray:
+    """Solve a @ x = b exactly; raises ValueError if inconsistent.
+
+    b may be a vector or a matrix of stacked right-hand columns.
+    """
+    b = np.asarray(b)
+    vec = b.ndim == 1
+    if vec:
+        b = b[:, None]
+    red, pivots = rref(np.concatenate([np.asarray(a), b], axis=1), p)  # rref reduces a and b
+    n = np.shape(a)[1]
+    if any(c >= n for c in pivots):
+        raise ValueError("inconsistent linear system")
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for row, col in enumerate(pivots):
+        x[col] = red[row, n:]
+    return x[:, 0] if vec else x
+
+
+def hom_basis(a: GroupRep, b: GroupRep) -> list[np.ndarray]:
+    """Canonical basis of intertwiners a -> b (matrices of shape dim b x dim a)."""
+    _same_group(a, b)
+    p = a.p
+    da, db = a.dim, b.dim
+    if da == 0 or db == 0:
+        return []
+    rows = []
+    eye_a = np.eye(da, dtype=np.int64)
+    eye_b = np.eye(db, dtype=np.int64)
+    for ga, gb in zip(a.matrices, b.matrices):
+        # row-major vec: vec(gb @ F) = (gb kron I) vec F, vec(F @ ga) = (I kron ga^T) vec F
+        rows.append(kron_arrays(gb, eye_a) - kron_arrays(eye_b, ga.T))
+    basis = nullspace_mod(np.concatenate(rows, axis=0), p)  # nullspace_mod reduces the stack
+    return [v.reshape(db, da) for v in basis]
+
+
+def frobenius_on_morphism(f, src: GroupRep, dst: GroupRep) -> dict:
+    """Induced maps on all components of an intertwiner src -> dst.
+
+    Like the components, in closed form: f itself on F_1 and on every G_i,
+    the 0 x 0 map on F_i for i >= 2.
+    """
+    p = src.p
+    fm = frozen_matrix(f, p)
+    if fm.shape != (dst.dim, src.dim):
+        raise ValueError("morphism shape mismatch")
+    for gs, gd in zip(src.matrices, dst.matrices):
+        if not np.array_equal(mat_mul(fm, gs, p), mat_mul(gd, fm, p)):
+            raise ValueError("not an intertwiner")
+    zero = np.zeros((0, 0), np.int64)
+    return {"f_maps": (fm,) + (zero,) * (p - 2), "g_maps": (fm,) * (p - 1)}
+
+
+def rep_extension_from_phi(x: GroupRep, z: GroupRep, phi) -> ShortExactSeq:
+    """Extension of Z by X of cyclic reps; the caller's coupling block is validated."""
+    gen = _block_generator(x, z, phi)
+    y = _checked(GroupRep(group=x.group, p=x.p, dim=len(gen), matrices=(gen,)))
+    inj, surj = _block_maps(x.dim, z.dim)
+    return ShortExactSeq(x=x, y=y, z=z, inj=inj, surj=surj)
+
+
+def natfunc_hom_dims(x, i: int) -> dict:
+    """Hom and negligible-hom dimensions from the i-th simple, with the quotient.
+
+    hom = dim Ker D^i; negligible = dim(Ker D^i cap Im D + Ker D^{i-1});
+    the quotient is the block-multiplicity space M_i, carried isomorphically
+    onto B_i by D^{i-1}, which is verified by an explicit induced map.
+    """
+    if not 1 <= i <= x.p - 1:
+        raise ValueError(f"index {i} outside [1, {x.p - 1}]")
+    q = multiplicity_space(x, i)
+    b = functor_B(x, i)
+    induced = induced_on_subquotient(x.powers[i - 1], q.sup, q.sub, b.sup, b.sub)
+    if not (q.dim == b.dim and rank_mod(induced, x.p) == b.dim):
+        raise AssertionError("quotient does not map isomorphically onto the block space")
+    return {
+        "hom": q.sup.dim,
+        "negligible": q.sub.dim,
+        "quotient_dim": q.dim,
+        "iso_onto_block_space": True,
+    }

@@ -273,7 +273,9 @@ def test_internal_fault_exits_3(monkeypatch, capsys):
     assert "Traceback" in err
 
 
-def test_failed_claim_in_a_trial_is_a_replayable_violation(monkeypatch, tmp_path, capsys):
+def _failing_trial(monkeypatch, error):
+    """Patch the nilmod suite so that trial 2 raises error("claim failed");
+    returns the list of trial indices run."""
     import dataclasses
 
     import frobcat.cli
@@ -284,10 +286,15 @@ def test_failed_claim_in_a_trial_is_a_replayable_violation(monkeypatch, tmp_path
     def trial(p, seed, t, cap):
         ran.append(t)
         if t == 2:
-            raise AssertionError("claim failed")
+            raise error("claim failed")
         return suite.run_trial(p, seed, t, cap)
 
     monkeypatch.setitem(frobcat.cli.SUITES, "nilmod", dataclasses.replace(suite, run_trial=trial))
+    return ran
+
+
+def _replayable_violation(monkeypatch, tmp_path, capsys, error):
+    ran = _failing_trial(monkeypatch, error)
     assert run(["check", "--suite", "nilmod", "--p", "3", "--trials", "4", "--format", "json"]) == 1
     lines, _ = lines_of(capsys)
     assert ran == [0, 1, 2, 3]
@@ -299,6 +306,44 @@ def test_failed_claim_in_a_trial_is_a_replayable_violation(monkeypatch, tmp_path
     lines, _ = lines_of(capsys)
     assert ran == [2]
     assert json.loads(lines[0])["replayed_trials"] == [2]
+
+
+def test_failed_claim_in_a_trial_is_a_replayable_violation(monkeypatch, tmp_path, capsys):
+    _replayable_violation(monkeypatch, tmp_path, capsys, AssertionError)
+
+
+def test_value_error_in_a_trial_is_a_replayable_violation(monkeypatch, tmp_path, capsys):
+    # the flags were validated before the first trial, so this is no usage error
+    _replayable_violation(monkeypatch, tmp_path, capsys, ValueError)
+
+
+def test_budget_error_in_a_trial_is_refused_input(monkeypatch, capsys):
+    from frobcat.linalg import BudgetError
+
+    _failing_trial(monkeypatch, BudgetError)
+    assert run(["check", "--suite", "nilmod", "--p", "3", "--trials", "4"]) == 2
+    out, err = lines_of(capsys)
+    assert out == [""]
+    assert err == "error: claim failed\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_closed_stdout_pipe_keeps_the_report_status(fmt):
+    # the report (over 500 kB) fills the pipe, so the reader's close interrupts a write
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frobcat.cli", "green", "--p", "61", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == (b'{"command"' if fmt == "json" else b"schema\t1\nc")
+    assert err == b""
 
 
 def test_green_command(capsys):

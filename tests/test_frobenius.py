@@ -1,4 +1,5 @@
 """Shift-power functor calculus on representations mod p."""
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,12 +18,10 @@ from frobcat.frobenius import (
     exactness_report,
     fpdim_of_F,
     frobenius_components,
-    frobenius_on_morphism,
     frobenius_on_simple,
     frobenius_order_abstract,
     random_rep_extension,
     random_rep_ses,
-    rep_extension_from_phi,
     six_periodic_check,
     sp_multiplicity_spaces,
 )
@@ -44,15 +43,24 @@ from frobcat.repcat import (
     cyclic_rep,
     decompose_cyclic,
     evaluate_word,
-    hom_basis,
     random_cyclic_rep,
     regular_cyclic_rep,
     restrict_to_nilmodule,
     symmetric_perm_rep,
     validate,
 )
-from frobcat.verlinde import simple
-from oracles import power_rep, six_periodic_pairs, subquotient_components
+from frobcat.seeding import rng_for
+from frobcat.verlinde import _fuse_simples, fpdim_simple, simple
+from oracles import (
+    frobenius_on_morphism,
+    hom_basis,
+    power_rep,
+    power_space_image_of_simple,
+    rep_extension_from_phi,
+    rotation_classes,
+    six_periodic_pairs,
+    subquotient_components,
+)
 
 
 def witness_jordan(rep):
@@ -340,7 +348,68 @@ def test_frobenius_on_simple_small_values():
     got = frobenius_on_simple(3, 2)
     assert got[0] == simple(3, 2) and got[1].is_zero
     with pytest.raises(ValueError):
-        frobenius_on_simple(7, 1)
+        power_space_image_of_simple(7, 1)
+
+
+def test_closed_form_on_simples_matches_the_power_space():
+    for p in (2, 3, 5):
+        for m in range(1, p):
+            assert frobenius_on_simple(p, m) == power_space_image_of_simple(p, m), (p, m)
+    for m in (1, 2):  # power spaces of 7 and 128 dimensions
+        assert frobenius_on_simple(7, m) == rotation_classes(7, m), m
+
+
+def test_frobenius_on_simple_at_large_p():
+    p = 101
+    for m in range(1, p):
+        table = np.array([c.mult for c in frobenius_on_simple(p, m)])
+        # one simple of Ver_p ⊠ Ver_p, with the FP-dimension of L_m
+        assert table.sum() == 1
+        i, j = (int(k) + 1 for k in np.argwhere(table)[0])
+        assert abs(fpdim_simple(p, i) * fpdim_simple(p, j) - fpdim_simple(p, m)) < 1e-9
+    for bad in ((p, 0), (p, p), (100, 1)):
+        with pytest.raises(ValueError):
+            frobenius_on_simple(*bad)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="fusion classes"):
+        frobenius_on_simple(2147483647, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def _fuse_tables(p, a, b):
+    """Product in Ver_p ⊠ Ver_p of two classes held as (p-1) x (p-1) tables,
+    entry [i-1, j-1] counting L_i ⊠ L_j."""
+    out = np.zeros((p - 1, p - 1), np.int64)
+    for i1, j1 in np.argwhere(a):
+        for i2, j2 in np.argwhere(b):
+            left = _fuse_simples(p, int(i1) + 1, int(i2) + 1).mult
+            right = _fuse_simples(p, int(j1) + 1, int(j2) + 1).mult
+            out += a[i1, j1] * b[i2, j2] * np.outer(left, right)
+    return out
+
+
+def _first_non_monoidal_pair(p, tables, pairs):
+    """The first pair (a, b) with F(L_a ⊗ L_b) != F(L_a) F(L_b), or None;
+    tables[m - 1] is F(L_m)."""
+    for a, b in pairs:
+        whole = np.tensordot(_fuse_simples(p, a, b).mult, tables, axes=1)
+        if not np.array_equal(whole, _fuse_tables(p, tables[a - 1], tables[b - 1])):
+            return a, b
+    return None
+
+
+def test_frobenius_on_simples_is_monoidal():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 53, 71, 101):
+        tables = np.array([[c.mult for c in frobenius_on_simple(p, m)] for m in range(1, p)])
+        if p <= 31:
+            pairs = [(a, b) for a in range(1, p) for b in range(1, p)]
+        else:
+            pairs = [tuple(int(k) for k in rng_for(p, t).integers(1, p, size=2)) for t in range(40)]
+        assert _first_non_monoidal_pair(p, tables, pairs) is None, p
+        # the same closed form with the labels L_1 and L_{p-1} swapped is not monoidal
+        swapped = tables.copy()
+        swapped[:, :, [0, -1]] = tables[:, :, [-1, 0]]
+        assert p == 2 or _first_non_monoidal_pair(p, swapped, pairs), p
 
 
 def test_sp_multiplicity_p3():

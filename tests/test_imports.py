@@ -28,6 +28,10 @@ Representations are validated where outside data enters, and nowhere else:
 from `ENTRY_POINTS`, the builders whose matrices or coupling come from the
 caller or a claim under test; what the library builds from checked parts is
 a representation by construction.
+
+The public surface is pinned: the names `__init__.py` re-exports equal the
+sorted literal `PUBLIC`, so any API added to or removed from the package
+shows in the diff of this file.
 """
 import ast
 from pathlib import Path
@@ -253,9 +257,7 @@ def test_no_array_contents_become_bytes(path):
     assert array_bytes(path.read_text(encoding="utf-8")) == []
 
 
-ENTRY_POINTS = {
-    "rep_from_json", "permutation_rep", "rep_extension_from_phi", "sp_multiplicity_spaces"
-}
+ENTRY_POINTS = {"rep_from_json", "permutation_rep", "sp_multiplicity_spaces"}
 
 
 def validation_calls(source: str) -> list[str]:
@@ -299,3 +301,38 @@ assert not validate(trivial_rep(3))
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_reps_are_validated_only_where_outside_data_enters(path):
     assert validation_calls(path.read_text(encoding="utf-8")) == []
+
+
+PUBLIC = {
+    "BudgetError", "CyclicPower", "DIM_CAPS", "FrobeniusImage", "FusionElement",
+    "GroupRep", "GroupSpec", "JordanType", "NilModule", "Quotient", "ShortExactSeq",
+    "Subspace", "SymmetricTower", "TruncSeries", "check_additivity",
+    "check_monoidality", "cyclic_group", "cyclic_power", "cyclic_rep",
+    "decompose_cyclic", "direct_sum", "exactness_report", "extension_from_phi",
+    "extension_survey", "fpdim", "fpdim_of_F", "fpdim_perron", "fpdim_simple",
+    "frobenius_components", "frobenius_on_simple", "frobenius_order_abstract",
+    "functor_B", "functor_E", "functor_L_and_Eis", "fusion_matrix", "fusion_tensor",
+    "growth_check", "hilbert_coeffs", "inverse_mod", "jordan_module", "jordan_type",
+    "kron_arrays", "mat_mul", "mat_pow", "mix64", "multiplicity_vector", "nil_module",
+    "nullspace_mod", "permutation_rep", "random_extension", "random_nil_module",
+    "random_rep_extension", "random_rep_ses", "rank_mod", "rank_sequence",
+    "regular_cyclic_rep", "rep_from_json", "rep_to_json", "restrict_to_nilmodule",
+    "rng_for", "rref", "semisimplify", "six_periodic_check", "sp_multiplicity_spaces",
+    "split_test", "symmetric_group", "symmetric_perm_rep", "tensor", "trivial_rep",
+    "validate", "verlinde_cone_report", "verlinde_weights",
+}
+
+
+def reexported(source: str) -> set[str]:
+    """Names bound by the top-level `from ... import` statements of a module."""
+    tree = ast.parse(source)
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_public_surface_is_pinned():
+    assert reexported((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == PUBLIC

@@ -32,11 +32,10 @@ from frobcat.linalg import (
     rank_mod,
     rank_stack,
     rref,
-    solve_right,
 )
 from frobcat.nilmod import random_nil_module
 from frobcat.seeding import rng_for
-from oracles import mat_mul_naive, rref_naive
+from oracles import mat_mul_naive, rref_naive, solve_right
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 13])
 

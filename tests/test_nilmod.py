@@ -8,8 +8,8 @@ from frobcat.nilmod import (
     JordanType,
     NilModule,
     ShortExactSeq,
+    _block_extension,
     _type_from_ranks,
-    direct_sum_module,
     extension_from_phi,
     extension_survey,
     functor_B,
@@ -28,8 +28,12 @@ from frobcat.nilmod import (
     split_test,
 )
 from frobcat.seeding import rng_for
-from frobcat.verlinde import natfunc_hom_dims
-from oracles import intersected_hom_dims, intersected_multiplicity_space, intersected_subquotient
+from oracles import (
+    intersected_hom_dims,
+    intersected_multiplicity_space,
+    intersected_subquotient,
+    natfunc_hom_dims,
+)
 
 partitions = st.lists(st.integers(1, 5), min_size=0, max_size=5).map(
     lambda ks: tuple(sorted(ks, reverse=True))
@@ -124,7 +128,7 @@ def test_functor_e_additive_on_direct_sums(xparts, zparts, p):
     n = max(max(xparts, default=1), max(zparts, default=1))
     x = jordan_module(p, n, xparts)
     z = jordan_module(p, n, zparts)
-    y = direct_sum_module(x, z)
+    y = nil_module(_block_extension(x.D, z.D), p, n)
     for i in range(0, n + 1):
         assert functor_E(y, i).dim == functor_E(x, i).dim + functor_E(z, i).dim
 

@@ -107,7 +107,8 @@ PINNED = {
     "frobenius_on_simple": {
         "2": "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
         "3": "484d21a3a8d61f67c7520cb9a0a0e0a456cfdb5b0395910f4c617a8d463ee908",
-        "5": "5c8811e68956df6a2cb6bdf0f7ebefebc5ffc60846d594385fcaec447c3d86e1"
+        "5": "5c8811e68956df6a2cb6bdf0f7ebefebc5ffc60846d594385fcaec447c3d86e1",
+        "7": "6ef1603e0a533636de5f0c36522ed6d0bdfc13d0ebcb30bfbec8dd0762f8e486"
     },
     "random_cyclic_rep": {
         "2": "dd89e0d366d9c5e2c788200a93c096f11c2ec7d67faf5fe0e979ed25b1f7233c",
@@ -144,8 +145,7 @@ def test_random_constructions_are_pinned(name, p):
 if __name__ == "__main__":
     print(json.dumps(
         {
-            # frobenius_on_simple refuses p = 7 (budget)
-            name: {str(p): _digest(build(p)) for p in PRIMES if name != "frobenius_on_simple" or p < 7}
+            name: {str(p): _digest(build(p)) for p in PRIMES}
             for name, build in sorted(BUILDERS.items())
         },
         indent=4,

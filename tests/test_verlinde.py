@@ -23,12 +23,12 @@ from frobcat.verlinde import (
     fusion_matrix,
     fusion_tensor,
     green_product,
-    natfunc_hom_dims,
     semisimplify,
     simple,
     verlinde_cone_report,
     verlinde_weights,
 )
+from oracles import natfunc_hom_dims
 
 FUSION_PRIMES = st.sampled_from([2, 3, 5, 7, 11])
 
