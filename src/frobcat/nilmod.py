@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -169,18 +170,21 @@ def rank_sequence(m: NilModule) -> tuple[int, ...]:
 
 
 def _rank_sequence_arr(d: np.ndarray, n: int, p: int) -> tuple[int, ...]:
-    # iterated image: a row basis of Im D^k is (basis of Im D^{k-1}) @ D^T
-    # reduced again, so elimination sizes shrink with the ranks
+    # restriction to the image: a is the operator v -> v D^T restricted to
+    # Im D^{k-1}, in the reduced basis rows of the previous step, so it is
+    # r_{k-1} x r_{k-1} and rank a = rank D^k. With rows[:, piv] = I, a row of
+    # Im a = span(rows) has coordinates its entries at piv, so the restriction
+    # to Im a is rows @ a[:, piv], r_k x r_k; only the first step is n wide
     ranks = [d.shape[0]]
-    rows = None
+    a = d.T
     for k in range(1, n + 1):
-        src = d.T if k == 1 else mat_mul(rows, d.T, p)
-        rows, piv = rref(src, p, reduced=False)
+        rows, piv = rref(a, p)
         if not piv or len(piv) == ranks[-1]:
-            # Im D^k = 0 or Im D^{k-1}: every later power has the same rank
-            ranks.extend([len(piv)] * (n - k + 1))
-            break
+            # Im D^k = 0 or Im D^{k-1}: every later power has the same rank.
+            # At n = p the tail is p long; chained, it is never also a list
+            return tuple(chain(ranks, repeat(len(piv), n - k + 1)))
         ranks.append(len(piv))
+        a = mat_mul(rows, a[:, piv], p)
     return tuple(ranks)
 
 
@@ -208,14 +212,19 @@ class JordanType:
 
 
 def _type_from_ranks(ranks: tuple[int, ...], n: int) -> JordanType:
+    # no block is longer than the first zero rank; past it a convex sequence
+    # stays zero, which one count checks without a loop over the tail
+    top = ranks.index(0) if 0 in ranks else n + 1
+    if ranks.count(0) != len(ranks) - top:
+        raise ValueError("rank sequence is not convex; operator not nilpotent?")
     parts = []
-    for j in range(1, n + 1):
+    for j in range(min(top, n), 0, -1):
         nxt = ranks[j + 1] if j + 1 <= n else 0
         mult = ranks[j - 1] - 2 * ranks[j] + nxt
         if mult < 0:
             raise ValueError("rank sequence is not convex; operator not nilpotent?")
         parts.extend([j] * mult)
-    return JordanType(tuple(sorted(parts, reverse=True)))
+    return JordanType(tuple(parts))
 
 
 def jordan_type(m: NilModule) -> JordanType:

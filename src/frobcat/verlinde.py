@@ -7,7 +7,9 @@ blocks of full size p.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -43,7 +45,7 @@ class FusionElement:
         check_modulus(self.p)
         if len(self.mult) != self.p - 1:
             raise ValueError(f"need {self.p - 1} multiplicities")
-        if any(m < 0 for m in self.mult):
+        if min(self.mult, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
 
     def __add__(self, other: "FusionElement") -> "FusionElement":
@@ -84,7 +86,8 @@ def green_product(p: int, a: int, b: int) -> JordanType:
 
 def _class_of(p: int, t: JordanType) -> FusionElement:
     """Class in the fusion ring: one L_k per block J_k, size-p blocks dropped."""
-    return FusionElement(p, tuple(t.multiplicity(k) for k in range(1, p)))
+    counts = Counter(t.parts)  # one pass over the parts, not one per label
+    return FusionElement(p, tuple(map(counts.get, range(1, p), repeat(0))))
 
 
 def _fuse_simples(p: int, r: int, s: int) -> FusionElement:

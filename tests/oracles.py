@@ -2,8 +2,9 @@
 the few routines that only tests call.
 
 Each reference computes honestly what production code computes in closed
-form or by a faster route: elimination one pivot at a time, the shift
-functors as subquotients of the dense p-th tensor power, the maps of the
+form or by a faster route: elimination one pivot at a time, the rank
+sequence of an operator by iterated full-width images, the shift functors
+as subquotients of the dense p-th tensor power, the maps of the
 six-periodic sequence induced on those subquotients, the shift functor's
 image of each simple of Ver_p read off the rotation of the power space,
 symmetric powers as quotients of S^{m-1} tensor X by relation matrices, and
@@ -82,6 +83,24 @@ def rref_naive(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 def mat_mul_naive(a, b, p: int) -> np.ndarray:
     """Modular product in Python ints."""
     return (np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p).astype(np.int64)
+
+
+def iterated_image_ranks(d, n: int, p: int) -> tuple[int, ...]:
+    """(rank D^0, ..., rank D^n) for the operator array d, each image kept
+    n wide: the production rank sequence restricts to the image instead."""
+    # iterated image: a row basis of Im D^k is (basis of Im D^{k-1}) @ D^T
+    # reduced again, so elimination sizes shrink with the ranks
+    ranks = [d.shape[0]]
+    rows = None
+    for k in range(1, n + 1):
+        src = d.T if k == 1 else mat_mul(rows, d.T, p)
+        rows, piv = rref(src, p, reduced=False)
+        if not piv or len(piv) == ranks[-1]:
+            # Im D^k = 0 or Im D^{k-1}: every later power has the same rank
+            ranks.extend([len(piv)] * (n - k + 1))
+            break
+        ranks.append(len(piv))
+    return tuple(ranks)
 
 
 def power_rep(cp: CyclicPower) -> GroupRep:

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import mat_mul, random_invertible, rref
+from frobcat.linalg import kron_arrays, mat_mul, random_invertible, rref
 from frobcat.nilmod import (
     JordanType,
     NilModule,
     ShortExactSeq,
     _block_extension,
+    _rank_sequence_arr,
     _type_from_ranks,
     extension_from_phi,
     extension_survey,
@@ -28,10 +29,12 @@ from frobcat.nilmod import (
     split_test,
 )
 from frobcat.seeding import rng_for
+from frobcat.verlinde import green_product
 from oracles import (
     intersected_hom_dims,
     intersected_multiplicity_space,
     intersected_subquotient,
+    iterated_image_ranks,
     natfunc_hom_dims,
 )
 
@@ -82,8 +85,92 @@ def test_rank_sequence_single_block():
 
 
 def test_type_from_ranks_rejects_non_convex():
-    with pytest.raises(ValueError):
-        _type_from_ranks((3, 1, 1, 0), 3)
+    # the last two rise again after a zero rank: the tail count refuses them
+    for ranks in [(3, 1, 1, 0), (3, 0, 1, 0), (4, 2, 0, 0, 1)]:
+        with pytest.raises(ValueError, match="^rank sequence is not convex; operator not nilpotent\\?$"):
+            _type_from_ranks(ranks, len(ranks) - 1)
+
+
+def _jordan_conjugate(p: int, parts: tuple[int, ...], rng) -> np.ndarray:
+    """q J q^-1 for the Jordan matrix J of parts and a random q."""
+    q, q_inv = random_invertible(p, sum(parts), rng)
+    return mat_mul(mat_mul(q, jordan_matrix(parts), p), q_inv, p)
+
+
+def _unipotent_conjugate(p: int, parts: tuple[int, ...], rng) -> np.ndarray:
+    """1 + q J q^-1: its type is parts by construction."""
+    return (np.eye(sum(parts), dtype=np.int64) + _jordan_conjugate(p, parts, rng)) % p
+
+
+def _one_minus(g: np.ndarray, p: int) -> np.ndarray:
+    return (np.eye(len(g), dtype=np.int64) - g) % p
+
+
+def _ranks_of_type(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return tuple(sum(max(k - j, 0) for k in parts) for j in range(n + 1))
+
+
+def _tensor_case(p: int = 7, dim: int = 30, seed: int = 17):
+    """1 - g for g = g_x (x) g_y, two dim-dimensional unipotent conjugates:
+    the 900 x 900 operator of greenhom's largest trials, and its type by
+    Renaud's closed form."""
+    rng = rng_for(seed, 0)
+    px, py = random_partition(dim, p, rng), random_partition(dim, p, rng)
+    g = kron_arrays(_unipotent_conjugate(p, px, rng), _unipotent_conjugate(p, py, rng)) % p
+    want = JordanType(())
+    for a in px:
+        for b in py:
+            want = want.merge(green_product(p, a, b))
+    return _one_minus(g, p), want
+
+
+def test_rank_sequence_on_the_tensor_of_two_30_dim_reps():
+    d, want = _tensor_case()
+    ranks = _rank_sequence_arr(d, 7, 7)
+    assert ranks == iterated_image_ranks(d, 7, 7) == _ranks_of_type(want.parts, 7)
+    assert _type_from_ranks(ranks, 7) == want
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1, 3037000493])
+def test_rank_sequence_at_large_p_matches_the_iterated_images(p):
+    parts = random_partition(300, 12, rng_for(p, 0))
+    d = _one_minus(_unipotent_conjugate(p, parts, rng_for(p, 1)), p)
+    top = parts[0]
+    # n below the longest block (no stop), at it (rank 0 at n) and past it (a zero tail)
+    for n in (top - 1, top, top + 3):
+        ranks = _rank_sequence_arr(d, n, p)
+        assert ranks == iterated_image_ranks(d, n, p) == _ranks_of_type(parts, n)
+    assert _type_from_ranks(ranks, top + 3).parts == parts
+
+
+def test_rank_sequence_of_a_nil_module_below_p():
+    parts = random_partition(40, 4, rng_for(29, 0))
+    m = nil_module(_jordan_conjugate(7, parts, rng_for(29, 1)), 7, 4)
+    assert rank_sequence(m) == iterated_image_ranks(m.D, m.n, m.p) == _ranks_of_type(parts, 4)
+    assert jordan_type(m).parts == parts
+
+
+def test_rank_sequence_works_on_the_restriction_to_the_image(monkeypatch):
+    # past the first step every elimination is r_k x r_k and every product
+    # operand at most r_k wide: no step goes back to an n-wide array
+    import frobcat.nilmod
+
+    d, _ = _tensor_case()
+    elims, products = [], []
+    real_rref, real_mul = frobcat.nilmod.rref, frobcat.nilmod.mat_mul
+    monkeypatch.setattr(
+        frobcat.nilmod, "rref", lambda a, *r, **k: elims.append(np.shape(a)) or real_rref(a, *r, **k)
+    )
+    monkeypatch.setattr(
+        frobcat.nilmod, "mat_mul",
+        lambda a, b, p: products.append((np.shape(a), np.shape(b))) or real_mul(a, b, p),
+    )
+    ranks = _rank_sequence_arr(d, 7, 7)
+    n = len(d)
+    steps = ranks.index(0)
+    assert elims == [(r, r) for r in ranks[:steps]]
+    assert products == [((ranks[k + 1], ranks[k]), (ranks[k], ranks[k + 1])) for k in range(steps - 1)]
+    assert ranks[1] < n and all(max(a + b) < n for a, b in products[1:])
 
 
 @settings(max_examples=80, deadline=None)

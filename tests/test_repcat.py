@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import inverse_mod, mat_mul
+from frobcat.linalg import inverse_mod, mat_mul, random_invertible
+from frobcat.nilmod import jordan_matrix
 from frobcat.repcat import (
     GroupRep,
     SymmetricTower,
@@ -25,11 +26,12 @@ from frobcat.repcat import (
     validate,
     witness_type,
 )
+from frobcat.seeding import rng_for
 
 from itertools import combinations_with_replacement
 from math import comb
 
-from oracles import hom_basis, quotient_symmetric_powers
+from oracles import hom_basis, iterated_image_ranks, quotient_symmetric_powers
 
 
 def test_validate_messages():
@@ -158,6 +160,33 @@ def test_order_check_on_a_generator_of_wrong_order(rep, monkeypatch):
     # a rep of the right order still decomposes, with no power formed
     assert decompose_cyclic(good).parts == (3, 1)
     assert witness_type(perm).parts == (3,)
+
+
+@pytest.mark.parametrize("p, parts, m", [(5, (4, 3, 3, 2, 2, 1), 25), (7, (6,) * 30 + (5, 4, 3, 2, 1), 105)])
+def test_order_check_after_restriction_steps(p, parts, m, monkeypatch):
+    # D = q (J ⊕ 2 I_m) q^-1 at 40 and 300 dimensions: the ranks of D^k fall to
+    # m and stay there, so the sequence stops on a repeated rank only after
+    # max(parts) restriction steps, at r_p = m != 0: the order check refuses
+    import frobcat.nilmod
+
+    dim = sum(parts) + m
+    block = np.zeros((dim, dim), np.int64)
+    block[: dim - m, : dim - m] = jordan_matrix(parts)
+    block[dim - m :, dim - m :] = 2 * np.eye(m, dtype=np.int64)
+    q, q_inv = random_invertible(p, dim, rng_for(dim, 0))
+    d = mat_mul(mat_mul(q, block, p), q_inv, p)
+    rep = unvalidated(cyclic_group(p), p, (np.eye(dim, dtype=np.int64) - d) % p)
+    products = []
+    real = frobcat.nilmod.mat_mul
+    monkeypatch.setattr(frobcat.nilmod, "mat_mul", lambda *a: products.append(1) or real(*a))
+    with pytest.raises(ValueError, match="^generator does not have order dividing p; group is not Z/p$"):
+        decompose_cyclic(rep)
+    assert len(products) == max(parts) >= 2
+    with pytest.raises(ValueError, match=f"^sylow witness 'a' does not have order dividing {p}$"):
+        witness_type(rep)
+    ranks = frobcat.nilmod._rank_sequence_arr(d, p, p)
+    assert ranks == iterated_image_ranks(d, p, p)
+    assert ranks[max(parts)] == ranks[-1] == m
 
 
 def test_builders():
