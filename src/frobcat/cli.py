@@ -145,6 +145,13 @@ def _price_table(p: int, what: str) -> None:
     check_budget(24 * p**3 + 400 * p**2, what)
 
 
+def _price_frob(p: int, dim: int) -> None:
+    # 2(p - 1) component rows, their output lines and JSON text peaked under
+    # tracemalloc at 760-790 bytes per unit of p for J1 (p = 10007, 65521), plus
+    # 6.3 per unit of p for each Jordan part of X (100*J1), at most dim X parts
+    check_budget((p - 1) * (800 + 8 * dim), "frob report")
+
+
 def _price_series(terms: int, dim: int) -> None:
     # per term, the coefficient and its output line and JSON text peaked under
     # tracemalloc at 190-240 bytes plus about one per bit of the largest
@@ -185,7 +192,7 @@ def _cmd_green(args) -> tuple[dict, list[str], int]:
     for a in range(1, p + 1):
         for b in range(1, p + 1):
             green = list(green_product(p, a, b).parts)
-            image = list(fusion_tensor(a, b, p).mult)
+            image = list(_fuse_simples(p, a, b).mult)
             rows.append({"a": a, "b": b, "green": green, "image": image})
     report = {"schema": 1, "command": "green", "p": p, "table": rows}
     lines = ["schema\t1", "command\tgreen", f"p\t{p}"]
@@ -213,7 +220,10 @@ def _module_rep(args) -> tuple[GroupRep, int, str]:
 
 
 def _cmd_frob(args) -> tuple[dict, list[str], int]:
+    if args.p is not None:  # before the rep: the relation word of Z/p alone has p letters
+        _price_frob(args.p, 0)
     rep, p, label = _module_rep(args)
+    _price_frob(p, rep.dim)
     image = frobenius_components(rep)
     types = {}  # one witness type per distinct component rep (X and the zero rep)
     comps = []

@@ -11,7 +11,8 @@ reduction of t - a @ b + x, t a multiple of p at least the product bound,
 whose regime follows from that bound plus p. The remainder after a GEMM
 (`_remainder`) is Barrett's multiply-shift while bound * ceil(2^s / p) <
 2^63 and the array has at least 4096 entries, and `%` otherwise. `rref`
-splits rows recursively so that its work is a few such products; the
+computes one form, the reduced one, whose pivots give the rank (`rank_mod`);
+it splits rows recursively so that its work is a few such products; the
 recursion stacks its merged rows unsorted, and `rref` (past one leaf) and
 `Subspace.add` sort their result by pivot once. Blocks of at most 16 rows
 have three base cases: up to 196 entries, one pivot at a time on lists of
@@ -139,19 +140,19 @@ def _price_rows(rows: int, cols: int) -> None:
     check_budget(4 * rows * cols * 8, "row reduction")
 
 
-def rref(a, p: int, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row echelon form over F_p; returns (nonzero rows, pivot cols).
+def rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols).
 
-    reduced=True gives the canonical reduced form (unit pivots, zeros above
-    and below). reduced=False gives an echelon basis with unit pivots and
-    zeros below them only, which is all a rank or an image span needs.
+    The canonical form: unit pivots with zeros above and below them, rows in
+    increasing pivot order, so that rows[:, pivots] is the identity. A rank
+    is its number of pivots, a kernel basis is read off its free columns.
     """
     rows, cols = np.shape(a)
     _price_rows(rows, cols)
     arr = as_residues(a, p)
     if arr.size == 0:
         return np.zeros((0, cols), np.int64), ()
-    red, pivots = _eliminate(arr, p, reduced)
+    red, pivots = _eliminate(arr, p)
     if rows > _LEAF_ROWS:  # the recursion merged its blocks unsorted
         order = np.argsort(pivots)
         red, pivots = red[order], pivots[order]
@@ -169,36 +170,35 @@ _PANEL_COLS = 32
 _TINY_CELLS = 196
 
 
-def _eliminate(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Echelon rows and pivot array of the residue matrix a, which it may
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced rows and pivot array of the residue matrix a, which it may
     overwrite; the rows are in pivot order only within a leaf.
 
     Row-recursive: R1 = RREF(top half); the bottom half minus bottom[:, P1] @ R1
     vanishes on the pivot columns P1, so only its other columns are eliminated,
     recursively; R1 is then cleared on the new pivots with one more update,
-    and the rows are stacked, R1's first. Only the first update is needed for
-    an echelon form, so reduced=False skips the second along the bottom halves.
-    Both updates are fused multiply-subtracts (_mul_sub); the panels of
-    _eliminate_rows go through mat_mul.
+    and the rows are stacked, R1's first. Both updates are fused
+    multiply-subtracts (_mul_sub); the panels of _eliminate_rows go through
+    mat_mul.
     """
-    m, n = a.shape
+    m = a.shape[0]
     if m <= _LEAF_ROWS:
-        return _eliminate_rows(a, p, reduced)
+        return _eliminate_rows(a, p)
     h = m // 2
-    top, ptop = _eliminate(a[:h], p, True)
+    top, ptop = _eliminate(a[:h], p)
     if not ptop.size:
-        return _eliminate(a[h:], p, reduced)
-    return _extend(top, ptop, a[h:], p, reduced)
+        return _eliminate(a[h:], p)
+    return _extend(top, ptop, a[h:], p)
 
 
-def _extend(top, ptop, bottom, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Echelon rows and pivot array of the span of reduced rows `top` (pivots
+def _extend(top, ptop, bottom, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced rows and pivot array of the span of reduced rows `top` (pivots
     `ptop`, in any order; not written to) and residue rows `bottom`.
 
     bottom minus bottom[:, ptop] @ top vanishes on ptop, so only its rows'
-    other columns are eliminated; top is then cleared on the new pivots
-    (reduced=True only). The rows are returned unsorted, top's first: the
-    caller sorts its result by pivot once.
+    other columns are eliminated; top is then cleared on the new pivots. The
+    rows are returned unsorted, top's first: the caller sorts its result by
+    pivot once.
     """
     n = top.shape[1]
     free = np.ones(n, bool)
@@ -208,18 +208,17 @@ def _extend(top, ptop, bottom, p: int, reduced: bool) -> tuple[np.ndarray, np.nd
     low = low[low.any(axis=1)]
     if not low.size:
         return top, ptop
-    low, plow = _eliminate(low, p, reduced)
+    low, plow = _eliminate(low, p)
     plow = rest[plow]
     r1 = top.shape[0]
     out = np.zeros((r1 + low.shape[0], n), np.int64)
     out[:r1] = top
     out[r1:, rest] = low
-    if reduced:
-        out[:r1, rest] = _mul_sub(top[:, rest], top[:, plow], low, p)
+    out[:r1, rest] = _mul_sub(top[:, rest], top[:, plow], low, p)
     return out, np.concatenate([ptop, plow])
 
 
-def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+def _eliminate_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The base case of _eliminate: one pivot at a time over all of a's rows.
 
     Three ways, by size, with the same pivots and row operations:
@@ -235,9 +234,9 @@ def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, n
     """
     rows, cols = a.shape
     if rows * cols <= _TINY_CELLS:
-        return _pivot_lists(a, p, reduced)
+        return _pivot_lists(a, p)
     if cols <= 2 * _PANEL_COLS:
-        r, pivots = _pivot_loop(a, p, reduced, 0, cols)
+        r, pivots = _pivot_loop(a, p, 0, cols)
     else:
         pivots, r, c = [], 0, 0
         while r < rows:
@@ -246,7 +245,7 @@ def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, n
                 break
             k = panel.size
             aug = np.concatenate([a[:, panel], np.eye(rows, dtype=np.int64)], axis=1)
-            r, found = _pivot_loop(aug, p, reduced, r, k)
+            r, found = _pivot_loop(aug, p, r, k)
             pivots.extend(panel[found].tolist())
             a[:, panel] = aug[:, :k]
             c = int(panel[-1]) + 1
@@ -254,7 +253,7 @@ def _eliminate_rows(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, n
     return a[:r], np.array(pivots, dtype=np.intp)
 
 
-def _pivot_lists(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+def _pivot_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """_pivot_loop's pivots and row operations on a as lists of Python ints."""
     rows = a.tolist()
     m, n = a.shape
@@ -272,11 +271,9 @@ def _pivot_lists(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.n
             inv = pow(top[c], -1, p)
             top[c:] = [x * inv % p for x in top[c:]]
         tail = top[c + 1 :]
-        # rows to clear: all others, or in echelon form only those below
-        for i in range(0 if reduced else r + 1, m):
-            row = rows[i]
+        for row in rows:
             f = row[c]
-            if f and i != r:
+            if f and row is not top:
                 row[c] = 0
                 row[c + 1 :] = [(x - f * y) % p for x, y in zip(row[c + 1 :], tail)]
         pivots.append(c)
@@ -286,12 +283,12 @@ def _pivot_lists(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, np.n
     return np.array(rows[:r], dtype=np.int64).reshape(r, n), np.array(pivots, dtype=np.intp)
 
 
-def _pivot_loop(work: np.ndarray, p: int, reduced: bool, r: int, cols: int) -> tuple[int, list[int]]:
+def _pivot_loop(work: np.ndarray, p: int, r: int, cols: int) -> tuple[int, list[int]]:
     """Pivot columns [0, cols) of work in place from row r; returns the next row and the pivots.
 
     Each pivot costs one nonzero scan of its column (a dead column costs one
-    scan of the live block more) and one outer-product update, which an
-    echelon form skips when the scan found no row below to clear.
+    scan of the live block more) and one outer-product update, which clears
+    the column in every other row, above the pivot as well as below.
     """
     pivots = []
     c = 0
@@ -311,14 +308,10 @@ def _pivot_loop(work: np.ndarray, p: int, reduced: bool, r: int, cols: int) -> t
         if inv != 1:
             tail[r] *= inv
             tail[r] %= p
-        # rows to clear: all others, or in echelon form only those below
-        if reduced or found.size > 1:
-            hit = tail if reduced else tail[r + 1 :]
-            col = hit[:, :1].copy()
-            if reduced:
-                col[r] = 0
-            hit -= col * tail[r]
-            hit %= p
+        col = tail[:, :1].copy()
+        col[r] = 0
+        tail -= col * tail[r]
+        tail %= p
         pivots.append(c)
         r += 1
         c += 1
@@ -326,7 +319,7 @@ def _pivot_loop(work: np.ndarray, p: int, reduced: bool, r: int, cols: int) -> t
 
 
 def rank_mod(a, p: int) -> int:
-    return len(rref(a, p, reduced=False)[1])
+    return len(rref(a, p)[1])
 
 
 def rank_stack(a, p: int) -> np.ndarray:
@@ -532,15 +525,16 @@ def _split_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:
-    """a^k mod p by repeated squaring; a^1 costs no product."""
+    """a^k mod p by repeated squaring, for k >= 0; a^1 costs no product."""
+    if k < 0:
+        raise ValueError(f"mat_pow needs an exponent k >= 0, got {k}")
     n = a.shape[0]
     result = None
     base = as_residues(a, p)
     while k:
         if k & 1:
             result = base if result is None else mat_mul(result, base, p)
-        base_sq = mat_mul(base, base, p) if k > 1 else base
-        base = base_sq
+        base = mat_mul(base, base, p) if k > 1 else base
         k >>= 1
     return np.eye(n, dtype=np.int64) if result is None else result
 
@@ -658,7 +652,7 @@ class Subspace:
         _price_rows(*shape)
         rows = as_residues(rows, self.p).reshape(shape)
         ptop = np.array(self.pivots, dtype=np.intp)
-        basis, piv = _extend(self.basis, ptop, rows, self.p, True)
+        basis, piv = _extend(self.basis, ptop, rows, self.p)
         if basis is self.basis:
             return self
         order = np.argsort(piv)

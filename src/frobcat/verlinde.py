@@ -95,14 +95,8 @@ def _fuse_simples(p: int, r: int, s: int) -> FusionElement:
     return _class_of(p, green_product(p, r, s))
 
 
-def fusion_tensor(a, b, p: int | None = None) -> FusionElement:
-    """Product in the fusion ring; accepts simple indices or elements."""
-    if isinstance(a, int) and isinstance(b, int):
-        if p is None:
-            raise ValueError("p required when multiplying by index")
-        return _fuse_simples(p, a, b)
-    if not isinstance(a, FusionElement) or not isinstance(b, FusionElement):
-        raise ValueError("arguments must both be indices or both FusionElements")
+def fusion_tensor(a: FusionElement, b: FusionElement) -> FusionElement:
+    """Product of two elements of the fusion ring."""
     if a.p != b.p:
         raise ValueError("mixed moduli")
     out = zero(a.p)

@@ -94,7 +94,7 @@ def iterated_image_ranks(d, n: int, p: int) -> tuple[int, ...]:
     rows = None
     for k in range(1, n + 1):
         src = d.T if k == 1 else mat_mul(rows, d.T, p)
-        rows, piv = rref(src, p, reduced=False)
+        rows, piv = rref(src, p)
         if not piv or len(piv) == ranks[-1]:
             # Im D^k = 0 or Im D^{k-1}: every later power has the same rank
             ranks.extend([len(piv)] * (n - k + 1))

@@ -98,7 +98,7 @@ def test_criterion_01_fusion_table_and_fpdims():
                 assert np.array_equal(a @ b, b @ a)
         for r in range(1, p):
             for s in range(1, p):
-                got = fusion_tensor(r, s, p=p).mult
+                got = fusion_tensor(simple(p, r), simple(p, s)).mult
                 for t in range(1, p):
                     acc = 0.0
                     for j in range(1, p):

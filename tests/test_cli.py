@@ -82,6 +82,13 @@ HOSTILE_INPUTS = {
         2, "--dim-cap must be nonnegative", 1.0,
     ),
     "frob-at-p-65521":(["frob", "--p", "65521", "--module", "J2"], 0, None, 10.0),
+    # 2(p - 1) components: priced before the rep of Z/p is built
+    "frob-at-p-1000003": (
+        ["frob", "--p", "1000003", "--module", "J1"], 2, "frob report needs", 1.0
+    ),
+    "frob-at-p-2147483647": (
+        ["frob", "--p", str(2**31 - 1), "--module", "J1"], 2, "frob report needs", 1.0
+    ),
     "semisimplify-at-p-1000003": (
         ["semisimplify", "--p", "1000003", "--module", "J2"], 0, None, 3.0
     ),

@@ -33,7 +33,7 @@ from frobcat.linalg import (
     rank_stack,
     rref,
 )
-from frobcat.nilmod import random_nil_module
+from frobcat.nilmod import jordan_matrix, random_nil_module
 from frobcat.seeding import rng_for
 from oracles import mat_mul_naive, rref_naive, solve_right
 
@@ -80,10 +80,6 @@ def test_rref_blocked_matches_reference(data, p):
     want_r, want_p = rref_naive(a, p)
     assert got_p == want_p
     assert np.array_equal(got_r, want_r)
-    # the echelon-only variant finds the same pivots and row space
-    ech, piv = rref(a, p, reduced=False)
-    assert piv == want_p
-    assert np.array_equal(rref(ech, p)[0], want_r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -309,6 +305,13 @@ def test_mat_pow():
     assert mat_pow(a, 0, 7).tolist() == [[1, 0], [0, 1]]
 
 
+def test_mat_pow_refuses_a_negative_exponent():
+    # -1 >> 1 is -1: squaring down a negative exponent would never stop
+    for k in (-1, -2, -(2**40)):
+        with pytest.raises(ValueError, match="k >= 0"):
+            mat_pow(np.eye(2, dtype=np.int64), k, 7)
+
+
 def test_kron_arrays():
     a = np.array([[1, 2]])
     b = np.array([[3], [4]])
@@ -463,17 +466,8 @@ def blocked_cases(p):
     return [(a, *rref_naive(a, p)) for a in cases]
 
 
-def leading_columns(rows):
-    return [int(np.flatnonzero(row)[0]) for row in rows]
-
-
-def is_echelon(rows, pivots):
-    units = all(rows[i, c] == 1 for i, c in enumerate(pivots))
-    return leading_columns(rows) == list(pivots) and units
-
-
 def is_rref(rows):
-    pivots = leading_columns(rows)
+    pivots = [int(np.flatnonzero(row)[0]) for row in rows]
     return pivots == sorted(set(pivots)) and np.array_equal(rows[:, pivots], np.eye(len(pivots)))
 
 
@@ -483,9 +477,6 @@ def test_rref_and_rank_match_oracle_at_blocked_sizes(p):
         got_r, got_p = rref(a, p)
         assert got_p == want_p
         assert np.array_equal(got_r, want_r)
-        ech, piv = rref(a, p, reduced=False)
-        assert piv == want_p and is_echelon(ech, piv)
-        assert np.array_equal(rref_naive(ech, p)[0], want_r)
         assert rank_mod(a, p) == len(want_p)
 
 
@@ -501,7 +492,7 @@ def reversed_echelon(rng, p, rows, cols, rank):
 @pytest.mark.parametrize("p", DIFF_MODULI)
 def test_rref_sorts_its_merged_rows_into_pivot_order(p):
     # past 16 rows the recursion merges its blocks unsorted and rref sorts
-    # the result once; in both modes the pivots come out strictly increasing
+    # the result once: the pivots come out strictly increasing
     rng = rng_for(p, 6)
     for rows in (17, 31, 64, 150, 300):
         cases = [
@@ -510,9 +501,8 @@ def test_rref_sorts_its_merged_rows_into_pivot_order(p):
             reversed_echelon(rng, p, rows, 80, min(rows, 80) - 3),
         ]
         for a in cases:
-            for reduced in (True, False):
-                piv = rref(a, p, reduced)[1]
-                assert all(x < y for x, y in zip(piv, piv[1:]))
+            piv = rref(a, p)[1]
+            assert all(x < y for x, y in zip(piv, piv[1:]))
             check_rref_against_oracle(a, p)
 
 
@@ -532,10 +522,6 @@ def check_rref_against_oracle(a, p):
     want_r, want_p = rref_naive(a, p)
     got_r, got_p = rref(a, p)
     assert got_p == want_p and np.array_equal(got_r, want_r)
-    ech, piv = rref(a, p, reduced=False)
-    assert piv == want_p and is_echelon(ech, piv)
-    assert all(not ech[i + 1 :, c].any() for i, c in enumerate(piv))
-    assert np.array_equal(rref_naive(ech, p)[0], want_r)
 
 
 @pytest.mark.parametrize("p", DIFF_MODULI)
@@ -597,6 +583,20 @@ def test_tiny_rref_matches_oracle(p, monkeypatch):
         for a in cases:
             check_rref_against_oracle(a, p)
     assert {"_pivot_lists", "_pivot_loop"} <= set(paths)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_rank_mod_of_a_conjugated_jordan_matrix_at_900(p):
+    # the size of the rank900 yardstick: D = q J q^-1 has the rank of J,
+    # 900 minus its 103 parts; q = a (x) b, so its inverse is the Kronecker
+    # product of two 30 x 30 inverses
+    parts = (450, 200, 50) + (3,) * 50 + (1,) * 50
+    rng = rng_for(p, 9)
+    (a, a_inv), (b, b_inv) = random_invertible(p, 30, rng), random_invertible(p, 30, rng)
+    q, q_inv = kron_arrays(a, b) % p, kron_arrays(a_inv, b_inv) % p
+    d = mat_mul(mat_mul(q, jordan_matrix(parts), p), q_inv, p)
+    assert d.shape == (900, 900) and np.count_nonzero(d) > 900**2 // 3
+    assert rank_mod(d, p) == 900 - len(parts) == 797
 
 
 @pytest.mark.parametrize("p", DIFF_MODULI)

@@ -314,9 +314,9 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
     m = nil_module(d, p, n)
     widths = []
 
-    def counted(a, p, reduced=True):
+    def counted(a, p):
         widths.append(np.shape(a)[1])
-        return rref(a, p, reduced)
+        return rref(a, p)
 
     monkeypatch.setattr(frobcat.linalg, "rref", counted)
     for k in range(1, n + 1):
@@ -326,12 +326,12 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
     # Subspace.add eliminates its remainder block directly, not through rref
     eliminate, depth = frobcat.linalg._eliminate, []
 
-    def counted_block(a, p, reduced):
+    def counted_block(a, p):
         if not depth:  # a block, not one of the halves it recurses into
             widths.append(a.shape[1])
         depth.append(a)
         try:
-            return eliminate(a, p, reduced)
+            return eliminate(a, p)
         finally:
             depth.pop()
 
