@@ -8,17 +8,22 @@ below 2^53, each then reduced in int64, and past that four float64 GEMMs of
 16-bit halves, recombined in int64 (`_split_mul`). Every elimination update
 x - a @ b is one fused multiply-subtract (`_mul_sub`): one GEMM and one
 reduction of t - a @ b + x, t a multiple of p at least the product bound,
-whose regime follows from that bound plus p. The remainder after a GEMM
-(`_remainder`) is Barrett's multiply-shift while bound * ceil(2^s / p) <
-2^63 and the array has at least 4096 entries, and `%` otherwise. `rref`
-computes one form, the reduced one, whose pivots give the rank (`rank_mod`);
-it splits rows recursively so that its work is a few such products; the
-recursion stacks its merged rows unsorted, and `rref` (past one leaf) and
-`Subspace.add` sort their result by pivot once. Blocks of at most 16 rows
-have three base cases: up to 196 entries, one pivot at a time on lists of
-Python ints; up to 64 columns, one pivot at a time on the array; past that,
-a panel of 32 live columns at a time, whose row transform one product
-applies to the rest. Entrywise residue products are int64, so `as_residues`,
+whose regime follows from that bound plus p. Every array remainder goes
+through `_remainder`: c - (c // p) * p, which numpy runs through libdivide,
+from 512 entries, and one `%` below. `rref` computes one form, the reduced
+one, whose pivots give the rank (`rank_mod`); it splits rows recursively so
+that its work is a few such products; the recursion stacks its merged rows
+unsorted, and `rref` (past one leaf) and `Subspace.add` sort their result by
+pivot once. Blocks of at most 16 rows have three base cases: up to 196
+entries, one pivot at a time on lists of Python ints; up to 64 columns, one
+pivot at a time on the array; past that, a panel of 32 live columns at a
+time, whose row transform one product applies to the rest. The array loop
+(`_pivot_loop`) delays its reduction: an update lowers an entry by at most
+(p-1)^2, so a block of residues takes (2^63 - p) // (p-1)^2 updates exactly
+in int64, and it is reduced after that many (after each one only past p =
+2^31), at a dead column and at the end. An elimination is priced
+once, on entry, at its traced peak; its own products are not priced again.
+Entrywise residue products are int64, so `as_residues`,
 which every kernel reduces its input with (input already in range is only
 copied), and `mat_mul` refuse p with (p-1)^2 >= 2^63, as `check_modulus`
 does at the CLI and owner boundary; no kernel forms products in Python-int
@@ -108,8 +113,8 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-# Below this many entries one int64 `%` costs less than the numpy calls that
-# would avoid it: the range scans of as_residues, the steps of _remainder.
+# Below this many entries one remainder costs less than the two range scans
+# by which as_residues would skip it.
 _SMALL_CELLS = 2**12
 
 
@@ -120,7 +125,7 @@ def as_residues(a, p: int) -> np.ndarray:
     _check_int64_products(p)
     arr = np.array(a, dtype=np.int64)
     if arr.size < _SMALL_CELLS or arr.min() < 0 or arr.max() >= p:
-        arr %= p
+        _remainder(arr, p)
     return arr
 
 
@@ -133,11 +138,18 @@ def frozen_matrix(a, p: int) -> np.ndarray:
     return arr
 
 
-def _price_rows(rows: int, cols: int) -> None:
-    """Price a row reduction of a rows x cols block: the residue copy, the
-    operands of the largest products and the merged result, measured at
-    under four words per entry."""
-    check_budget(4 * rows * cols * 8, "row reduction")
+def _price_rows(rows: int, cols: int, p: int) -> None:
+    """Price a row reduction of a rows x cols block at its traced peak: the
+    residue copy, the operands of the largest products and the merged
+    result. Over `rref` of shapes from 64^2 to 1024 x 2048 and 40 x 4000,
+    and `Subspace.add` of 1 to 900 rows to bases of 10 to 900, that peak
+    was at most 5.0 words per entry while every product runs in one float
+    GEMM, and 6.0 once one may split (_split_mul's halves and their partial
+    products); priced at 5.5 and 6.5 words. The recursion's own products
+    are then not priced again.
+    """
+    split = (p - 1) * (p - 1) * min(rows, cols) + p >= _FLOAT64_EXACT
+    check_budget((52 if split else 44) * rows * cols, "row reduction")
 
 
 def rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -148,7 +160,7 @@ def rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     is its number of pivots, a kernel basis is read off its free columns.
     """
     rows, cols = np.shape(a)
-    _price_rows(rows, cols)
+    _price_rows(rows, cols, p)
     arr = as_residues(a, p)
     if arr.size == 0:
         return np.zeros((0, cols), np.int64), ()
@@ -178,8 +190,8 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     vanishes on the pivot columns P1, so only its other columns are eliminated,
     recursively; R1 is then cleared on the new pivots with one more update,
     and the rows are stacked, R1's first. Both updates are fused
-    multiply-subtracts (_mul_sub); the panels of _eliminate_rows go through
-    mat_mul.
+    multiply-subtracts (_mul_sub); the panels of _eliminate_rows are plain
+    products (_product), none priced again after rref's entry price.
     """
     m = a.shape[0]
     if m <= _LEAF_ROWS:
@@ -249,7 +261,7 @@ def _eliminate_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             pivots.extend(panel[found].tolist())
             a[:, panel] = aug[:, :k]
             c = int(panel[-1]) + 1
-            a[:, c:] = mat_mul(aug[:, k:], a[:, c:], p)
+            a[:, c:] = _product(aug[:, k:], a[:, c:], p, None)
     return a[:r], np.array(pivots, dtype=np.intp)
 
 
@@ -286,35 +298,60 @@ def _pivot_lists(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def _pivot_loop(work: np.ndarray, p: int, r: int, cols: int) -> tuple[int, list[int]]:
     """Pivot columns [0, cols) of work in place from row r; returns the next row and the pivots.
 
-    Each pivot costs one nonzero scan of its column (a dead column costs one
-    scan of the live block more) and one outer-product update, which clears
-    the column in every other row, above the pivot as well as below.
+    Delayed reduction, as FFLAS-FFPACK reduces its blocks: each pivot reduces
+    only its column, whose copy gives the multipliers, and its row; the
+    outer-product update, which clears the column in every other row, above
+    the pivot as well as below, is left unreduced. It lowers an entry by at
+    most (p-1)^2, so after u updates from residues an entry lies in
+    [-u (p-1)^2, p), and the remainder forms (c // p) * p in [c - p + 1, c]:
+    both stay in int64 while u (p-1)^2 + p <= 2^63. The block is reduced
+    after that many updates (8 at 2^30 - 35, 2 at 2^31 - 1, 1 at
+    3037000493, more than a leaf's 16 below about 2^29.5), at a dead column,
+    whose scan for the next live one needs residues, and once when the loop
+    ends. The pivots and row swaps are those of a reduction after every
+    pivot, and so is the array it leaves.
     """
+    span = (2**63 - p) // ((p - 1) * (p - 1))
     pivots = []
-    c = 0
+    c = pending = 0  # pending: updates since the columns from c on were last reduced
     while r < len(work) and c < cols:
-        found = work[r:, c].nonzero()[0]
-        if not found.size:
-            live = work[r:, c:cols].any(axis=0)
-            if not live.any():
-                break
-            c += int(live.argmax())
-            found = work[r:, c].nonzero()[0]
-        tail = work[:, c:]
-        k = r + int(found[0])
-        if k != r:
-            work[[r, k]] = work[[k, r]]
-        inv = pow(int(tail[r, 0]), -1, p)
+        col = _remainder(work[:, c : c + 1].copy(), p)
+        if not col[r, 0]:  # the pivot lies below row r, or column c is dead
+            found = col[r:, 0].nonzero()[0]
+            if not found.size:
+                _remainder(work[:, c:], p)
+                pending = 0
+                live = work[r:, c:cols].any(axis=0)
+                if not live.any():
+                    break
+                c += int(live.argmax())
+                col = work[:, c : c + 1].copy()
+                found = col[r:, 0].nonzero()[0]
+            k = r + int(found[0])
+            if k != r:
+                swap = work[k].copy()
+                work[k] = work[r]
+                work[r] = swap
+                col[r, 0], col[k, 0] = col[k, 0], col[r, 0]
+        row = work[r, c:]
+        inv = pow(int(col[r, 0]), -1, p)
         if inv != 1:
-            tail[r] *= inv
-            tail[r] %= p
-        col = tail[:, :1].copy()
+            if pending > span // (p - 1):  # row * inv could leave int64
+                _remainder(row, p)
+            row *= inv
+        if pending or inv != 1:
+            _remainder(row, p)
         col[r] = 0
-        tail -= col * tail[r]
-        tail %= p
+        work[:, c:] -= col * row
         pivots.append(c)
         r += 1
         c += 1
+        pending += 1
+        if pending == span:
+            _remainder(work[:, c:], p)
+            pending = 0
+    if pivots:
+        _remainder(work, p)
     return r, pivots
 
 
@@ -352,7 +389,7 @@ def rank_stack(a, p: int) -> np.ndarray:
         rest = a[:, :, c + 1 :]
         rest *= pivot[:, None, None]
         rest -= col[:, :, None] * top[:, None, :]
-        rest %= p
+        _remainder(rest, p)
     return ranks
 
 
@@ -383,7 +420,7 @@ def _kernel_rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     basis[np.arange(k), free] = 1
     if rpiv:
         # row i belongs to reversed free column rfree[k-1-i]
-        basis[:, cols - 1 - np.array(rpiv)] = ((-red[:, rfree].T) % p)[::-1]
+        basis[:, cols - 1 - np.array(rpiv)] = _remainder(-red[:, rfree].T, p)[::-1]
     return basis, tuple(free.tolist())
 
 
@@ -408,6 +445,9 @@ def mat_mul(a, b, p: int) -> np.ndarray:
     check_modulus accepts. The float copies and the product are priced
     before they are made.
     """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    check_budget(_product_bytes(a, b, p, None), "matrix product")
     return _product(a, b, p, None)
 
 
@@ -419,75 +459,88 @@ def _mul_sub(x: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     in int64, so one remainder of t - g + x, which lies in [0, t + p), gives
     the answer. The float must hold t, which is below (p-1)^2 * k + p: the
     regime follows from that bound, p above mat_mul's, and past 2^53 the
-    split product is subtracted as residues. Priced as mat_mul is. With an
-    empty product x itself is returned.
+    split product is subtracted as residues. With an empty product x itself
+    is returned. Not priced here: an elimination prices its peak on entry
+    (_price_rows), and Subspace.reduce prices its update.
     """
     return _product(a, b, p, x)
 
 
+def _float_bound(inner: int, p: int, x: np.ndarray | None) -> int:
+    """The bound on the floats of _product: (p-1)^2 * k, and p more for the
+    fused update, whose floats hold t < (p-1)^2 * k + p."""
+    return (p - 1) * (p - 1) * inner + (0 if x is None else p)
+
+
+def _product_bytes(a: np.ndarray, b: np.ndarray, p: int, x: np.ndarray | None) -> int:
+    """What _product(a, b, p, x) allocates: the float operands and product
+    and the int64 result, or past 2^53 the four halves, a GEMM result, its
+    int64 copy and two int64 sums."""
+    inner = a.shape[-1]
+    cells = a.size // inner * (b.size // inner) if inner else 0
+    bound = _float_bound(inner, p, x)
+    if bound >= _FLOAT64_EXACT:
+        return 8 * (2 * (a.size + b.size) + 4 * cells)
+    width = 4 if bound < _FLOAT32_EXACT else 8
+    return width * (a.size + b.size + cells) + 8 * cells
+
+
 def _product(a, b, p: int, x: np.ndarray | None) -> np.ndarray:
-    """a @ b mod p (x None), or x - a @ b mod p: mat_mul and _mul_sub."""
+    """a @ b mod p (x None), or x - a @ b mod p: mat_mul and _mul_sub, unpriced."""
     _check_int64_products(p)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     inner = a.shape[-1]
     if inner == 0 or a.size == 0 or b.size == 0:
         return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64) if x is None else x
-    bound = (p - 1) * (p - 1) * inner
-    top = -(-bound // p) * p  # t of _mul_sub
-    if x is not None:
-        bound += p  # the fused update's floats hold t < (p-1)^2 * k + p
-    cells = a.size // inner * (b.size // inner)
+    bound = _float_bound(inner, p, x)
     if bound >= _FLOAT64_EXACT:
-        # the four halves, a GEMM result, its int64 copy and two int64 sums
-        check_budget(8 * (2 * (a.size + b.size) + 4 * cells), "matrix product")
         c = _split_mul(a, b, p)
         if x is None:
             return c
         np.subtract(x, c, out=c)
         c += p & (c >> 63)  # p where the difference is negative
         return c
-    dtype, width = (np.float32, 4) if bound < _FLOAT32_EXACT else (np.float64, 8)
-    # the float operands and product, and the int64 result
-    check_budget(width * (a.size + b.size + cells) + 8 * cells, "matrix product")
+    dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64
     c = a.astype(dtype) @ b.astype(dtype)
     if x is None:
-        return _remainder(c.astype(np.int64), p, bound)
+        return _remainder(c.astype(np.int64), p)
+    top = -(-(bound - p) // p) * p  # t of _mul_sub
     np.subtract(top, c, out=c)
     c = c.astype(np.int64)
     c += x
-    return _remainder(c, p, top + p - 1)
+    return _remainder(c, p)
 
 
-# Barrett's reduction works in slices of this many entries, so that its
-# quotient buffer stays in cache.
-_BARRETT_SLICE = 2**15
+# Below this many entries one `%` call costs less than the three calls of the
+# floor-division remainder: the two crossed between 256 and 1024 entries.
+_DIVIDE_CELLS = 2**9
+# The floor-division remainder works in slices of about this many entries,
+# so that its quotient buffer stays in cache.
+_REMAINDER_SLICE = 2**15
 
 
-def _remainder(c: np.ndarray, p: int, bound: int) -> np.ndarray:
-    """c mod p in place, for a C-contiguous int64 array c with entries in [0, bound].
+def _remainder(c: np.ndarray, p: int) -> np.ndarray:
+    """c mod p in place, for an int64 array c of any entries and strides.
 
-    Barrett's multiply-shift: with s = bits(bound) + bits(p) and m the
-    ceiling of 2^s / p, (x * m) >> s is x // p for every x in [0, bound],
-    since x * (m * p - 2^s) <= bound * (p - 1) < 2^s. That takes a multiply,
-    a shift, a multiply and a subtraction, where `%` takes an int64 division
-    per entry, and it is used while bound * m < 2^63 and c has at least
-    _SMALL_CELLS entries; otherwise `%`.
+    Computed as c - (c // p) * p: numpy divides int64 by a scalar through
+    libdivide's multiply-shift for `//` but divides each entry for `%`, so
+    from _DIVIDE_CELLS entries the three calls cost less than one `%`. At
+    900^2 they took 1.6 ms against 3.0 ms, as long as the Barrett
+    multiply-shift they replace where its bound let it run (p = 7) and half
+    as long where it fell back to `%` (65521, 2^31 - 1). The product wraps
+    in int64 only where c is within p of -2^63, and the difference, in
+    [0, p), then wraps back. Below _DIVIDE_CELLS entries, one `%`.
     """
-    shift = bound.bit_length() + p.bit_length()
-    m = -(-(1 << shift) // p)
-    if c.size < _SMALL_CELLS or bound * m >= 2**63:
-        c %= p
+    if c.size < _DIVIDE_CELLS:
+        np.remainder(c, p, out=c)
         return c
-    flat = c.reshape(-1)
-    q = np.empty(min(flat.size, _BARRETT_SLICE), np.int64)
-    for start in range(0, flat.size, _BARRETT_SLICE):
-        x = flat[start : start + _BARRETT_SLICE]
-        t = q[: x.size]
-        np.multiply(x, m, out=t)
-        t >>= shift
-        t *= p
-        x -= t
+    step = max(1, _REMAINDER_SLICE * len(c) // c.size)
+    for start in range(0, len(c), step):
+        x = c[start : start + step]
+        q = x // p
+        q *= p
+        x -= q
     return c
 
 
@@ -509,18 +562,17 @@ def _split_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for start in range(0, a.shape[-1], _SPLIT_SLICE):
         cut = slice(start, start + _SPLIT_SLICE)
         x1, x0, y1, y0 = a1[..., cut], a0[..., cut], b1[cut], b0[cut]
-        c = (x1 @ y1).astype(np.int64)
-        c %= p
+        c = _remainder((x1 @ y1).astype(np.int64), p)
         c <<= _HALF_BITS
         c += (x1 @ y0).astype(np.int64)
         c += (x0 @ y1).astype(np.int64)
-        c %= p
+        _remainder(c, p)
         c <<= _HALF_BITS
         c += (x0 @ y0).astype(np.int64)
-        c %= p
+        _remainder(c, p)
         total = c if total is None else total + c
     if a.shape[-1] > _SPLIT_SLICE:
-        total %= p
+        _remainder(total, p)
     return total
 
 
@@ -625,6 +677,7 @@ class Subspace:
         if self.dim == 0:
             return v
         coeff = v[..., list(self.pivots)]
+        check_budget(_product_bytes(coeff, self.basis, self.p, v), "matrix product")
         return _mul_sub(v, coeff, self.basis, self.p)
 
     def contains_vectors(self, vecs) -> bool:
@@ -640,8 +693,9 @@ class Subspace:
 
         The rows are reduced modulo this basis with one fused update; only
         the remainder, on this basis's free columns, is eliminated, and the
-        merged rows are sorted by pivot once. The rows are priced from their
-        shape before their residue copy is made.
+        merged rows are sorted by pivot once. The merged rows are priced
+        from the shapes, as an elimination of that size, before the residue
+        copy is made.
         """
         rows = other.basis if isinstance(other, Subspace) else other
         shape = np.shape(rows)
@@ -649,7 +703,7 @@ class Subspace:
             shape = (1,) + shape
         if shape[1] != self.ambient:
             raise ValueError(f"rows of width {shape[1]} in a subspace of F_p^{self.ambient}")
-        _price_rows(*shape)
+        _price_rows(self.dim + shape[0], shape[1], self.p)
         rows = as_residues(rows, self.p).reshape(shape)
         ptop = np.array(self.pivots, dtype=np.intp)
         basis, piv = _extend(self.basis, ptop, rows, self.p)

@@ -2,7 +2,8 @@
 the few routines that only tests call.
 
 Each reference computes honestly what production code computes in closed
-form or by a faster route: elimination one pivot at a time, the rank
+form or by a faster route: elimination one pivot at a time (in Python ints,
+and as the array loop that reduced its block after every pivot), the rank
 sequence of an operator by iterated full-width images, the shift functors
 as subquotients of the dense p-th tensor power, the maps of the
 six-periodic sequence induced on those subquotients, the shift functor's
@@ -78,6 +79,77 @@ def rref_naive(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(col)
         row += 1
     return r[:row].astype(np.int64), tuple(pivots)
+
+
+def pivot_loop_per_pivot(work: np.ndarray, p: int, r: int, cols: int) -> tuple[int, list[int]]:
+    """The elimination leaf as it was before its reduction was delayed:
+    `linalg._pivot_loop` with the block reduced after every pivot. Pivot
+    columns [0, cols) of work in place from row r; returns the next row and
+    the pivots."""
+    pivots = []
+    c = 0
+    while r < len(work) and c < cols:
+        found = work[r:, c].nonzero()[0]
+        if not found.size:
+            live = work[r:, c:cols].any(axis=0)
+            if not live.any():
+                break
+            c += int(live.argmax())
+            found = work[r:, c].nonzero()[0]
+        tail = work[:, c:]
+        k = r + int(found[0])
+        if k != r:
+            work[[r, k]] = work[[k, r]]
+        inv = pow(int(tail[r, 0]), -1, p)
+        if inv != 1:
+            tail[r] *= inv
+            tail[r] %= p
+        col = tail[:, :1].copy()
+        col[r] = 0
+        tail -= col * tail[r]
+        tail %= p
+        pivots.append(c)
+        r += 1
+        c += 1
+    return r, pivots
+
+
+def _exact_mat_mul_mod(a: np.ndarray, x: np.ndarray, p: int) -> list[list[int]]:
+    """a @ x mod p for residue arrays, as lists of Python ints, without float
+    products: in int64 while (p-1)^2 * k < 2^63, and otherwise with a split
+    into 16-bit halves, a = a1 * 2^16 + a0, whose int64 products stay below
+    2^16 * p * k < 2^63, recombined in Python ints."""
+    k = a.shape[1]
+    if (p - 1) ** 2 * k < 2**63:
+        return (a @ x % p).tolist()
+    assert (1 << 16) * p * k < 2**63
+    hi, lo = (a >> 16) @ x, (a & 0xFFFF) @ x
+    return [
+        [((h << 16) + l) % p for h, l in zip(hrow, lrow)]
+        for hrow, lrow in zip(hi.tolist(), lo.tolist())
+    ]
+
+
+def rref_certificate(a, p: int, rng) -> None:
+    """Certify the reduced `rref` of [a | I] = [R | T] without a second
+    elimination: [R | T] is in RREF with one pivot per row of a, and T a = R,
+    checked as T (a x) = R x for random x, exactly, over enough x that a
+    wrong T a passes with probability at most 2^-40 (40 vectors at p = 2).
+    Raises AssertionError."""
+    a = np.asarray(a, dtype=np.int64)
+    n, m = a.shape
+    red, pivots = rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+    assert red.shape == (n, m + n) and len(pivots) == n, "not one pivot per row"
+    assert red.min() >= 0 and red.max() < p, "entries outside [0, p)"
+    assert list(pivots) == sorted(set(pivots)), "pivots not increasing"
+    assert np.array_equal(red[:, list(pivots)], np.eye(n, dtype=np.int64)), "pivot columns not unit"
+    lead = (red != 0).argmax(axis=1)
+    assert lead.tolist() == list(pivots), "nonzero entry left of a pivot"
+    trials = -(-40 // (p.bit_length() - 1))
+    x = rng.integers(0, p, size=(m, trials))
+    ax = np.array(_exact_mat_mul_mod(a, x, p), dtype=np.int64)
+    t_ax = _exact_mat_mul_mod(red[:, m:], ax, p)
+    assert t_ax == _exact_mat_mul_mod(red[:, :m], x, p), "T a != R"
 
 
 def mat_mul_naive(a, b, p: int) -> np.ndarray:

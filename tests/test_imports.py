@@ -19,6 +19,12 @@ Every elimination update is one fused multiply-subtract: no `_sub(` call
 and no `-` in the package takes a `mat_mul(` product, since `_mul_sub` forms
 x - a @ b with one product and one reduction.
 
+Every array remainder in `linalg` goes through `_remainder`, which picks
+how to divide: no `%=` and no call of `np.remainder`, `np.mod` or `np.fmod`
+appears in `linalg.py` outside that helper. A binary `%` of Python ints (a
+modular inverse, the list-based leaf) is not an array remainder and is not
+flagged.
+
 Array contents never become bytes: no `.tobytes(` and no `np.frombuffer(`
 appears in the package, so no cache can be keyed on an array's contents
 again (each lookup hashed two matrices and rarely hit).
@@ -228,6 +234,49 @@ def fine(v, coeff, basis, p):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_multiply_subtract_is_fused(path):
     assert unfused_updates(path.read_text(encoding="utf-8")) == []
+
+
+def bare_remainders(source: str) -> list[str]:
+    """`%=` statements and `remainder`, `mod` or `fmod` calls outside `_remainder`."""
+    tree = ast.parse(source)
+    helper = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_remainder"
+        for node in ast.walk(fn)
+    }
+    found = {
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in helper
+        and (
+            (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod))
+            or _callee(node) in ("remainder", "mod", "fmod")
+        )
+    }
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detector_flags_a_bare_remainder():
+    src = """
+def _remainder(c, p):
+    np.remainder(c, p, out=c)
+    c %= p
+    return c
+
+def rank_stack(rest, p):
+    rest %= p
+    return np.mod(rest, p), numpy.fmod(rest, p)
+
+def fine(rows, top, inv, p):
+    top[:] = [x * inv % p for x in top]
+    return _remainder(rows, p), pow(inv, -1, p) % p
+"""
+    assert bare_remainders(src) == ["line 8", "line 9"]
+
+
+def test_every_array_remainder_goes_through_the_helper():
+    assert bare_remainders((PACKAGE / "linalg.py").read_text(encoding="utf-8")) == []
 
 
 def array_bytes(source: str) -> list[str]:

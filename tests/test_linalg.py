@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import frobcat.linalg
 from frobcat.linalg import (
-    _BARRETT_SLICE,
+    _DIVIDE_CELLS,
+    _REMAINDER_SLICE,
     _SMALL_CELLS,
     DEFAULT_BUDGET_MB,
     BudgetError,
@@ -35,7 +36,7 @@ from frobcat.linalg import (
 )
 from frobcat.nilmod import jordan_matrix, random_nil_module
 from frobcat.seeding import rng_for
-from oracles import mat_mul_naive, rref_naive, solve_right
+from oracles import mat_mul_naive, pivot_loop_per_pivot, rref_certificate, rref_naive, solve_right
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 13])
 
@@ -246,17 +247,21 @@ def test_mul_sub_of_an_empty_product_is_x():
 
 
 def remainder_cases(p, bound):
-    """Entries of [0, bound] that test a quotient: the ends, residue p - 1
-    just below the bound, and random entries."""
+    """Entries of [-bound, bound] that test a quotient: the ends, residue
+    p - 1 just below the bound, random entries of either sign, and the ends
+    of int64, where the quotient's product wraps."""
     top = bound - (bound + 1) % p  # the largest entry at most bound of residue p - 1
     edges = [0, 1, p - 1, bound, bound - 1, top, max(top - p, 0)]
-    return edges + rng_for(p, bound % 1000).integers(0, bound + 1, size=200).tolist()
+    edges += [-v for v in edges] + [-(2**63), -(2**63) + 1, 2**63 - 1]
+    return edges + rng_for(p, bound % 1000).integers(-bound, bound + 1, size=200).tolist()
 
 
-# (p, bound, barrett): Barrett's multiply-shift needs bound * m < 2^63, with m
-# the ceiling of 2^s / p and s = bits(bound) + bits(p); at these p that holds
-# up to bound 2^31 - 1 and fails from 2^31, where x * m would wrap for x near
-# the bound.
+# (p, bound, barrett): the bounds where Barrett's multiply-shift, the
+# remainder of large arrays before the floor-division form replaced it,
+# stopped being exact. It needed bound * m < 2^63, with m the ceiling of
+# 2^s / p and s = bits(bound) + bits(p); at these p that holds up to bound
+# 2^31 - 1 and fails from 2^31. The floor-division form has no such switch:
+# it is exact on both sides of each.
 REMAINDER_SWITCH = [
     (2, 2**31 - 1, True),
     (2, 2**31, False),
@@ -275,22 +280,27 @@ def test_remainder_is_exact_on_both_sides_of_each_switch(p, bound, barrett):
     shift = bound.bit_length() + p.bit_length()
     assert (bound * -(-(1 << shift) // p) < 2**63) == barrett
     values = remainder_cases(p, bound)
-    # fewer entries than _SMALL_CELLS take `%`; more take Barrett where the
-    # bound allows, in slices of _BARRETT_SLICE, the last one partial
-    for size in (len(values), _SMALL_CELLS - 1, _SMALL_CELLS, 2 * _BARRETT_SLICE + 5):
+    # fewer entries than _DIVIDE_CELLS take `%`; more take c - (c // p) * p
+    # in slices of about _REMAINDER_SLICE, the last one partial; a strided
+    # view (an elimination's tail columns) is reduced in place
+    for size in (len(values), _DIVIDE_CELLS - 1, _DIVIDE_CELLS, 2 * _REMAINDER_SLICE + 5):
         flat = np.resize(np.array(values, dtype=np.int64), size)
         c = flat.reshape(-1, 5) if size % 5 == 0 else flat
         want = [v % p for v in c.reshape(-1).tolist()]
-        got = _remainder(c.copy(), p, bound)
+        got = _remainder(c.copy(), p)
         assert got.shape == c.shape and got.reshape(-1).tolist() == want
+    wide = np.resize(np.array(values, dtype=np.int64), (64, 3 * _DIVIDE_CELLS))
+    want = [[v % p for v in row[7:]] for row in wide.tolist()]
+    _remainder(wide[:, 7:], p)
+    assert wide[:, 7:].tolist() == want
 
 
 def test_products_reduce_on_both_sides_of_the_size_switch():
-    # a product or update of fewer than _SMALL_CELLS entries is reduced by
-    # `%`, a larger one by Barrett's multiply-shift; both match the oracle
+    # a product or update of fewer than _DIVIDE_CELLS entries is reduced by
+    # `%`, a larger one by floor division; both match the oracle
     p, k = 7, 300
     rng = rng_for(p, 9)
-    for rows in (_SMALL_CELLS // 96, _SMALL_CELLS // 96 + 1, 200):
+    for rows in (_DIVIDE_CELLS // 96, _DIVIDE_CELLS // 96 + 1, 200):
         a, b = extreme_operands(p, k, rng, rows=rows)
         b = np.concatenate([b, b[:, ::-1]], axis=1)  # 96 columns
         want = mat_mul_naive(a, b, p)
@@ -547,6 +557,99 @@ def test_rref_leaves_match_oracle(p, monkeypatch):
     loops.clear()
     rref(rng.integers(0, p, size=(16, 64)), p)
     assert len(loops) == 1
+
+
+# The leaf reduces its block every (2^63 - p) // (p-1)^2 updates: never
+# within a leaf at the four smaller DIFF_MODULI, after 8 at 2^30 - 35, after
+# 2 at 2^31 - 1 and after every one at 3037000493.
+CADENCE_MODULI = DIFF_MODULI + (2**30 - 35,)
+
+
+def bound_block(p, rows, cols, order):
+    """A block whose first pivots each lower the same entries by (p-1)^2:
+    pivot rows with 1 on their own column among the first `steps` and p - 1
+    right of them, in the row order `order`, over rows with p - 1 on those
+    columns and 0 right of them. Without a reduction every entry right of
+    the first `steps` columns in the lower rows reaches -steps * (p-1)^2."""
+    steps = len(order)
+    block = np.zeros((rows, cols), np.int64)
+    block[:steps, steps:] = p - 1
+    block[np.arange(steps), order] = 1
+    block[steps:, :steps] = p - 1
+    return block
+
+
+def leaf_blocks(p, rng, cols):
+    """16-row blocks for the pivot loop: random, of deficient rank, all p - 1,
+    a dead leading column, a dead column after three pivots (the live-column
+    skip with updates pending), and the int64 bound driven at every step."""
+    full = rng.integers(0, p, size=(16, cols))
+    dead_lead = rng.integers(0, p, size=(16, cols))
+    dead_lead[:, 0] = 0
+    dead_mid = rng.integers(0, p, size=(16, cols))
+    dead_mid[:, 3] = (dead_mid[:, 0] + 2 * dead_mid[:, 1]) % p
+    return [
+        full,
+        thin_product(rng, p, 16, cols, 5),
+        thin_product(rng, p, 16, cols, 15),
+        np.full((16, cols), p - 1, np.int64),
+        dead_lead,
+        dead_mid,
+        bound_block(p, 16, cols, np.arange(15)),
+        bound_block(p, 16, cols, rng.permutation(15)),
+    ]
+
+
+@pytest.mark.parametrize("p", CADENCE_MODULI)
+def test_pivot_loop_matches_the_per_pivot_loop(p):
+    # the delayed reductions leave what a reduction after every pivot left:
+    # the same pivots, next row and whole working array, whole blocks and
+    # panels (pivots from row 3 on the first 32 columns beside an identity)
+    rng = rng_for(p, 11)
+    for cols in (48, 64):
+        for block in leaf_blocks(p, rng, cols):
+            calls = [(block, 0, cols)]
+            calls.append((np.concatenate([block[:, :32], np.eye(16, dtype=np.int64)], axis=1), 3, 32))
+            for work, r, width in calls:
+                want, got = work.copy(), work.copy()
+                assert frobcat.linalg._pivot_loop(got, p, r, width) == pivot_loop_per_pivot(want, p, r, width)
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", CADENCE_MODULI)
+def test_rref_certificate_at_workload_sizes(p):
+    # [A | I] reduces to [R | T] in RREF with T A = R, at the sizes of the
+    # green_tensor corner and the rank900 yardstick: a random 900^2 matrix,
+    # and a 1024^2 one of rank at most 512, its right half the left half's
+    # columns reversed, so that its leaves meet dead columns
+    rng = rng_for(p, 12)
+    rref_certificate(rng.integers(0, p, size=(900, 900)), p, rng)
+    half = rng.integers(0, p, size=(1024, 512))
+    rref_certificate(np.concatenate([half, half[:, ::-1]], axis=1), p, rng)
+
+
+def rref_peak_and_price(a, p, monkeypatch):
+    """The traced peak of rref(a, p) and the bytes it asked the budget for."""
+    asked = []
+    real = frobcat.linalg.check_budget
+    monkeypatch.setattr(frobcat.linalg, "check_budget", lambda n, what: asked.append(n) or real(n, what))
+    tracemalloc.start()
+    try:
+        rref(a, p)
+        return tracemalloc.get_traced_memory()[1], asked
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_traced_peak_of_rref_is_within_its_price(p, monkeypatch):
+    # one request on entry covers the whole elimination: its products are
+    # not priced again, so the entry price must hold the traced peak
+    rng = rng_for(p, 13)
+    for shape in ((64, 64), (900, 900), (900, 1800), (40, 4000)):
+        peak, asked = rref_peak_and_price(rng.integers(0, p, size=shape), p, monkeypatch)
+        assert len(asked) == 1 and peak <= asked[0], (shape, peak, asked)
+        monkeypatch.undo()
 
 
 # (rows, cols) around the Python-int cut-off of 196 entries, and the 16- and
