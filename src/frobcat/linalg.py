@@ -306,9 +306,9 @@ def _pivot_loop(work: np.ndarray, p: int, r: int, cols: int) -> tuple[int, list[
     [-u (p-1)^2, p), and the remainder forms (c // p) * p in [c - p + 1, c]:
     both stay in int64 while u (p-1)^2 + p <= 2^63. The block is reduced
     after that many updates (8 at 2^30 - 35, 2 at 2^31 - 1, 1 at
-    3037000493, more than a leaf's 16 below about 2^29.5), at a dead column,
-    whose scan for the next live one needs residues, and once when the loop
-    ends. The pivots and row swaps are those of a reduction after every
+    3037000493, more than a leaf's 16 below about 2^29.5) and once when the
+    loop ends; a dead column's scan for the next live one reads a reduced
+    copy. The pivots and row swaps are those of a reduction after every
     pivot, and so is the array it leaves.
     """
     span = (2**63 - p) // ((p - 1) * (p - 1))
@@ -316,32 +316,30 @@ def _pivot_loop(work: np.ndarray, p: int, r: int, cols: int) -> tuple[int, list[
     c = pending = 0  # pending: updates since the columns from c on were last reduced
     while r < len(work) and c < cols:
         col = _remainder(work[:, c : c + 1].copy(), p)
+        k = r
         if not col[r, 0]:  # the pivot lies below row r, or column c is dead
             found = col[r:, 0].nonzero()[0]
             if not found.size:
-                _remainder(work[:, c:], p)
-                pending = 0
-                live = work[r:, c:cols].any(axis=0)
+                live = _remainder(work[r:, c:cols].copy(), p).any(axis=0)
                 if not live.any():
                     break
                 c += int(live.argmax())
-                col = work[:, c : c + 1].copy()
+                col = _remainder(work[:, c : c + 1].copy(), p)
                 found = col[r:, 0].nonzero()[0]
-            k = r + int(found[0])
-            if k != r:
+            k += int(found[0])
+            if k != r:  # col[r] is 0, the multiplier of the row that moves to k
                 swap = work[k].copy()
                 work[k] = work[r]
                 work[r] = swap
-                col[r, 0], col[k, 0] = col[k, 0], col[r, 0]
+        inv = pow(int(col[k, 0]), -1, p)
+        col[k] = 0
         row = work[r, c:]
-        inv = pow(int(col[r, 0]), -1, p)
         if inv != 1:
             if pending > span // (p - 1):  # row * inv could leave int64
                 _remainder(row, p)
             row *= inv
         if pending or inv != 1:
             _remainder(row, p)
-        col[r] = 0
         work[:, c:] -= col * row
         pivots.append(c)
         r += 1

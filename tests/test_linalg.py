@@ -565,17 +565,19 @@ def test_rref_leaves_match_oracle(p, monkeypatch):
 CADENCE_MODULI = DIFF_MODULI + (2**30 - 35,)
 
 
-def bound_block(p, rows, cols, order):
+def bound_block(rng, p, rows, cols, order):
     """A block whose first pivots each lower the same entries by (p-1)^2:
     pivot rows with 1 on their own column among the first `steps` and p - 1
     right of them, in the row order `order`, over rows with p - 1 on those
-    columns and 0 right of them. Without a reduction every entry right of
-    the first `steps` columns in the lower rows reaches -steps * (p-1)^2."""
+    columns and random residues e right of them. Without a reduction each
+    such e falls to e - steps * (p-1)^2, and the reduced form depends on
+    every e."""
     steps = len(order)
     block = np.zeros((rows, cols), np.int64)
     block[:steps, steps:] = p - 1
     block[np.arange(steps), order] = 1
     block[steps:, :steps] = p - 1
+    block[steps:, steps:] = rng.integers(0, p, size=(rows - steps, cols - steps))
     return block
 
 
@@ -595,8 +597,8 @@ def leaf_blocks(p, rng, cols):
         np.full((16, cols), p - 1, np.int64),
         dead_lead,
         dead_mid,
-        bound_block(p, 16, cols, np.arange(15)),
-        bound_block(p, 16, cols, rng.permutation(15)),
+        bound_block(rng, p, 16, cols, np.arange(12)),
+        bound_block(rng, p, 16, cols, rng.permutation(12)),
     ]
 
 
