@@ -21,9 +21,9 @@ time, whose row transform one product applies to the rest. The array loop
 (`_pivot_loop`) delays its reduction: an update lowers an entry by at most
 (p-1)^2, so a block of residues takes (2^63 - p) // (p-1)^2 updates exactly
 in int64, and it is reduced after that many (after each one only past p =
-2^31), at a dead column and at the end. An elimination is priced
-once, on entry, at its traced peak; its own products are not priced again.
-Entrywise residue products are int64, so `as_residues`,
+2^31) and at the end. An elimination is priced once, on entry, at its
+traced peak; its own products are not priced again. Entrywise residue
+products are int64, so `as_residues`,
 which every kernel reduces its input with (input already in range is only
 copied), and `mat_mul` refuse p with (p-1)^2 >= 2^63, as `check_modulus`
 does at the CLI and owner boundary; no kernel forms products in Python-int
