@@ -6,9 +6,12 @@ chosen by the bound (p-1)^2 * k on its partial sums, for inner size k: one
 float32 GEMM while the bound is below 2^24, one float64 GEMM while it is
 below 2^53, each then reduced in int64, and past that four float64 GEMMs of
 16-bit halves, recombined in int64 (`_split_mul`). Every elimination update
-x - a @ b is one fused multiply-subtract (`_mul_sub`): one GEMM and one
-reduction of t - a @ b + x, t a multiple of p at least the product bound,
-whose regime follows from that bound plus p. Every array remainder goes
+x - a @ b is one fused multiply-subtract (`_product(a, b, p, x)`): one GEMM
+and one reduction of t - a @ b + x, t a multiple of p at least the product
+bound, whose regime follows from that bound plus p. Inner helpers trust
+their entries: `mat_mul` checks the modulus and converts its operands once,
+and the eliminations and `Subspace.reduce` hand `_product` int64 residues
+whose modulus they checked. Every array remainder goes
 through `_remainder`: c - (c // p) * p, which numpy runs through libdivide,
 from 512 entries, and one `%` below. `rref` computes one form, the reduced
 one, whose pivots give the rank (`rank_mod`); it splits rows recursively so
@@ -190,8 +193,8 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     vanishes on the pivot columns P1, so only its other columns are eliminated,
     recursively; R1 is then cleared on the new pivots with one more update,
     and the rows are stacked, R1's first. Both updates are fused
-    multiply-subtracts (_mul_sub); the panels of _eliminate_rows are plain
-    products (_product), none priced again after rref's entry price.
+    multiply-subtracts (_product with x); the panels of _eliminate_rows are
+    plain products (_product), none priced again after rref's entry price.
     """
     m = a.shape[0]
     if m <= _LEAF_ROWS:
@@ -216,7 +219,7 @@ def _extend(top, ptop, bottom, p: int) -> tuple[np.ndarray, np.ndarray]:
     free = np.ones(n, bool)
     free[ptop] = False
     rest = np.flatnonzero(free)
-    low = _mul_sub(bottom[:, rest], bottom[:, ptop], top[:, rest], p)
+    low = _product(bottom[:, ptop], top[:, rest], p, bottom[:, rest])
     low = low[low.any(axis=1)]
     if not low.size:
         return top, ptop
@@ -226,7 +229,7 @@ def _extend(top, ptop, bottom, p: int) -> tuple[np.ndarray, np.ndarray]:
     out = np.zeros((r1 + low.shape[0], n), np.int64)
     out[:r1] = top
     out[r1:, rest] = low
-    out[:r1, rest] = _mul_sub(top[:, rest], top[:, plow], low, p)
+    out[:r1, rest] = _product(top[:, plow], low, p, top[:, rest])
     return out, np.concatenate([ptop, plow])
 
 
@@ -443,55 +446,49 @@ def mat_mul(a, b, p: int) -> np.ndarray:
     check_modulus accepts. The float copies and the product are priced
     before they are made.
     """
+    _check_int64_products(p)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    check_budget(_product_bytes(a, b, p, None), "matrix product")
+    check_budget(_product_bytes(a, b, p, False), "matrix product")
     return _product(a, b, p, None)
 
 
-def _mul_sub(x: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """x - a @ b mod p for residue arrays, with one product and one reduction.
-
-    The GEMM forms g = a @ b; with t the least multiple of p at least the
-    product bound (p-1)^2 * k, t - g is formed in the same float and x added
-    in int64, so one remainder of t - g + x, which lies in [0, t + p), gives
-    the answer. The float must hold t, which is below (p-1)^2 * k + p: the
-    regime follows from that bound, p above mat_mul's, and past 2^53 the
-    split product is subtracted as residues. With an empty product x itself
-    is returned. Not priced here: an elimination prices its peak on entry
-    (_price_rows), and Subspace.reduce prices its update.
-    """
-    return _product(a, b, p, x)
-
-
-def _float_bound(inner: int, p: int, x: np.ndarray | None) -> int:
+def _float_bound(inner: int, p: int, fused: bool) -> int:
     """The bound on the floats of _product: (p-1)^2 * k, and p more for the
     fused update, whose floats hold t < (p-1)^2 * k + p."""
-    return (p - 1) * (p - 1) * inner + (0 if x is None else p)
+    return (p - 1) * (p - 1) * inner + (p if fused else 0)
 
 
-def _product_bytes(a: np.ndarray, b: np.ndarray, p: int, x: np.ndarray | None) -> int:
-    """What _product(a, b, p, x) allocates: the float operands and product
-    and the int64 result, or past 2^53 the four halves, a GEMM result, its
-    int64 copy and two int64 sums."""
+def _product_bytes(a: np.ndarray, b: np.ndarray, p: int, fused: bool) -> int:
+    """What _product(a, b, p, x) allocates, x given if fused: the float
+    operands and product and the int64 result, or past 2^53 the four
+    halves, a GEMM result, its int64 copy and two int64 sums. Only the
+    operands' shapes are read."""
     inner = a.shape[-1]
     cells = a.size // inner * (b.size // inner) if inner else 0
-    bound = _float_bound(inner, p, x)
+    bound = _float_bound(inner, p, fused)
     if bound >= _FLOAT64_EXACT:
         return 8 * (2 * (a.size + b.size) + 4 * cells)
     width = 4 if bound < _FLOAT32_EXACT else 8
     return width * (a.size + b.size + cells) + 8 * cells
 
 
-def _product(a, b, p: int, x: np.ndarray | None) -> np.ndarray:
-    """a @ b mod p (x None), or x - a @ b mod p: mat_mul and _mul_sub, unpriced."""
-    _check_int64_products(p)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+def _product(a: np.ndarray, b: np.ndarray, p: int, x: np.ndarray | None) -> np.ndarray:
+    """a @ b mod p (x None), or x - a @ b mod p, for int64 residue arrays.
+    It trusts its entries: each caller checked the modulus and priced it.
+
+    With x, one fused multiply-subtract: the GEMM forms g = a @ b; with t
+    the least multiple of p at least the product bound (p-1)^2 * k, t - g is
+    formed in the same float and x added in int64, so one remainder of
+    t - g + x, which lies in [0, t + p), gives the answer. The float must
+    hold t, which is below (p-1)^2 * k + p: the regime follows from that
+    bound, p above mat_mul's, and past 2^53 the split product is subtracted
+    as residues. With an empty product x itself is returned.
+    """
     inner = a.shape[-1]
     if inner == 0 or a.size == 0 or b.size == 0:
         return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64) if x is None else x
-    bound = _float_bound(inner, p, x)
+    bound = _float_bound(inner, p, x is not None)
     if bound >= _FLOAT64_EXACT:
         c = _split_mul(a, b, p)
         if x is None:
@@ -503,7 +500,7 @@ def _product(a, b, p: int, x: np.ndarray | None) -> np.ndarray:
     c = a.astype(dtype) @ b.astype(dtype)
     if x is None:
         return _remainder(c.astype(np.int64), p)
-    top = -(-(bound - p) // p) * p  # t of _mul_sub
+    top = -(-(bound - p) // p) * p  # t, the least multiple of p at least the product bound
     np.subtract(top, c, out=c)
     c = c.astype(np.int64)
     c += x
@@ -575,32 +572,38 @@ def _split_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:
-    """a^k mod p by repeated squaring, for k >= 0; a^1 costs no product."""
+    """a^k mod p by repeated squaring, for k >= 0; a^1 costs no product.
+    Every product is n x n by n x n, so one price, from the shape before the
+    residue copy, covers them all."""
     if k < 0:
         raise ValueError(f"mat_pow needs an exponent k >= 0, got {k}")
     n = a.shape[0]
+    if k > 1:
+        check_budget(_product_bytes(a, a, p, False), "matrix product")
     result = None
     base = as_residues(a, p)
     while k:
         if k & 1:
-            result = base if result is None else mat_mul(result, base, p)
-        base = mat_mul(base, base, p) if k > 1 else base
+            result = base if result is None else _product(result, base, p, None)
+        base = _product(base, base, p, None) if k > 1 else base
         k >>= 1
     return np.eye(n, dtype=np.int64) if result is None else result
 
 
-def _inverse_or_none(a: np.ndarray, p: int) -> np.ndarray | None:
-    """The inverse of the square array a, read off the reduced [a | I] as
-    [I | a^-1]; None when a is singular."""
-    n = a.shape[0]
+def _inverse_or_none(a, p: int) -> np.ndarray | None:
+    """The inverse of the square matrix a, read off the reduced [a | I] as
+    [I | a^-1]; None when a is singular. Its callers price the elimination
+    before [a | I] is built, whose residue copy rref makes."""
+    n = len(a)
     red, pivots = rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
     return red[:, n:] if pivots == tuple(range(n)) else None
 
 
 def inverse_mod(a, p: int) -> np.ndarray:
-    a = as_residues(a, p)
-    if a.shape[0] != a.shape[1]:
+    rows, cols = np.shape(a)
+    if rows != cols:
         raise ValueError("inverse of a non-square matrix")
+    _price_rows(rows, 2 * rows, p)
     inv = _inverse_or_none(a, p)
     if inv is None:
         raise ValueError("matrix is singular mod p")
@@ -609,12 +612,14 @@ def inverse_mod(a, p: int) -> np.ndarray:
 
 def random_invertible(p: int, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """A uniform invertible matrix q and its inverse, by rejection: one
-    reduction of [q | I] per draw tests it and gives the inverse."""
+    reduction of [q | I] per draw tests it and gives the inverse. The draw
+    and the reductions are priced before the first draw."""
     if dim == 0:
         return np.zeros((0, 0), np.int64), np.zeros((0, 0), np.int64)
     check_budget(dim * dim * 8, "random invertible matrix")
+    _price_rows(dim, 2 * dim, p)
     while True:
-        q = rng.integers(0, p, size=(dim, dim)).astype(np.int64)
+        q = rng.integers(0, p, size=(dim, dim))  # int64
         q_inv = _inverse_or_none(q, p)
         if q_inv is not None:
             return q, q_inv
@@ -670,13 +675,16 @@ class Subspace:
         return self.basis.shape[0]
 
     def reduce(self, vecs) -> np.ndarray:
-        """Subtract the projection onto this subspace (pivot elimination)."""
+        """Subtract the projection onto this subspace (pivot elimination),
+        with one fused update, priced from the shapes before the residue
+        copy is made."""
+        if self.dim:  # a view of vecs of the coefficients' shape
+            shaped = np.asarray(vecs)[..., : self.dim]
+            check_budget(_product_bytes(shaped, self.basis, self.p, True), "matrix product")
         v = as_residues(vecs, self.p)
         if self.dim == 0:
             return v
-        coeff = v[..., list(self.pivots)]
-        check_budget(_product_bytes(coeff, self.basis, self.p, v), "matrix product")
-        return _mul_sub(v, coeff, self.basis, self.p)
+        return _product(v[..., list(self.pivots)], self.basis, self.p, v)
 
     def contains_vectors(self, vecs) -> bool:
         return not np.any(self.reduce(vecs))
@@ -715,6 +723,7 @@ class Subspace:
         a, b = self.basis, other.basis
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.p, self.ambient)
+        _price_rows(self.ambient, self.dim + other.dim, self.p)  # before [A^T | -B^T] is built
         combos = nullspace_mod(np.concatenate([a.T, -b.T], axis=1), self.p)  # it reduces -b.T
         vecs = mat_mul(combos[:, : self.dim], a, self.p)
         return Subspace.from_rows(vecs, self.p)

@@ -29,6 +29,7 @@ from frobcat.frobenius import (
 from frobcat.linalg import (
     Quotient,
     Subspace,
+    _product,
     as_residues,
     check_budget,
     frozen_matrix,
@@ -130,6 +131,12 @@ def _exact_mat_mul_mod(a: np.ndarray, x: np.ndarray, p: int) -> list[list[int]]:
     ]
 
 
+def _freivalds_trials(p: int) -> int:
+    """Random vectors enough that a wrong result passes a Freivalds check
+    with probability at most 2^-40: each passes with probability at most 1/p."""
+    return -(-40 // (p.bit_length() - 1))
+
+
 def rref_certificate(a, p: int, rng) -> None:
     """Certify the reduced `rref` of [a | I] = [R | T] without a second
     elimination: [R | T] is in RREF with one pivot per row of a, and T a = R,
@@ -145,11 +152,51 @@ def rref_certificate(a, p: int, rng) -> None:
     assert np.array_equal(red[:, list(pivots)], np.eye(n, dtype=np.int64)), "pivot columns not unit"
     lead = (red != 0).argmax(axis=1)
     assert lead.tolist() == list(pivots), "nonzero entry left of a pivot"
-    trials = -(-40 // (p.bit_length() - 1))
-    x = rng.integers(0, p, size=(m, trials))
+    x = rng.integers(0, p, size=(m, _freivalds_trials(p)))
     ax = np.array(_exact_mat_mul_mod(a, x, p), dtype=np.int64)
     t_ax = _exact_mat_mul_mod(red[:, m:], ax, p)
     assert t_ax == _exact_mat_mul_mod(red[:, :m], x, p), "T a != R"
+
+
+def nullspace_certificate(a, p: int, rng) -> None:
+    """Certify N = nullspace_mod(a, p): N is in RREF, so its rows are
+    independent; a N^T = 0, checked as a (N^T r) = 0 for random r exactly
+    (Freivalds); and rank + nullity = n, with the rank of rank_mod. N^T r is
+    r on N's pivot columns, which are unit, and takes a product only on the
+    rest, a's pivot columns. Raises AssertionError."""
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[1]
+    basis = nullspace_mod(a, p)
+    k = len(basis)
+    assert basis.shape == (k, n) and k + rank_mod(a, p) == n, "rank + nullity != n"
+    if not k:
+        return
+    assert basis.min() >= 0 and basis.max() < p, "entries outside [0, p)"
+    lead = (basis != 0).argmax(axis=1)
+    assert all(x < y for x, y in zip(lead, lead[1:])), "pivots not increasing"
+    assert np.array_equal(basis[:, lead], np.eye(k, dtype=np.int64)), "pivot columns not unit"
+    r = rng.integers(0, p, size=(k, _freivalds_trials(p)))
+    rest = np.setdiff1d(np.arange(n), lead)
+    y = np.zeros((n, r.shape[1]), np.int64)
+    y[lead] = r
+    rest_r = _exact_mat_mul_mod(basis[:, rest].T, r, p)
+    y[rest] = np.array(rest_r, dtype=np.int64).reshape(len(rest), r.shape[1])
+    assert not np.any(_exact_mat_mul_mod(a, y, p)), "a N^T != 0"
+
+
+def product_certificate(a, b, x, p: int, rng) -> None:
+    """Certify c = mat_mul(a, b, p) by Freivalds, c r = a (b r) mod p for
+    random r, exactly; and then the fused update d = _product(a, b, p, x) =
+    x - a b, entrywise, as residues with c + d = x mod p. Raises
+    AssertionError."""
+    c, d = mat_mul(a, b, p), _product(a, b, p, x)
+    for out in (c, d):
+        assert out.shape == (len(a), b.shape[1]), "wrong shape"
+        assert out.min() >= 0 and out.max() < p, "entries outside [0, p)"
+    r = rng.integers(0, p, size=(b.shape[1], _freivalds_trials(p)))
+    abr = _exact_mat_mul_mod(a, np.array(_exact_mat_mul_mod(b, r, p), dtype=np.int64), p)
+    assert _exact_mat_mul_mod(c, r, p) == abr, "c r != a b r"
+    assert np.array_equal((c + d) % p, x), "c + d != x"
 
 
 def mat_mul_naive(a, b, p: int) -> np.ndarray:

@@ -7,7 +7,6 @@ import pytest
 
 from frobcat.frobenius import (
     DIM_CAPS,
-    _diag_indices,
     _multiplicity_quotients,
     _rep_extension_space,
     _shift_perm,
@@ -79,7 +78,17 @@ def witness_jordan(rep):
     )
 
 
+def _diag_indices(dim, power):
+    """Indices of the constant words (k, k, ..., k)."""
+    if dim == 0:
+        return np.zeros(0, np.int64)
+    step = (dim**power - 1) // (dim - 1) if dim > 1 else 1
+    return np.arange(dim, dtype=np.int64) * step
+
+
 def test_shift_structure():
+    # `cyclic_power` takes these by construction: the rotation has order p,
+    # fixes exactly the diagonal words and commutes with the diagonal action
     for d, p in ((2, 3), (3, 2), (3, 5)):
         sigma = _shift_perm(d, p)
         composed = np.arange(d**p)
@@ -94,6 +103,14 @@ def test_shift_structure():
         rolled = np.roll(digits, 1, axis=0)
         weights = d ** (p - 1 - np.arange(p))
         assert np.array_equal(weights @ rolled, sigma)
+    for x in (random_cyclic_rep(5, 3, seed=7), symmetric_perm_rep(3)):
+        cp = cyclic_power(x)
+        inv = np.argsort(cp.shift)
+        rng = rng_for(0x5EED, x.dim * x.p)
+        for k in range(x.group.generators):
+            for _ in range(2):
+                v = rng.integers(0, x.p, size=cp.size)
+                assert np.array_equal(cp.apply_generator(k, v[inv]), cp.apply_generator(k, v)[inv])
 
 
 def test_free_orbit_facts():

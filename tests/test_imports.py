@@ -16,8 +16,13 @@ wrapper class (`RETIRED`, spelt in two halves so that a search of the tree
 for it finds nothing) is not named anywhere in the package.
 
 Every elimination update is one fused multiply-subtract: no `_sub(` call
-and no `-` in the package takes a `mat_mul(` product, since `_mul_sub` forms
-x - a @ b with one product and one reduction.
+and no `-` in the package takes a `mat_mul(` or `_product(` product, since
+`_product(a, b, p, x)` forms x - a @ b with one product and one reduction.
+
+Every public `linalg` entry that prices an allocation prices before it
+copies: no `as_residues`, `np.concatenate` or `np.array` call runs before
+its first `check_budget` or `_price_rows` call, or call of a function of the
+module that prices, so an oversize input is refused before its copy exists.
 
 Every array remainder in `linalg` goes through `_remainder`, which picks
 how to divide: no `%=` and no call of `np.remainder`, `np.mod` or `np.fmod`
@@ -200,7 +205,7 @@ def test_python_int_products_only_in_mat_mul(path):
 
 
 def unfused_updates(source: str) -> list[str]:
-    """`_sub(` calls and subtractions with a `mat_mul(` call among their operands."""
+    """`_sub(` calls and subtractions with a `mat_mul(` or `_product(` call among their operands."""
     tree = ast.parse(source)
     found = set()
     for node in ast.walk(tree):
@@ -210,7 +215,7 @@ def unfused_updates(source: str) -> list[str]:
             operands = [node.left, node.right]
         else:
             continue
-        if any(_callee(inner) == "mat_mul" for arg in operands for inner in ast.walk(arg)):
+        if any(_callee(inner) in ("mat_mul", "_product") for arg in operands for inner in ast.walk(arg)):
             found.add(node.lineno)
     return [f"line {line}" for line in sorted(found)]
 
@@ -224,16 +229,120 @@ def extend(top, bottom, ptop, rest, p):
 def reduce(v, coeff, basis, p):
     return (v - linalg.mat_mul(coeff, basis, p)) % p
 
+def clear(top, plow, low, rest, p):
+    return top[:, rest] - _product(top[:, plow], low, p, None)
+
 def fine(v, coeff, basis, p):
     y = mat_mul(coeff, basis, p)
-    return _mul_sub(v, coeff, basis, p), _sub(v, y, p), v.shape[0] - 1
+    return _product(coeff, basis, p, v), _sub(v, y, p), v.shape[0] - 1
 """
-    assert unfused_updates(src) == ["line 3", "line 7"]
+    assert unfused_updates(src) == ["line 3", "line 7", "line 10"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_multiply_subtract_is_fused(path):
     assert unfused_updates(path.read_text(encoding="utf-8")) == []
+
+
+COPIES = ("as_residues", "concatenate", "array")
+PRICES = ("check_budget", "_price_rows")
+
+
+def copies_before_prices(source: str) -> list[str]:
+    """Public functions, and public methods of public classes, that make an
+    array copy (a call in COPIES) before their first price: a call in PRICES,
+    or of a function or method of the module that calls one, at any depth.
+    Calls are ordered by where they end, since a call runs after its
+    arguments; an entry that prices nothing is not flagged."""
+    tree = ast.parse(source)
+    functions, entries = {}, []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+            functions.update((fn.name, fn) for fn in methods)
+            if not node.name.startswith("_"):
+                entries += [(f"{node.name}.{fn.name}", fn) for fn in methods if not fn.name.startswith("_")]
+        elif isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+            if not node.name.startswith("_"):
+                entries.append((node.name, node))
+    pricers = set(PRICES)
+    while True:
+        more = {
+            name
+            for name, fn in functions.items()
+            if name not in pricers and any(_callee(node) in pricers for node in ast.walk(fn))
+        }
+        if not more:
+            break
+        pricers |= more
+    found = []
+    for name, fn in entries:
+        calls = sorted(
+            ((node.end_lineno, node.end_col_offset), _callee(node))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+        )
+        copies = [end for end, callee in calls if callee in COPIES]
+        prices = [end for end, callee in calls if callee in pricers]
+        if copies and prices and copies[0] < prices[0]:
+            found.append(f"line {copies[0][0]}: {name}")
+    return found
+
+
+def test_detector_flags_a_copy_before_its_price():
+    # reduce and inverse_mod as they were, a copy inside the priced call's
+    # arguments, and entries that price first, price nothing or are private
+    src = """
+def _price_rows(rows, cols, p):
+    check_budget(44 * rows * cols, "row reduction")
+
+def rref(a, p):
+    _price_rows(*np.shape(a), p)
+    return _eliminate(as_residues(a, p), p)
+
+def _inverse_or_none(a, p):
+    n = a.shape[0]
+    red, pivots = rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+    return red[:, n:] if pivots == tuple(range(n)) else None
+
+def inverse_mod(a, p):
+    a = as_residues(a, p)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("inverse of a non-square matrix")
+    return _inverse_or_none(a, p)
+
+def intersect_rows(a, b, p):
+    return nullspace_mod(np.concatenate([a.T, -b.T], axis=1), p)
+
+def nullspace_mod(a, p):
+    return rref(np.asarray(a)[:, ::-1], p)[0]
+
+def frozen_matrix(a, p):
+    return as_residues(a, p)
+
+def _stacked(a, p):
+    a = np.array(a)
+    check_budget(a.nbytes, "stack")
+
+class Subspace:
+    def reduce(self, vecs):
+        v = as_residues(vecs, self.p)
+        coeff = v[..., list(self.pivots)]
+        check_budget(_product_bytes(coeff, self.basis, self.p, True), "matrix product")
+        return _product(coeff, self.basis, self.p, v)
+
+    def add(self, rows):
+        _price_rows(self.dim + len(rows), self.ambient, self.p)
+        return _extend(self.basis, as_residues(rows, self.p))
+"""
+    assert copies_before_prices(src) == [
+        "line 15: inverse_mod", "line 21: intersect_rows", "line 35: Subspace.reduce",
+    ]
+
+
+def test_every_linalg_entry_prices_before_it_copies():
+    assert copies_before_prices((PACKAGE / "linalg.py").read_text(encoding="utf-8")) == []
 
 
 def bare_remainders(source: str) -> list[str]:

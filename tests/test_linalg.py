@@ -16,7 +16,7 @@ from frobcat.linalg import (
     BudgetError,
     Quotient,
     Subspace,
-    _mul_sub,
+    _product,
     _remainder,
     as_residues,
     check_budget,
@@ -36,7 +36,15 @@ from frobcat.linalg import (
 )
 from frobcat.nilmod import jordan_matrix, random_nil_module
 from frobcat.seeding import rng_for
-from oracles import mat_mul_naive, pivot_loop_per_pivot, rref_certificate, rref_naive, solve_right
+from oracles import (
+    mat_mul_naive,
+    nullspace_certificate,
+    pivot_loop_per_pivot,
+    product_certificate,
+    rref_certificate,
+    rref_naive,
+    solve_right,
+)
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 13])
 
@@ -230,7 +238,7 @@ def test_mul_sub_is_exact_on_both_sides_of_each_fused_bound(p, k, regime, monkey
         np.full_like(product, p - 1),
         rng.integers(0, p, size=product.shape),
     ):
-        got = _mul_sub(x, a, b, p)
+        got = _product(a, b, p, x)
         want = (x.astype(object) - product) % p
         assert np.array_equal(got, want.astype(np.int64))
         assert got[0, 0] == (int(x[0, 0]) - 1 - (k - 1) * (p - 1) ** 2) % p
@@ -238,12 +246,12 @@ def test_mul_sub_is_exact_on_both_sides_of_each_fused_bound(p, k, regime, monkey
     # one vector less a vector-by-matrix product, as Subspace.reduce takes it
     x = rng.integers(0, p, size=48)
     want = (x.astype(object) - mat_mul_naive(a[2:3], b, p)[0]) % p
-    assert np.array_equal(_mul_sub(x, a[2], b, p), want.astype(np.int64))
+    assert np.array_equal(_product(a[2], b, p, x), want.astype(np.int64))
 
 
 def test_mul_sub_of_an_empty_product_is_x():
     x = np.arange(6, dtype=np.int64).reshape(2, 3)
-    assert _mul_sub(x, np.zeros((2, 0), np.int64), np.zeros((0, 3), np.int64), 7) is x
+    assert _product(np.zeros((2, 0), np.int64), np.zeros((0, 3), np.int64), 7, x) is x
 
 
 def remainder_cases(p, bound):
@@ -306,7 +314,7 @@ def test_products_reduce_on_both_sides_of_the_size_switch():
         want = mat_mul_naive(a, b, p)
         assert np.array_equal(mat_mul(a, b, p), want)
         x = rng.integers(0, p, size=want.shape)
-        assert np.array_equal(_mul_sub(x, a, b, p), (x - want) % p)
+        assert np.array_equal(_product(a, b, p, x), (x - want) % p)
 
 
 def test_mat_pow():
@@ -630,6 +638,33 @@ def test_rref_certificate_at_workload_sizes(p):
     rref_certificate(np.concatenate([half, half[:, ::-1]], axis=1), p, rng)
 
 
+# The shapes of the workloads' eliminations and products: 900^2 (the
+# green_tensor corner), 1024^2 (multiplicity_spaces at p = 5), and a tall and
+# a wide 2000 x 64, past one recursion level and past the panel width.
+CERTIFIED_SHAPES = [(900, 900), (1024, 1024), (2000, 64), (64, 2000)]
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_nullspace_certificate_at_workload_sizes(p):
+    # the right half of each matrix is its left half's columns reversed, so
+    # every kernel is at least half the width
+    rng = rng_for(p, 13)
+    for rows, cols in CERTIFIED_SHAPES:
+        half = rng.integers(0, p, size=(rows, cols // 2))
+        nullspace_certificate(np.concatenate([half, half[:, ::-1]], axis=1), p, rng)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_product_certificates_at_workload_sizes(p):
+    # mat_mul and the fused update x - a @ b, each shape times a matrix of
+    # its width and its smaller side: inner sizes 900, 1024, 64 and 2000
+    rng = rng_for(p, 14)
+    for rows, cols in CERTIFIED_SHAPES:
+        a = rng.integers(0, p, size=(rows, cols))
+        b = rng.integers(0, p, size=(cols, min(rows, cols)))
+        product_certificate(a, b, rng.integers(0, p, size=(rows, b.shape[1])), p, rng)
+
+
 def rref_peak_and_price(a, p, monkeypatch):
     """The traced peak of rref(a, p) and the bytes it asked the budget for."""
     asked = []
@@ -911,6 +946,40 @@ def test_oversize_subspace_add_is_refused_before_the_residue_copy(monkeypatch):
     # a zero-stride view: 12.2 MB once copied into residues
     rows = np.broadcast_to(np.int64(1), (400, 4000))
     assert refused_peak(lambda: Subspace.zero(7, 4000).add(rows), "row reduction") < 2**20
+
+
+def test_oversize_subspace_reduce_is_refused_before_the_residue_copy(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "8")
+    # a zero-stride view: 12.8 MB once copied into residues; it reached that
+    # before its price when the copy came first
+    vecs = np.broadcast_to(np.int64(1), (400, 4000))
+    sub = Subspace.from_rows(np.eye(3, 4000, dtype=np.int64), 7)
+    for call in (lambda: sub.reduce(vecs), lambda: sub.contains_vectors(vecs)):
+        assert refused_peak(call, "matrix product") <= 8 * 2**20
+
+
+def test_oversize_random_invertible_is_refused_before_the_draw(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "8")
+    # the draw fits, the reduction of [q | I] does not; it traced 32.8 MB
+    # when the draw and [q | I] came before the price
+    rng = rng_for(0, 0)
+    assert refused_peak(lambda: random_invertible(7, 1000, rng), "row reduction") <= 8 * 2**20
+
+
+def test_oversize_inverse_is_refused_before_building_the_augmented_matrix(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "8")
+    # a zero-stride view: [a | I] is 16 MB; it traced 32.0 MB when the
+    # residue copy and [a | I] came before the price
+    a = np.broadcast_to(np.int64(1), (1000, 1000))
+    assert refused_peak(lambda: inverse_mod(a, 7), "row reduction") <= 8 * 2**20
+
+
+def test_oversize_matrix_power_is_refused_before_the_residue_copy(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "4")
+    # a zero-stride view: 8 MB once copied into residues, which came before
+    # the first product's price
+    a = np.broadcast_to(np.int64(1), (1000, 1000))
+    assert refused_peak(lambda: mat_pow(a, 2, 7), "matrix product") <= 4 * 2**20
 
 
 def test_oversize_product_is_refused_before_allocating(monkeypatch):

@@ -236,9 +236,11 @@ def test_partial_e_recursion_and_values():
     # s = i reproduces E_i, s = 0 is Im D^{n} -> full kernel-free slice
     for i in range(0, 7):
         assert functor_L_and_Eis(m, i, s=i).dim == functor_E(m, i).dim
-        # the recursion inside the call is self-checked; just exercise it
-        for s in range(0, i + 1):
-            functor_L_and_Eis(m, i, s=s)
+        # below i = n, stage s adds the L-mode quotient at (i - s, n - s) to stage s - 1
+        dims = [functor_L_and_Eis(m, i, s=s).dim for s in range(0, i + 1)]
+        if i < m.n:
+            for s in range(1, i + 1):
+                assert dims[s] == functor_L_and_Eis(m, i - s, j=m.n - s).dim + dims[s - 1]
 
 
 def test_functor_index_errors():
