@@ -92,7 +92,7 @@ def parse_module_spec(text: str, p: int) -> tuple[int, ...]:
 
 
 def load_rep(path: str) -> GroupRep:
-    """Representation from a JSON file; any relation failure is named."""
+    """Representation from a JSON file; each failed check is named."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -220,8 +220,6 @@ def _module_rep(args) -> tuple[GroupRep, int, str]:
 
 
 def _cmd_frob(args) -> tuple[dict, list[str], int]:
-    if args.p is not None:  # before the rep: the relation word of Z/p alone has p letters
-        _price_frob(args.p, 0)
     rep, p, label = _module_rep(args)
     _price_frob(p, rep.dim)
     image = frobenius_components(rep)

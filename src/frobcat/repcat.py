@@ -2,8 +2,8 @@
 
 Groups are presentations: a generator count, relation words, and a
 distinguished word of order p (the witness used for projectivity and
-restriction tests). Words use letters 'a', 'b', ... positionally;
-uppercase means inverse.
+restriction tests), whose order `validate` checks; no relation restates
+it. Words use letters 'a', 'b', ... positionally; uppercase means inverse.
 """
 from __future__ import annotations
 
@@ -158,17 +158,12 @@ def _checked(rep: GroupRep) -> GroupRep:
 
 
 def cyclic_group(p: int) -> GroupSpec:
-    return GroupSpec(name=f"Z/{p}", generators=1, relations=("a" * p,), sylow_witness="a")
+    return GroupSpec(name=f"Z/{p}", generators=1, relations=(), sylow_witness="a")
 
 
 def symmetric_group(p: int) -> GroupSpec:
     """S_p on generators a = (1 2), b = (1 2 ... p); ab is a (p-1)-cycle."""
-    return GroupSpec(
-        name=f"S_{p}",
-        generators=2,
-        relations=("aa", "b" * p, "ab" * (p - 1)),
-        sylow_witness="b",
-    )
+    return GroupSpec(f"S_{p}", generators=2, relations=("aa", "ab" * (p - 1)), sylow_witness="b")
 
 
 def trivial_rep(group: GroupSpec, p: int) -> GroupRep:
@@ -301,11 +296,14 @@ def _one_minus(rep: GroupRep, word: str) -> np.ndarray:
 
 def _jordan_type_at(rep: GroupRep, word: str, error: str) -> JordanType:
     """Jordan type of 1 - rho(word); raises ValueError(error) unless rho(word)^p = 1,
-    read off the last rank of the sequence, rank D^p, with no power formed."""
-    ranks = _rank_sequence_arr(_one_minus(rep, word), rep.p, rep.p)
+    read off the last rank of the sequence, with no power formed. The ranks of
+    D settle within dim steps, so the sequence stops at n = min(p, dim) and
+    rank D^n = rank D^p."""
+    n = min(rep.p, rep.dim)
+    ranks = _rank_sequence_arr(_one_minus(rep, word), n, rep.p)
     if ranks[-1]:
         raise ValueError(error)
-    return _type_from_ranks(ranks, rep.p)
+    return _type_from_ranks(ranks, n)
 
 
 def restrict_to_nilmodule(rep: GroupRep, element: str, n: int) -> NilModule:

@@ -82,7 +82,7 @@ HOSTILE_INPUTS = {
         2, "--dim-cap must be nonnegative", 1.0,
     ),
     "frob-at-p-65521":(["frob", "--p", "65521", "--module", "J2"], 0, None, 10.0),
-    # 2(p - 1) components: priced before the rep of Z/p is built
+    # 2(p - 1) components: priced once the rep is built, whose cost does not grow with p
     "frob-at-p-1000003": (
         ["frob", "--p", "1000003", "--module", "J1"], 2, "frob report needs", 1.0
     ),
@@ -91,6 +91,22 @@ HOSTILE_INPUTS = {
     ),
     "semisimplify-at-p-1000003": (
         ["semisimplify", "--p", "1000003", "--module", "J2"], 0, None, 3.0
+    ),
+    # Z/p has no p-letter relation and its Jordan types stop at the dimension,
+    # so work that never forms a p-long class does not grow with p
+    "hilbert-at-p-2147483647": (
+        ["hilbert", "--p", str(2**31 - 1), "--module", "J2", "--terms", "10"], 0, None, 1.0
+    ),
+    "hilbert-at-p-3037000493": (
+        ["hilbert", "--p", "3037000493", "--module", "J2", "--terms", "10"], 0, None, 1.0
+    ),
+    # the dense class of p - 1 multiplicities is priced where it is made
+    "semisimplify-at-p-2147483647": (
+        ["semisimplify", "--p", str(2**31 - 1), "--module", "J2"], 2, "fusion class needs", 1.0
+    ),
+    "greenhom-at-p-2147483647": (
+        ["check", "--suite", "greenhom", "--p", str(2**31 - 1), "--trials", "2", "--dim-cap", "4"],
+        2, "fusion class needs", 1.0,
     ),
     "nilmod-cap-0": (
         ["check", "--suite", "nilmod", "--p", "3", "--dim-cap", "0"], 2, "--dim-cap >= 1", 1.0
@@ -429,11 +445,16 @@ def test_rep_file_errors(tmp_path, capsys):
 
     broken = tmp_path / "broken.json"
     obj = rep_to_json(cyclic_rep(3, (2,)))
-    obj["matrices"][0][0][0] = 2
+    obj["matrices"][0][0][0] = 2  # the generator no longer has order 3
     broken.write_text(json.dumps(obj))
     assert run(["semisimplify", "--rep-file", str(broken)]) == 2
     _, err = lines_of(capsys)
-    assert "relation" in err
+    assert err == "error: sylow witness 'a' does not have order dividing 3\n"
+    obj["group"]["relations"] = ["aaa"]  # a relation the file states is named
+    broken.write_text(json.dumps(obj))
+    assert run(["semisimplify", "--rep-file", str(broken)]) == 2
+    _, err = lines_of(capsys)
+    assert err.startswith("error: relation 'aaa' is violated; sylow witness 'a'")
 
 
 def test_load_rep_direct(tmp_path):

@@ -19,10 +19,12 @@ Every elimination update is one fused multiply-subtract: no `_sub(` call
 and no `-` in the package takes a `mat_mul(` or `_product(` product, since
 `_product(a, b, p, x)` forms x - a @ b with one product and one reduction.
 
-Every public `linalg` entry that prices an allocation prices before it
-copies: no `as_residues`, `np.concatenate` or `np.array` call runs before
-its first `check_budget` or `_price_rows` call, or call of a function of the
-module that prices, so an oversize input is refused before its copy exists.
+Every public `linalg` entry that copies an array prices before it copies:
+no `as_residues`, `np.concatenate` or `np.array` call, and no
+`np.asarray(..., dtype=...)` (a copy whenever the dtype differs), runs
+before its first `check_budget` or `_price_rows` call, or call of a function
+of the module that prices, so an oversize input is refused before its copy
+exists. `as_residues`, the copy itself, is priced by its callers.
 
 Every array remainder in `linalg` goes through `_remainder`, which picks
 how to divide: no `%=` and no call of `np.remainder`, `np.mod` or `np.fmod`
@@ -246,14 +248,22 @@ def test_every_multiply_subtract_is_fused(path):
 
 COPIES = ("as_residues", "concatenate", "array")
 PRICES = ("check_budget", "_price_rows")
+UNPRICED = ("as_residues",)
+
+
+def _is_copy(node) -> bool:
+    """A call in COPIES, or an `asarray` call given a dtype."""
+    if _callee(node) == "asarray":
+        return len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)
+    return _callee(node) in COPIES
 
 
 def copies_before_prices(source: str) -> list[str]:
-    """Public functions, and public methods of public classes, that make an
-    array copy (a call in COPIES) before their first price: a call in PRICES,
-    or of a function or method of the module that calls one, at any depth.
-    Calls are ordered by where they end, since a call runs after its
-    arguments; an entry that prices nothing is not flagged."""
+    """Public functions, and public methods of public classes, other than
+    UNPRICED, that make an array copy (`_is_copy`) before their first price,
+    or with no price at all: a price is a call in PRICES, or of a function or
+    method of the module that calls one, at any depth. Calls are ordered by
+    where they end, since a call runs after its arguments."""
     tree = ast.parse(source)
     functions, entries = {}, []
     for node in tree.body:
@@ -279,20 +289,21 @@ def copies_before_prices(source: str) -> list[str]:
     found = []
     for name, fn in entries:
         calls = sorted(
-            ((node.end_lineno, node.end_col_offset), _callee(node))
+            ((node.end_lineno, node.end_col_offset), _is_copy(node), _callee(node))
             for node in ast.walk(fn)
             if isinstance(node, ast.Call)
         )
-        copies = [end for end, callee in calls if callee in COPIES]
-        prices = [end for end, callee in calls if callee in pricers]
-        if copies and prices and copies[0] < prices[0]:
+        copies = [end for end, copy, _ in calls if copy]
+        prices = [end for end, _, callee in calls if callee in pricers]
+        if copies and name not in UNPRICED and (not prices or copies[0] < prices[0]):
             found.append(f"line {copies[0][0]}: {name}")
     return found
 
 
 def test_detector_flags_a_copy_before_its_price():
     # reduce and inverse_mod as they were, a copy inside the priced call's
-    # arguments, and entries that price first, price nothing or are private
+    # arguments, an entry that copies and prices nothing, and entries that
+    # price first, copy nothing or are private
     src = """
 def _price_rows(rows, cols, p):
     check_budget(44 * rows * cols, "row reduction")
@@ -337,7 +348,41 @@ class Subspace:
         return _extend(self.basis, as_residues(rows, self.p))
 """
     assert copies_before_prices(src) == [
-        "line 15: inverse_mod", "line 21: intersect_rows", "line 35: Subspace.reduce",
+        "line 15: inverse_mod", "line 21: intersect_rows", "line 27: frozen_matrix",
+        "line 35: Subspace.reduce",
+    ]
+
+
+def test_detector_flags_a_conversion_before_its_price():
+    # mat_mul, kron_arrays and frozen_matrix as they were: an int8 operand
+    # converted to int64, or a view copied into residues, before any price;
+    # the copy primitive itself and a conversion after the price pass
+    src = """
+def mat_mul(a, b, p):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, np.int64)
+    check_budget(_product_bytes(a.shape, b.shape, p, False), "matrix product")
+    return _product(a, b, p, None)
+
+def kron_arrays(a, b):
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    check_budget(a.size * b.size * 8, "kron product")
+    return np.kron(a, b)
+
+def frozen_matrix(a, p):
+    arr = as_residues(a, p)
+    arr.flags.writeable = False
+    return arr
+
+def as_residues(a, p):
+    return np.array(a, dtype=np.int64) % p
+
+def fine(a, b, p):
+    check_budget(_product_bytes(np.shape(a), np.shape(b), p, False), "matrix product")
+    return _product(np.asarray(a, dtype=np.int64), np.asarray(b)[:, ::-1], p, None)
+"""
+    assert copies_before_prices(src) == [
+        "line 3: mat_mul", "line 9: kron_arrays", "line 14: frozen_matrix",
     ]
 
 

@@ -982,6 +982,19 @@ def test_oversize_matrix_power_is_refused_before_the_residue_copy(monkeypatch):
     assert refused_peak(lambda: mat_pow(a, 2, 7), "matrix product") <= 4 * 2**20
 
 
+def test_oversize_operands_of_another_dtype_are_refused_before_their_copies(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "8")
+    # zero-stride views: int8 operands are copied to int64, 30.5 MiB each,
+    # and an int64 view into its residues; mat_mul traced 61.0 MiB, and
+    # kron_arrays and frozen_matrix 30.5 MiB, when those copies came first
+    small = np.broadcast_to(np.int8(1), (2000, 2000))
+    view = np.broadcast_to(np.int64(1), (2000, 2000))
+    block = np.ones((2, 2), np.int64)
+    assert refused_peak(lambda: mat_mul(small, small, 7), "matrix product") < 2**20
+    assert refused_peak(lambda: kron_arrays(small, block), "kron product") < 2**20
+    assert refused_peak(lambda: frozen_matrix(view, 7), "residue copy") < 2**20
+
+
 def test_oversize_product_is_refused_before_allocating(monkeypatch):
     monkeypatch.setenv("FROBCAT_BUDGET_MB", "1")
     # zero-stride views: 25 * 10^6 entries each, which take no memory until copied

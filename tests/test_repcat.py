@@ -37,11 +37,15 @@ from oracles import hom_basis, iterated_image_ranks, quotient_symmetric_powers
 def test_validate_messages():
     zero = GroupRep(group=cyclic_group(3), p=3, dim=1, matrices=(np.array([[0]]),))
     assert validate(zero) == ["generator 'a' is not invertible mod 3"]
+    # Z/p states a^p = 1 once, as the witness's order, not again as a relation
     two = GroupRep(group=cyclic_group(3), p=3, dim=1, matrices=(np.array([[2]]),))
-    problems = validate(two)
-    assert problems[0] == "relation 'aaa' is violated"
-    assert "sylow witness 'a'" in problems[1]
+    assert validate(two) == ["sylow witness 'a' does not have order dividing 3"]
     assert validate(cyclic_rep(5, (3, 1))) == []
+    # a relation failure is named: a 3-cycle for S_3's transposition a breaks
+    # "aa" and "abab", while the witness b keeps order 3
+    cycle = symmetric_perm_rep(3).matrices[1]
+    bad = GroupRep(group=symmetric_group(3), p=3, dim=3, matrices=(cycle, cycle))
+    assert validate(bad) == ["relation 'aa' is violated", "relation 'abab' is violated"]
 
 
 def test_cyclic_rep_is_a_rep_by_construction(monkeypatch):
@@ -189,6 +193,25 @@ def test_order_check_after_restriction_steps(p, parts, m, monkeypatch):
     assert ranks[max(parts)] == ranks[-1] == m
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_jordan_type_reads_ranks_up_to_the_dimension(p):
+    # the ranks of a dim x dim D settle within dim steps, so the sequence
+    # stops at min(p, dim), not at p; a single block J_d with d = dim is the
+    # case where rank D^(dim - 1) is still nonzero
+    for parts in [(d,) for d in range(1, 7)] + [(4, 1), (3, 1, 1), (2, 2)]:
+        rep = cyclic_rep(p, parts)
+        assert decompose_cyclic(rep).parts == parts
+        assert witness_type(rep).parts == parts
+    # a generator of the wrong order still raises: D = 1 - g is not nilpotent
+    eye = np.eye(3, dtype=np.int64)
+    for gen in (2 * eye, eye + jordan_matrix((3,)) + np.diag([1, 0, 0])):
+        rep = unvalidated(cyclic_group(p), p, gen)
+        with pytest.raises(ValueError, match="^generator does not have order dividing p"):
+            decompose_cyclic(rep)
+        with pytest.raises(ValueError, match=f"^sylow witness 'a' does not have order dividing {p}$"):
+            witness_type(rep)
+
+
 def test_builders():
     assert regular_cyclic_rep(5).dim == 5
     assert symmetric_perm_rep(3).dim == 3
@@ -326,9 +349,30 @@ def test_json_rejects_malformed_and_invalid():
     with pytest.raises(ValueError, match="malformed"):
         rep_from_json({"p": 3})
     obj = rep_to_json(cyclic_rep(3, (2,)))
-    obj["matrices"][0][0][0] = 2  # breaks the relation a^3 = 1
-    with pytest.raises(ValueError, match="relation"):
+    obj["matrices"][0][0][0] = 2  # the generator no longer has order 3
+    with pytest.raises(ValueError, match="^sylow witness 'a' does not have order dividing 3$"):
         rep_from_json(obj)
+    obj["group"]["relations"] = ["aaa"]  # a relation the file states is checked and named
+    with pytest.raises(ValueError, match="^relation 'aaa' is violated; sylow witness 'a'"):
+        rep_from_json(obj)
+
+
+def test_rep_file_with_the_old_cyclic_relation_still_loads():
+    # files written while Z/p carried the relation "a" * p: the word is
+    # checked as any relation is, and the rep is the one written
+    for p, parts in ((3, (2,)), (7, (7, 3, 1))):
+        rep = cyclic_rep(p, parts)
+        obj = rep_to_json(rep)
+        assert obj["group"]["relations"] == []
+        obj["group"]["relations"] = ["a" * p]
+        back = rep_from_json(obj)
+        assert back.group.relations == ("a" * p,) and validate(back) == []
+        assert np.array_equal(back.matrices[0], rep.matrices[0])
+        assert decompose_cyclic(back).parts == parts
+    # its group is not cyclic_group(p), so it does not mix with one built here
+    with pytest.raises(ValueError, match="different groups"):
+        tensor(back, rep)
+    assert rep_to_json(symmetric_perm_rep(5))["group"]["relations"] == ["aa", "ab" * 4]
 
 
 def test_tensor_rejects_mixed_groups():
