@@ -20,6 +20,7 @@ from .linalg import (
     frozen_matrix,
     kron_arrays,
     mat_mul,
+    mat_pow,
     nullspace_mod,
     random_invertible,
     rank_mod,
@@ -52,9 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NilModule:
-    """F_p[D]/(D^n)-module: modulus p, nilpotency order n, operator D (held
-    as a read-only residue array), and its kernel/image flag: the powers
-    D^0..D^n and each Ker D^s ∩ Im D^k built."""
+    """F_p[D]/(D^n)-module: modulus p, nilpotency order n, operator D (a read-only
+    residue array) and its kernel/image flag; only `powers`, on first read, keeps D^k, k >= 2."""
 
     p: int
     n: int
@@ -68,8 +68,9 @@ class NilModule:
             raise ValueError("nilpotency order must be >= 1")
         if self.D.shape[0] != self.D.shape[1]:
             raise ValueError("operator must be square")
-        if np.any(self.powers[self.n]):
+        if mat_pow(self.D, self.n, self.p).any():
             raise ValueError(f"operator is not nilpotent of order {self.n}")
+        self._flag[0, 0] = Subspace.zero(self.p, self.dim)
 
     @property
     def dim(self) -> int:
@@ -91,24 +92,26 @@ class NilModule:
             arr.flags.writeable = False
         return out
 
-    def _meet_rows(self, s: int, k: int) -> np.ndarray:
-        # Ker D^s ∩ Im D^k = D^k(Ker D^{s+k}) for s, k >= 1, and Ker D^{s+k} = V once s + k >= n
-        return mat_mul(self.kernel(min(s + k, self.n)).basis, self.powers[k].T, self.p)
-
     def meet(self, s: int, k: int) -> Subspace:
         """Ker D^s ∩ Im D^k for 0 <= s, k <= n, built on first use."""
+        if s == 0 or k == 0:  # Ker D^0 = 0 and Im D^0 = V
+            return self.kernel(s)
         if (s, k) not in self._flag:
-            if s == 0:
-                meet = Subspace.zero(self.p, self.dim)
-            elif k == 0:
-                meet = Subspace.kernel(self.powers[s], self.p)
-            else:
-                meet = Subspace.from_rows(self._meet_rows(s, k), self.p)
-            self._flag[s, k] = meet
+            # Ker D^s ∩ Im D^k = D^k(Ker D^{s+k}), and Ker D^{s+k} = V once s + k >= n
+            rows = mat_mul(self.kernel(min(s + k, self.n)).basis, self.powers[k].T, self.p)
+            self._flag[s, k] = Subspace.from_rows(rows, self.p)
         return self._flag[s, k]
 
     def kernel(self, k: int) -> Subspace:
-        return self.meet(k, 0)
+        """Ker D^k = {x : D x in Ker D^{k-1}}, built on first use after the kernels below.
+        With B the reduced basis of Ker D^{k-1}, pivots P and free columns F, y lies in it
+        iff y[F] = B[:, F]^T y[P]: Ker D^k = Ker(D[F] - B[:, F]^T D[P]), read off reduce(D^T)."""
+        for s in range(1, k + 1):
+            if (s, 0) not in self._flag:
+                below = self._flag[s - 1, 0]
+                free = np.delete(np.arange(self.dim), below.pivots)
+                self._flag[s, 0] = Subspace.kernel(below.reduce(self.D.T)[:, free].T, self.p)
+        return self._flag[k, 0]
 
     def image(self, k: int) -> Subspace:
         return self.meet(self.n, k)
@@ -274,7 +277,8 @@ def multiplicity_space(m: NilModule, j: int) -> Quotient:
     """
     if not 1 <= j <= m.n:
         raise ValueError(f"index {j} outside [1, {m.n}]")
-    return Quotient.of(m.kernel(j), m.kernel(j - 1).add(m._meet_rows(j, 1)))
+    longer = mat_mul(m.kernel(min(j + 1, m.n)).basis, m.D.T, m.p)  # Ker D^{j+1} = V once j = n
+    return Quotient.of(m.kernel(j), m.kernel(j - 1).add(longer))
 
 
 def multiplicity_vector(n: int, i: int) -> tuple[int, ...]:

@@ -355,7 +355,7 @@ def quotient_symmetric_powers(rep: GroupRep, top: int) -> list[tuple[GroupRep, l
 
 
 def _kernel_of_power(m, k: int) -> Subspace:
-    # D^k from D on every call, as the flag's own powers are not used here
+    # D^k from D on every call, independent of the module's chain of preimages
     if k == 0:
         return Subspace.zero(m.p, m.dim)
     return Subspace.from_rows(nullspace_mod(mat_pow(m.D, k, m.p), m.p), m.p)

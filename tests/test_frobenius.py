@@ -346,8 +346,8 @@ def test_multiplicity_quotients_match_dense_decomposition():
 
 
 def test_multiplicity_quotients_refuse_before_allocating(monkeypatch):
-    # m = 4 at p = 5 keeps six 1024 x 1024 powers and their kernels: the
-    # price covers what is kept, so a 30 MB budget refuses up front
+    # m = 4 at p = 5 keeps D and its kernel flag, 1024 wide: the price covers
+    # what is kept and the last elimination, so a 30 MB budget refuses up front
     monkeypatch.setenv("FROBCAT_BUDGET_MB", "30")
     tracemalloc.start()
     try:
@@ -357,6 +357,27 @@ def test_multiplicity_quotients_refuse_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_multiplicity_quotients_stay_within_their_price(monkeypatch):
+    # the traced peak at p = 5, m = 4 (n = 1024) against the one price asked
+    import frobcat.frobenius
+
+    prices, check = [], frobcat.frobenius.check_budget
+
+    def spy(nbytes, what):
+        prices.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(frobcat.frobenius, "check_budget", spy)
+    tracemalloc.start()
+    try:
+        quotients, n = _multiplicity_quotients(5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [q.dim for q in quotients] == [0, 0, 0, 1]
+    assert prices == [(2 * 5 + 2) * n * n * 8] and peak <= prices[0]
 
 
 def test_frobenius_on_simple_small_values():

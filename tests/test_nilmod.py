@@ -1,4 +1,6 @@
 """Nilpotent-operator modules: Jordan data, functors, extensions."""
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from frobcat.nilmod import (
 from frobcat.seeding import rng_for
 from frobcat.verlinde import green_product
 from oracles import (
+    _kernel_of_power,
     intersected_hom_dims,
     intersected_multiplicity_space,
     intersected_subquotient,
@@ -305,8 +308,8 @@ def test_functors_build_each_power_once(monkeypatch):
 
 
 def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
-    # Ker D^k is one elimination of D^k; the denominator of M_j extends
-    # Ker D^{j-1} by D Ker D^{j+1}, eliminating only on Ker D^{j-1}'s free columns
+    # Ker D^k is one elimination, of D reduced by Ker D^{k-1}; the denominator of M_j
+    # extends Ker D^{j-1} by D Ker D^{j+1}, eliminating only on Ker D^{j-1}'s free columns
     import frobcat.linalg
 
     p, n = 5, 6
@@ -344,6 +347,23 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
         # blocks longer than j put D Ker D^{j+1} outside Ker D^{j-1} for j < n only
         assert len(widths) == (j < n)
         assert all(w <= m.dim - m.kernel(j - 1).dim for w in widths)
+
+
+def test_kernel_flag_of_the_diagonal_power_module_at_n_1024():
+    # the module of the lemm1 suite at p = 5, m = 4: D = 1 - u^(tensor 5) on
+    # 4^5 = 1024 dimensions. Each Ker D^s is built as a preimage and each M_j
+    # reads D itself; the oracles form D^s afresh and meet by Zassenhaus
+    p, m = 5, 4
+    u = np.eye(m, dtype=np.int64) + jordan_matrix((m,))
+    mod = nil_module(np.eye(m**p, dtype=np.int64) - reduce(np.kron, [u] * p), p, p)
+    assert "powers" not in mod.__dict__
+    for s in range(p + 1):
+        assert mod.kernel(s) == _kernel_of_power(mod, s), s
+    for j in range(1, p + 1):
+        got, want = multiplicity_space(mod, j), intersected_multiplicity_space(mod, j)
+        assert "powers" not in mod.__dict__
+        assert got.sup == want.sup and got.sub == want.sub, j
+        assert got.dim == (j == p - 1) + 204 * (j == p)  # 204 J_5 blocks and one J_4
 
 
 def test_powers_are_read_only():
@@ -443,12 +463,11 @@ def test_survey_matches_per_trial_route(p, n, dx, dz, seed):
 
 
 def test_extension_couplings_read_the_modules_own_powers(monkeypatch):
-    # the nilpotency checks of X and Z formed their powers, and the coupling
-    # space reads those: only a sampled extension's middle forms its own
+    # a module forms no power on construction; the first coupling space forms
+    # the powers of X and Z once each, later ones read them, and a sampled
+    # extension's middle Y forms none
     import frobcat.nilmod
 
-    x = random_nil_module(3, 3, 4, seed=57, index=0)
-    z = random_nil_module(3, 3, 3, seed=57, index=1)
     formed = []
     power_list = frobcat.nilmod._power_list
 
@@ -457,10 +476,15 @@ def test_extension_couplings_read_the_modules_own_powers(monkeypatch):
         return power_list(d, n, p)
 
     monkeypatch.setattr(frobcat.nilmod, "_power_list", spy)
-    extension_survey(x, z, 6, seed=57)
+    x = random_nil_module(3, 3, 4, seed=57, index=0)
+    z = random_nil_module(3, 3, 3, seed=57, index=1)
     assert formed == []
+    extension_survey(x, z, 6, seed=57)
+    assert len(formed) == 2 and formed[0] is x.D and formed[1] is z.D
+    formed.clear()
+    extension_survey(x, z, 6, seed=57)
     s = random_extension(x, z, seed=57)
-    assert len(formed) == 1 and formed[0] is s.y.D
+    assert formed == [] and "powers" not in s.y.__dict__
 
 
 def test_survey_report_fields():
