@@ -21,7 +21,6 @@ from .nilmod import (
     JordanType,
     NilModule,
     ShortExactSeq,
-    extension_from_phi,
     extension_survey,
     functor_B,
     functor_E,
@@ -30,10 +29,8 @@ from .nilmod import (
     jordan_type,
     multiplicity_vector,
     nil_module,
-    random_extension,
     random_nil_module,
     rank_sequence,
-    split_test,
 )
 from .repcat import (
     GroupRep,
@@ -43,23 +40,16 @@ from .repcat import (
     cyclic_rep,
     decompose_cyclic,
     direct_sum,
-    permutation_rep,
-    regular_cyclic_rep,
     rep_from_json,
     rep_to_json,
-    restrict_to_nilmodule,
     symmetric_group,
-    symmetric_perm_rep,
     tensor,
     trivial_rep,
     validate,
 )
 from .verlinde import (
     FusionElement,
-    fpdim,
-    fpdim_perron,
     fpdim_simple,
-    fusion_matrix,
     fusion_tensor,
     semisimplify,
     verlinde_cone_report,

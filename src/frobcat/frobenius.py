@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import comb
 
 import numpy as np
 
@@ -422,7 +423,10 @@ def sp_multiplicity_spaces(p: int, m: int) -> dict:
 
     Asserts the projectivity pattern: every M_j is projective over the
     p-cycle except j = 1 (m odd) / j = p-1 (m even), where the
-    non-projective core has dimension C(p-2, m-1).
+    non-projective core has dimension C(p-2, m-1). That dimension is asserted
+    only at p in {3, 5}: at p = 7, m = 3 the core is 3, which agrees with
+    C(5, 2) = 10 only mod 7, so p = 7 stays off the allowlist until the claim
+    is restated from the paper.
     """
     if p not in (3, 5):
         raise ValueError("p outside {3, 5} (budget)")
@@ -441,8 +445,6 @@ def sp_multiplicity_spaces(p: int, m: int) -> dict:
         projective.append(all(k == p for k in t.parts))
         core_dims.append(sum(k for k in t.parts if k < p))
     exceptional = 1 if m % 2 else p - 1
-    from math import comb
-
     expected_core = comb(p - 2, m - 1)
     for j in range(1, p):
         if j == exceptional:

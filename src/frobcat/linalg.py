@@ -59,7 +59,6 @@ __all__ = [
     "mat_pow",
     "inverse_mod",
     "kron_arrays",
-    "induced_on_subquotient",
     "check_budget",
     "check_modulus",
     "frozen_matrix",
@@ -778,33 +777,3 @@ class Quotient:
         if self.dim == 0:
             return np.zeros(reduced.shape[:-1] + (0,), dtype=np.int64)
         return reduced[..., list(self.coord_columns)]
-
-
-def induced_on_subquotient(
-    m,
-    sup: Subspace,
-    sub: Subspace,
-    target_sup: Subspace | None = None,
-    target_sub: Subspace | None = None,
-) -> np.ndarray:
-    """Matrix induced by the array m on sup/sub -> target_sup/target_sub.
-
-    Errors if the containments fail or m does not map the source pair into
-    the target pair. Target defaults to the source pair.
-    """
-    p = sup.p
-    if target_sup is None:
-        target_sup = sup
-    if target_sub is None:
-        target_sub = sub
-    src = Quotient.of(sup, sub)
-    dst = Quotient.of(target_sup, target_sub)
-    if sub.dim:
-        if not target_sub.contains_vectors(mat_mul(m, sub.basis.T, p).T):
-            raise ValueError("map does not send the denominator into the target denominator")
-    if src.dim == 0:
-        return np.zeros((dst.dim, 0), np.int64)
-    images = mat_mul(m, src.lifts.T, p).T
-    if not target_sup.contains_vectors(images):
-        raise ValueError("map does not send the numerator into the target numerator")
-    return dst.coords(images).T

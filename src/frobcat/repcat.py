@@ -24,13 +24,11 @@ from .linalg import (
 )
 from .nilmod import (
     JordanType,
-    NilModule,
     _block_extension,
     _random_jordan_conjugate,
     _rank_sequence_arr,
     _type_from_ranks,
     jordan_matrix,
-    nil_module,
 )
 from .seeding import rng_for
 
@@ -40,17 +38,13 @@ __all__ = [
     "cyclic_group",
     "symmetric_group",
     "trivial_rep",
-    "permutation_rep",
     "cyclic_rep",
-    "regular_cyclic_rep",
-    "symmetric_perm_rep",
     "random_cyclic_rep",
     "evaluate_word",
     "validate",
     "tensor",
     "direct_sum",
     "SymmetricTower",
-    "restrict_to_nilmodule",
     "decompose_cyclic",
     "witness_type",
     "rep_to_json",
@@ -171,17 +165,6 @@ def trivial_rep(group: GroupSpec, p: int) -> GroupRep:
     return GroupRep(group=group, p=p, dim=1, matrices=(eye,) * group.generators)
 
 
-def permutation_rep(group: GroupSpec, p: int, perms) -> GroupRep:
-    """Generator g sends basis vector e_j to e_perm[j]."""
-    mats = []
-    dim = len(perms[0])
-    for perm in perms:
-        m = np.zeros((dim, dim), np.int64)
-        m[np.asarray(perm), np.arange(dim)] = 1
-        mats.append(m)
-    return _checked(GroupRep(group=group, p=p, dim=dim, matrices=tuple(mats)))
-
-
 def cyclic_rep(p: int, parts) -> GroupRep:
     """Rep of Z/p with generator unipotent of Jordan type `parts` (parts <= p): a rep
     by construction, as (1 + J)^p = 1 + J^p = 1 with every block at most p."""
@@ -191,18 +174,6 @@ def cyclic_rep(p: int, parts) -> GroupRep:
     gen = jordan_matrix(parts)  # priced there
     np.fill_diagonal(gen, 1)
     return GroupRep(group=cyclic_group(p), p=p, dim=sum(parts), matrices=(gen,))
-
-
-def regular_cyclic_rep(p: int) -> GroupRep:
-    return permutation_rep(cyclic_group(p), p, [[(j + 1) % p for j in range(p)]])
-
-
-def symmetric_perm_rep(p: int) -> GroupRep:
-    """Natural p-point permutation rep of S_p."""
-    swap = list(range(p))
-    swap[0], swap[1] = 1, 0
-    cycle = [(j + 1) % p for j in range(p)]
-    return permutation_rep(symmetric_group(p), p, [swap, cycle])
 
 
 def random_cyclic_rep(p: int, dim: int, seed: int, index: int = 0) -> GroupRep:
@@ -304,14 +275,6 @@ def _jordan_type_at(rep: GroupRep, word: str, error: str) -> JordanType:
     if ranks[-1]:
         raise ValueError(error)
     return _type_from_ranks(ranks, n)
-
-
-def restrict_to_nilmodule(rep: GroupRep, element: str, n: int) -> NilModule:
-    """NilModule with D = 1 - rho(element); element must have order dividing p."""
-    d = _one_minus(rep, element)
-    if mat_pow(d, rep.p, rep.p).any():
-        raise ValueError(f"element {element!r} does not have order dividing {rep.p}")
-    return nil_module(d, rep.p, n)
 
 
 def decompose_cyclic(rep: GroupRep) -> JordanType:

@@ -23,10 +23,7 @@ __all__ = [
     "simple",
     "fusion_tensor",
     "green_product",
-    "fusion_matrix",
     "fpdim_simple",
-    "fpdim",
-    "fpdim_perron",
     "semisimplify",
     "verlinde_weights",
     "concave_weights_to_cone",
@@ -112,34 +109,8 @@ def fusion_tensor(a: FusionElement, b: FusionElement) -> FusionElement:
     return out
 
 
-def fusion_matrix(p: int, r: int) -> np.ndarray:
-    """N_r with (N_r)[t-1, s-1] = multiplicity of L_t in L_r (x) L_s."""
-    n = np.zeros((p - 1, p - 1), np.int64)
-    for s in range(1, p):
-        n[:, s - 1] = _fuse_simples(p, r, s).mult
-    return n
-
-
 def fpdim_simple(p: int, r: int) -> float:
     return math.sin(math.pi * r / p) / math.sin(math.pi / p)
-
-
-def fpdim(e: FusionElement) -> float:
-    return sum(m * fpdim_simple(e.p, r) for r, m in enumerate(e.mult, start=1))
-
-
-def fpdim_perron(p: int) -> np.ndarray:
-    """FPdims of all simples read off the Perron eigenvector of N_2."""
-    if p == 2:
-        return np.array([1.0])
-    n2 = fusion_matrix(p, 2).astype(np.float64)
-    vals, vecs = np.linalg.eig(n2)
-    lead = int(np.argmax(vals.real))
-    vec = vecs[:, lead].real
-    vec = vec / vec[0]
-    if vec[1] < 0:
-        vec = -vec
-    return vec
 
 
 def semisimplify(x) -> FusionElement:

@@ -13,8 +13,14 @@ the kernel/image subquotients of a nil-module with every meet taken by
 `Subspace.intersect`.
 
 The rest have no caller in the package: exact solving, bases of
-intertwiners, the shift functor on a morphism, extensions with a given
-coupling, and the hom and negligible-hom counts of a nil-module.
+intertwiners, the map an array induces on a subquotient, the shift functor
+on a morphism, extensions of reps with a given coupling, and the hom and
+negligible-hom counts of a nil-module; the per-trial route `extension_survey`
+is tested against (`split_test` of each `random_extension`, built by
+`extension_from_phi`); the test reps (permutation reps, the regular rep of
+Z/p, the natural rep of S_p, and the restriction of a rep to a nil-module);
+and the fusion matrices N_r, with FPdims read off the Perron eigenvector of
+N_2 as a check of the closed form.
 """
 import numpy as np
 
@@ -33,7 +39,6 @@ from frobcat.linalg import (
     as_residues,
     check_budget,
     frozen_matrix,
-    induced_on_subquotient,
     kron_arrays,
     mat_mul,
     mat_pow,
@@ -42,15 +47,32 @@ from frobcat.linalg import (
     rref,
 )
 from frobcat.nilmod import (
+    NilModule,
     ShortExactSeq,
-    _block_maps,
+    _block_extension,
+    _draw_coupling,
+    _e_dims,
+    _extension_space,
+    _type_from_ranks,
     functor_B,
     functor_E,
     multiplicity_space,
     nil_module,
+    rank_sequence,
 )
-from frobcat.repcat import GroupRep, _checked, _same_group, cyclic_group, decompose_cyclic, trivial_rep
-from frobcat.verlinde import FusionElement
+from frobcat.repcat import (
+    GroupRep,
+    GroupSpec,
+    _checked,
+    _one_minus,
+    _same_group,
+    cyclic_group,
+    decompose_cyclic,
+    symmetric_group,
+    trivial_rep,
+)
+from frobcat.seeding import rng_for
+from frobcat.verlinde import FusionElement, _fuse_simples, fpdim_simple
 
 
 def rref_naive(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -501,3 +523,125 @@ def natfunc_hom_dims(x, i: int) -> dict:
         "quotient_dim": q.dim,
         "iso_onto_block_space": True,
     }
+
+
+def induced_on_subquotient(
+    m,
+    sup: Subspace,
+    sub: Subspace,
+    target_sup: Subspace | None = None,
+    target_sub: Subspace | None = None,
+) -> np.ndarray:
+    """Matrix induced by the array m on sup/sub -> target_sup/target_sub.
+
+    Errors if the containments fail or m does not map the source pair into
+    the target pair. Target defaults to the source pair.
+    """
+    p = sup.p
+    if target_sup is None:
+        target_sup = sup
+    if target_sub is None:
+        target_sub = sub
+    src = Quotient.of(sup, sub)
+    dst = Quotient.of(target_sup, target_sub)
+    if sub.dim:
+        if not target_sub.contains_vectors(mat_mul(m, sub.basis.T, p).T):
+            raise ValueError("map does not send the denominator into the target denominator")
+    if src.dim == 0:
+        return np.zeros((dst.dim, 0), np.int64)
+    images = mat_mul(m, src.lifts.T, p).T
+    if not target_sup.contains_vectors(images):
+        raise ValueError("map does not send the numerator into the target numerator")
+    return dst.coords(images).T
+
+
+def permutation_rep(group: GroupSpec, p: int, perms) -> GroupRep:
+    """Generator g sends basis vector e_j to e_perm[j]."""
+    mats = []
+    dim = len(perms[0])
+    for perm in perms:
+        m = np.zeros((dim, dim), np.int64)
+        m[np.asarray(perm), np.arange(dim)] = 1
+        mats.append(m)
+    return _checked(GroupRep(group=group, p=p, dim=dim, matrices=tuple(mats)))
+
+
+def regular_cyclic_rep(p: int) -> GroupRep:
+    return permutation_rep(cyclic_group(p), p, [[(j + 1) % p for j in range(p)]])
+
+
+def symmetric_perm_rep(p: int) -> GroupRep:
+    """Natural p-point permutation rep of S_p."""
+    swap = list(range(p))
+    swap[0], swap[1] = 1, 0
+    cycle = [(j + 1) % p for j in range(p)]
+    return permutation_rep(symmetric_group(p), p, [swap, cycle])
+
+
+def restrict_to_nilmodule(rep: GroupRep, element: str, n: int) -> NilModule:
+    """NilModule with D = 1 - rho(element); element must have order dividing p."""
+    d = _one_minus(rep, element)
+    if mat_pow(d, rep.p, rep.p).any():
+        raise ValueError(f"element {element!r} does not have order dividing {rep.p}")
+    return nil_module(d, rep.p, n)
+
+
+def _block_maps(dx: int, dz: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusion of the top block and projection onto the bottom one."""
+    return np.eye(dx + dz, dx, dtype=np.int64), np.eye(dz, dx + dz, k=dx, dtype=np.int64)
+
+
+def extension_from_phi(x: NilModule, z: NilModule, phi) -> ShortExactSeq:
+    """The extension of Z by X with coupling block phi (must keep D_Y^n = 0)."""
+    y = nil_module(_block_extension(x.D, z.D, phi), x.p, x.n)
+    inj, surj = _block_maps(x.dim, z.dim)
+    return ShortExactSeq(x=x, y=y, z=z, inj=inj, surj=surj)
+
+
+def random_extension(x: NilModule, z: NilModule, seed: int, index: int = 0) -> ShortExactSeq:
+    """Uniformly random admissible extension of Z by X, deterministic in (seed, index)."""
+    basis = _extension_space(x.powers, z.powers, x.n, x.p)
+    phi = _draw_coupling(basis, rng_for(seed, index), x.p, (x.dim, z.dim))
+    return extension_from_phi(x, z, phi)
+
+
+def split_test(s: ShortExactSeq) -> dict:
+    """Additivity of the E-dimensions (i <= n/2) and Jordan-type splitting."""
+    n = s.x.n
+    rx, ry, rz = rank_sequence(s.x), rank_sequence(s.y), rank_sequence(s.z)
+    ex = _e_dims(rx, s.x.dim, n)
+    ey = _e_dims(ry, s.y.dim, n)
+    ez = _e_dims(rz, s.z.dim, n)
+    e_additive = all(ey[k] == ex[k] + ez[k] for k in range(len(ey)))
+    split = _type_from_ranks(ry, n) == _type_from_ranks(rx, n).merge(_type_from_ranks(rz, n))
+    return {
+        "e_additive": e_additive,
+        "split": split,
+        "implication_holds": (not e_additive) or split,
+    }
+
+
+def fusion_matrix(p: int, r: int) -> np.ndarray:
+    """N_r with (N_r)[t-1, s-1] = multiplicity of L_t in L_r (x) L_s."""
+    n = np.zeros((p - 1, p - 1), np.int64)
+    for s in range(1, p):
+        n[:, s - 1] = _fuse_simples(p, r, s).mult
+    return n
+
+
+def fpdim(e: FusionElement) -> float:
+    return sum(m * fpdim_simple(e.p, r) for r, m in enumerate(e.mult, start=1))
+
+
+def fpdim_perron(p: int) -> np.ndarray:
+    """FPdims of all simples read off the Perron eigenvector of N_2."""
+    if p == 2:
+        return np.array([1.0])
+    n2 = fusion_matrix(p, 2).astype(np.float64)
+    vals, vecs = np.linalg.eig(n2)
+    lead = int(np.argmax(vals.real))
+    vec = vecs[:, lead].real
+    vec = vec / vec[0]
+    if vec[1] < 0:
+        vec = -vec
+    return vec

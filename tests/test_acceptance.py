@@ -22,7 +22,7 @@ from frobcat.frobenius import (
     six_periodic_check,
     sp_multiplicity_spaces,
 )
-from frobcat.linalg import induced_on_subquotient, is_prime
+from frobcat.linalg import is_prime
 from frobcat.nilmod import (
     extension_survey,
     functor_B,
@@ -35,21 +35,19 @@ from frobcat.nilmod import (
 from frobcat.repcat import (
     evaluate_word,
     random_cyclic_rep,
-    restrict_to_nilmodule,
     tensor,
 )
 from frobcat.seeding import mix64, rng_for
 from frobcat.series import growth_check, hilbert_coeffs
 from frobcat.repcat import cyclic_rep
 from frobcat.verlinde import (
-    fpdim_perron,
     fpdim_simple,
-    fusion_matrix,
     fusion_tensor,
     semisimplify,
     simple,
     verlinde_cone_report,
 )
+from oracles import fpdim_perron, fusion_matrix, induced_on_subquotient, restrict_to_nilmodule
 
 SEED = 0xACCE
 

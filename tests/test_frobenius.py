@@ -24,7 +24,7 @@ from frobcat.frobenius import (
     six_periodic_check,
     sp_multiplicity_spaces,
 )
-from frobcat.linalg import BudgetError, induced_on_subquotient
+from frobcat.linalg import BudgetError
 from frobcat.nilmod import (
     JordanType,
     ShortExactSeq,
@@ -43,9 +43,6 @@ from frobcat.repcat import (
     decompose_cyclic,
     evaluate_word,
     random_cyclic_rep,
-    regular_cyclic_rep,
-    restrict_to_nilmodule,
-    symmetric_perm_rep,
     validate,
 )
 from frobcat.seeding import rng_for
@@ -53,12 +50,16 @@ from frobcat.verlinde import _fuse_simples, fpdim_simple, simple
 from oracles import (
     frobenius_on_morphism,
     hom_basis,
+    induced_on_subquotient,
     power_rep,
     power_space_image_of_simple,
+    regular_cyclic_rep,
     rep_extension_from_phi,
+    restrict_to_nilmodule,
     rotation_classes,
     six_periodic_pairs,
     subquotient_components,
+    symmetric_perm_rep,
 )
 
 

@@ -45,6 +45,15 @@ a representation by construction.
 The public surface is pinned: the names `__init__.py` re-exports equal the
 sorted literal `PUBLIC`, so any API added to or removed from the package
 shows in the diff of this file.
+
+The package holds what its commands run: every module-level `def` and
+`class` is reached from `cli.run`, the check suites (`SUITES`), a function
+the benchmark tracer wraps or a cache it reads (`LAYERS` and `CACHES` in
+`perfbench/tracer.py`, read from its source), or an entry of `KEPT`, each
+with its reason. A definition reaches what it names (a class with all its
+methods), through the module's own definitions and assignments and its
+`from .module import name` bindings. Code that only tests call belongs in
+`tests/oracles.py`.
 """
 import ast
 from pathlib import Path
@@ -460,7 +469,7 @@ def test_no_array_contents_become_bytes(path):
     assert array_bytes(path.read_text(encoding="utf-8")) == []
 
 
-ENTRY_POINTS = {"rep_from_json", "permutation_rep", "sp_multiplicity_spaces"}
+ENTRY_POINTS = {"rep_from_json", "sp_multiplicity_spaces"}
 
 
 def validation_calls(source: str) -> list[str]:
@@ -511,18 +520,16 @@ PUBLIC = {
     "GroupRep", "GroupSpec", "JordanType", "NilModule", "Quotient", "ShortExactSeq",
     "Subspace", "SymmetricTower", "TruncSeries", "check_additivity",
     "check_monoidality", "cyclic_group", "cyclic_power", "cyclic_rep",
-    "decompose_cyclic", "direct_sum", "exactness_report", "extension_from_phi",
-    "extension_survey", "fpdim", "fpdim_of_F", "fpdim_perron", "fpdim_simple",
-    "frobenius_components", "frobenius_on_simple", "frobenius_order_abstract",
-    "functor_B", "functor_E", "functor_L_and_Eis", "fusion_matrix", "fusion_tensor",
-    "growth_check", "hilbert_coeffs", "inverse_mod", "jordan_module", "jordan_type",
-    "kron_arrays", "mat_mul", "mat_pow", "mix64", "multiplicity_vector", "nil_module",
-    "nullspace_mod", "permutation_rep", "random_extension", "random_nil_module",
-    "random_rep_extension", "random_rep_ses", "rank_mod", "rank_sequence",
-    "regular_cyclic_rep", "rep_from_json", "rep_to_json", "restrict_to_nilmodule",
+    "decompose_cyclic", "direct_sum", "exactness_report", "extension_survey",
+    "fpdim_of_F", "fpdim_simple", "frobenius_components", "frobenius_on_simple",
+    "frobenius_order_abstract", "functor_B", "functor_E", "functor_L_and_Eis",
+    "fusion_tensor", "growth_check", "hilbert_coeffs", "inverse_mod", "jordan_module",
+    "jordan_type", "kron_arrays", "mat_mul", "mat_pow", "mix64", "multiplicity_vector",
+    "nil_module", "nullspace_mod", "random_nil_module", "random_rep_extension",
+    "random_rep_ses", "rank_mod", "rank_sequence", "rep_from_json", "rep_to_json",
     "rng_for", "rref", "semisimplify", "six_periodic_check", "sp_multiplicity_spaces",
-    "split_test", "symmetric_group", "symmetric_perm_rep", "tensor", "trivial_rep",
-    "validate", "verlinde_cone_report", "verlinde_weights",
+    "symmetric_group", "tensor", "trivial_rep", "validate", "verlinde_cone_report",
+    "verlinde_weights",
 }
 
 
@@ -539,3 +546,111 @@ def reexported(source: str) -> set[str]:
 
 def test_public_surface_is_pinned():
     assert reexported((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == PUBLIC
+
+
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+KEPT = {
+    "cli.main": "the `frobcat` console script; it calls `run`",
+    "frobenius.exactness_report": "an acceptance criterion (exactness of the shift functors)",
+    "frobenius.frobenius_on_simple": "an acceptance criterion (the functor on the simples of Ver_p)",
+    "frobenius.frobenius_order_abstract": "the order claim, kept to run on a category where F is not exact",
+    "repcat.rep_to_json": "writes the `--rep-file` format that the README points at",
+    "verlinde.verlinde_cone_report": "an acceptance criterion (cone coordinates of Verlinde weights)",
+}
+
+
+def traced_names(source: str) -> set[str]:
+    """`module.name` of each function the tracer's `LAYERS` wraps (a method
+    counts as its class) and each cache its `CACHES` reads."""
+    values = {
+        node.targets[0].id: node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    # LAYERS is dicts and comprehensions over string literals: evaluated with no builtins
+    layers = eval(compile(ast.Expression(values["LAYERS"]), "tracer.py", "eval"), {"__builtins__": {}})
+    wrapped = {f"{layer}.{path.split('.')[0]}" for layer, names in layers.items() for path in names.values()}
+    return wrapped | {f"{layer}.{fn}" for layer, fn in ast.literal_eval(values["CACHES"]).values()}
+
+
+def unreached(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """Roots that name no definition, then the module-level `def`s and
+    `class`es of `sources` (module name -> source) that no root reaches."""
+    edges, definitions = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scope = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        bound = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.append((node.name, node))
+                definitions.add(f"{module}.{node.name}")
+            elif isinstance(node, ast.Assign):
+                bound += [(target.id, node) for target in node.targets if isinstance(target, ast.Name)]
+        scope.update((name, f"{module}.{name}") for name, _ in bound)
+        for name, node in bound:
+            read = {inner.id for inner in ast.walk(node) if isinstance(inner, ast.Name)}
+            edges[f"{module}.{name}"] = {scope[r] for r in read if r in scope}
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += edges.get(name, ())
+    missing = [f"root {name} is not defined" for name in sorted(roots - edges.keys())]
+    return missing + sorted(definitions - seen)
+
+
+def test_detector_flags_an_unreached_definition():
+    # a helper only a dead function calls is dead too; a class is reached
+    # through an assignment that names it, with its methods
+    sources = {
+        "linalg": """
+def rref(a, p):
+    return _leaf(a, p)
+
+def _leaf(a, p):
+    return a
+
+def induced(m, q):
+    return _lifts(rref(m, q.p))
+
+def _lifts(r):
+    return r
+""",
+        "nilmod": """
+from .linalg import rref as eliminate
+
+class Module:
+    def kernel(self):
+        return eliminate(self.D, self.p)
+
+def _dead():
+    return Module
+""",
+        "cli": """
+from .nilmod import Module
+
+SUITES = {"kernel": Module}
+
+def run(argv):
+    return SUITES[argv[0]]
+
+def main():
+    run([])
+""",
+    }
+    assert unreached(sources, {"cli.run", "cli.gone"}) == [
+        "root cli.gone is not defined", "cli.main", "linalg._lifts", "linalg.induced", "nilmod._dead",
+    ]
+
+
+def test_every_definition_is_reached_from_a_command_or_the_tracer():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    roots = {"cli.run", "cli.SUITES", *KEPT} | traced_names(TRACER.read_text(encoding="utf-8"))
+    assert unreached(sources, roots) == []

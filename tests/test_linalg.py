@@ -22,7 +22,6 @@ from frobcat.linalg import (
     check_budget,
     check_modulus,
     frozen_matrix,
-    induced_on_subquotient,
     inverse_mod,
     is_prime,
     kron_arrays,
@@ -37,6 +36,7 @@ from frobcat.linalg import (
 from frobcat.nilmod import jordan_matrix, random_nil_module
 from frobcat.seeding import rng_for
 from oracles import (
+    induced_on_subquotient,
     mat_mul_naive,
     nullspace_certificate,
     pivot_loop_per_pivot,
@@ -631,11 +631,15 @@ def test_rref_certificate_at_workload_sizes(p):
     # [A | I] reduces to [R | T] in RREF with T A = R, at the sizes of the
     # green_tensor corner and the rank900 yardstick: a random 900^2 matrix,
     # and a 1024^2 one of rank at most 512, its right half the left half's
-    # columns reversed, so that its leaves meet dead columns
+    # columns reversed, so that its leaves meet dead columns; then random
+    # matrices of the tall and wide shapes of CERTIFIED_SHAPES, whose
+    # [A | I] is 2000 x 2064 and 64 x 2064
     rng = rng_for(p, 12)
     rref_certificate(rng.integers(0, p, size=(900, 900)), p, rng)
     half = rng.integers(0, p, size=(1024, 512))
     rref_certificate(np.concatenate([half, half[:, ::-1]], axis=1), p, rng)
+    for shape in [(2000, 64), (64, 2000)]:
+        rref_certificate(rng.integers(0, p, size=shape), p, rng)
 
 
 # The shapes of the workloads' eliminations and products: 900^2 (the

@@ -13,7 +13,6 @@ from frobcat.nilmod import (
     _block_extension,
     _rank_sequence_arr,
     _type_from_ranks,
-    extension_from_phi,
     extension_survey,
     functor_B,
     functor_E,
@@ -24,21 +23,22 @@ from frobcat.nilmod import (
     multiplicity_space,
     multiplicity_vector,
     nil_module,
-    random_extension,
     random_nil_module,
     random_partition,
     rank_sequence,
-    split_test,
 )
 from frobcat.seeding import rng_for
 from frobcat.verlinde import green_product
 from oracles import (
     _kernel_of_power,
+    extension_from_phi,
     intersected_hom_dims,
     intersected_multiplicity_space,
     intersected_subquotient,
     iterated_image_ranks,
     natfunc_hom_dims,
+    random_extension,
+    split_test,
 )
 
 partitions = st.lists(st.integers(1, 5), min_size=0, max_size=5).map(

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from frobcat.frobenius import frobenius_on_simple, random_rep_ses
-from frobcat.nilmod import extension_survey, jordan_module, random_extension, random_nil_module
+from frobcat.nilmod import extension_survey, jordan_module, random_nil_module
 from frobcat.repcat import random_cyclic_rep
+from oracles import random_extension
 
 PRIMES = (2, 3, 5, 7)
 SEEDS = (0, 1, 29, 2024)

@@ -13,14 +13,10 @@ from frobcat.repcat import (
     decompose_cyclic,
     direct_sum,
     evaluate_word,
-    permutation_rep,
-    regular_cyclic_rep,
     random_cyclic_rep,
     rep_from_json,
     rep_to_json,
-    restrict_to_nilmodule,
     symmetric_group,
-    symmetric_perm_rep,
     tensor,
     trivial_rep,
     validate,
@@ -31,7 +27,15 @@ from frobcat.seeding import rng_for
 from itertools import combinations_with_replacement
 from math import comb
 
-from oracles import hom_basis, iterated_image_ranks, quotient_symmetric_powers
+from oracles import (
+    hom_basis,
+    iterated_image_ranks,
+    permutation_rep,
+    quotient_symmetric_powers,
+    regular_cyclic_rep,
+    restrict_to_nilmodule,
+    symmetric_perm_rep,
+)
 
 
 def test_validate_messages():

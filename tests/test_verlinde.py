@@ -10,7 +10,6 @@ from frobcat.repcat import (
     cyclic_rep,
     decompose_cyclic,
     random_cyclic_rep,
-    restrict_to_nilmodule,
     tensor,
 )
 from frobcat.verlinde import (
@@ -18,10 +17,7 @@ from frobcat.verlinde import (
     WeightVector,
     _fuse_simples,
     concave_weights_to_cone,
-    fpdim,
-    fpdim_perron,
     fpdim_simple,
-    fusion_matrix,
     fusion_tensor,
     green_product,
     semisimplify,
@@ -29,7 +25,7 @@ from frobcat.verlinde import (
     verlinde_cone_report,
     verlinde_weights,
 )
-from oracles import natfunc_hom_dims
+from oracles import fpdim, fpdim_perron, fusion_matrix, natfunc_hom_dims, restrict_to_nilmodule
 
 FUSION_PRIMES = st.sampled_from([2, 3, 5, 7, 11])
 
