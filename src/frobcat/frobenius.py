@@ -429,7 +429,7 @@ def sp_multiplicity_spaces(p: int, m: int) -> dict:
     is restated from the paper.
     """
     if p not in (3, 5):
-        raise ValueError("p outside {3, 5} (budget)")
+        raise ValueError("p outside {3, 5}: core dimension C(p - 2, m - 1) is claimed only there")
     quotients, _ = _multiplicity_quotients(p, m)
     swap_perm, rot_perm = _factor_permutations(m, p)
     group = symmetric_group(p)

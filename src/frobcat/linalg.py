@@ -144,18 +144,18 @@ def frozen_matrix(a, p: int) -> np.ndarray:
     return arr
 
 
-def _price_rows(rows: int, cols: int, p: int) -> None:
-    """Price a row reduction of a rows x cols block at its traced peak: the
+def _price_rows(rows: int, cols: int, p: int, more: int = 0) -> None:
+    """Price a row reduction of a rows x cols block at its traced peak (the
     residue copy, the operands of the largest products and the merged
-    result. Over `rref` of shapes from 64^2 to 1024 x 2048 and 40 x 4000,
-    and `Subspace.add` of 1 to 900 rows to bases of 10 to 900, that peak
-    was at most 5.0 words per entry while every product runs in one float
-    GEMM, and 6.0 once one may split (_split_mul's halves and their partial
-    products); priced at 5.5 and 6.5 words. The recursion's own products
-    are then not priced again.
+    result), with `more` bytes its caller holds beside it. Over `rref` of
+    shapes from 64^2 to 1024 x 2048 and 40 x 4000, and `Subspace.add` of 1
+    to 900 rows to bases of 10 to 900, that peak was at most 5.0 words per
+    entry while every product runs in one float GEMM, and 6.0 once one may
+    split (_split_mul's halves and their partial products); priced at 5.5
+    and 6.5 words. The recursion's own products are then not priced again.
     """
     split = (p - 1) * (p - 1) * min(rows, cols) + p >= _FLOAT64_EXACT
-    check_budget((52 if split else 44) * rows * cols, "row reduction")
+    check_budget((52 if split else 44) * rows * cols + more, "row reduction")
 
 
 def rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -415,9 +415,7 @@ def _kernel_rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """RREF basis and pivots of the kernel of a; see nullspace_mod."""
     cols = np.shape(a)[1]
     red, rpiv = rref(np.asarray(a)[:, ::-1], p)
-    pivot = np.zeros(cols, bool)
-    pivot[list(rpiv)] = True
-    rfree = np.flatnonzero(~pivot)  # free columns of the reversed matrix, ascending
+    rfree = (np.bincount(rpiv, minlength=cols) == 0).nonzero()[0]  # free columns of a[:, ::-1]
     k = rfree.size
     free = cols - 1 - rfree[::-1]  # the same columns in the original order, ascending
     basis = np.zeros((k, cols), np.int64)
@@ -718,6 +716,35 @@ class Subspace:
             return self
         order = np.argsort(piv)
         return Subspace(p=self.p, basis=basis[order], pivots=tuple(piv[order].tolist()))
+
+    def preimage(self, a) -> "Subspace":
+        """{x : a @ x in W} for this subspace W and a square a with aW ⊆ W (else {x : a (x mod W)
+        in W}). With B the basis, pivots P and free columns F, a induces a[F, F] - B[:, F]^T a[P, F]
+        on F_p^n / W in the coordinates x[F]: one fused product, whose kernel's reduced rows (zero
+        on P) are the new rows. One fused update clears B on their pivots; one sort orders all."""
+        n, k, p, f = self.ambient, self.dim, self.p, self.ambient - self.dim
+        if np.shape(a) != (n, n):
+            raise ValueError(f"an operator of shape {np.shape(a)} on F_p^{n}")
+        if not f:
+            return self
+        # beside the elimination: the merged rows, 16 words a column of pivots, the gathered
+        # columns and their residues, B[:, F], and the fused products
+        fused = _product_bytes((f, k), (k, f), p, True) + _product_bytes((k, f), (f, f), p, True)
+        _price_rows(f, f, p, 8 * (n * (n + 16 + 2 * f) + k * f) + fused)
+        pivots = np.array(self.pivots, dtype=np.intp)
+        free = (np.bincount(pivots, minlength=n) == 0).nonzero()[0]
+        cols = as_residues(np.asarray(a)[np.concatenate([pivots, free])[:, None], free], p)
+        bf = self.basis[:, free]
+        ker, kp = _kernel_rref(_product(bf.T, cols[:k], p, cols[k:]), p)
+        del cols  # freed before the merge: held, it kept a lemm1 pass's peak RSS 3 MB higher
+        piv = np.concatenate([pivots, free[list(kp)]])
+        rows = np.sort(piv)
+        at = rows.searchsorted(piv)[:, None]  # each row's place in pivot order
+        out = np.zeros((rows.size, n), np.int64)
+        out[at[:k, 0], pivots] = 1  # B[:, P] is the identity
+        out[at[:k], free] = _product(self.basis[:, piv[k:]], ker, p, bf)
+        out[at[k:], free] = ker
+        return Subspace(p=p, basis=out, pivots=tuple(rows.tolist()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style: kernel of [A^T | -B^T] gives the common combos."""

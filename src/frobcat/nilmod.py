@@ -50,8 +50,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NilModule:
-    """F_p[D]/(D^n)-module: modulus p, nilpotency order n, operator D (a read-only
-    residue array) and its kernel/image flag; only `powers`, on first read, keeps D^k, k >= 2."""
+    """F_p[D]/(D^n)-module: modulus p, nilpotency order n, operator D (read-only residues) and
+    its kernel/image flag, Ker D^s the preimage of Ker D^{s-1}; only `powers` keeps D^k, k >= 2."""
 
     p: int
     n: int
@@ -100,14 +100,12 @@ class NilModule:
         return self._flag[s, k]
 
     def kernel(self, k: int) -> Subspace:
-        """Ker D^k = {x : D x in Ker D^{k-1}}, built on first use after the kernels below.
-        With B the reduced basis of Ker D^{k-1}, pivots P and free columns F, y lies in it
-        iff y[F] = B[:, F]^T y[P]: Ker D^k = Ker(D[F] - B[:, F]^T D[P]), read off reduce(D^T)."""
+        """Ker D^k, built on first use after those below: Ker D from D, each Ker D^s the preimage
+        of Ker D^{s-1} under D, from a square kernel on V / Ker D^{s-1} (`Subspace.preimage`)."""
         for s in range(1, k + 1):
             if (s, 0) not in self._flag:
                 below = self._flag[s - 1, 0]
-                free = np.delete(np.arange(self.dim), below.pivots)
-                self._flag[s, 0] = Subspace.kernel(below.reduce(self.D.T)[:, free].T, self.p)
+                self._flag[s, 0] = below.preimage(self.D) if s > 1 else Subspace.kernel(self.D, self.p)
         return self._flag[k, 0]
 
     def image(self, k: int) -> Subspace:

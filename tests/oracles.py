@@ -8,9 +8,10 @@ sequence of an operator by iterated full-width images, the shift functors
 as subquotients of the dense p-th tensor power, the maps of the
 six-periodic sequence induced on those subquotients, the shift functor's
 image of each simple of Ver_p read off the rotation of the power space,
-symmetric powers as quotients of S^{m-1} tensor X by relation matrices, and
+symmetric powers as quotients of S^{m-1} tensor X by relation matrices,
 the kernel/image subquotients of a nil-module with every meet taken by
-`Subspace.intersect`.
+`Subspace.intersect`, and the preimage of an invariant subspace as a kernel
+over all n columns.
 
 The rest have no caller in the package: exact solving, bases of
 intertwiners, the map an array induces on a subquotient, the shift functor
@@ -381,6 +382,17 @@ def _kernel_of_power(m, k: int) -> Subspace:
     if k == 0:
         return Subspace.zero(m.p, m.dim)
     return Subspace.from_rows(nullspace_mod(mat_pow(m.D, k, m.p), m.p), m.p)
+
+
+def general_preimage(w: Subspace, a) -> Subspace:
+    """{x : a @ x in W} for a with aW ⊆ W, as the kernel over all n columns of
+    a[F] - B[:, F]^T a[P] (B the basis of W, pivots P, free columns F): y lies
+    in W iff y[F] = B[:, F]^T y[P]. `Subspace.preimage` takes the square kernel
+    of the operator a induces on F_p^n / W instead."""
+    p, free = w.p, [c for c in range(w.ambient) if c not in w.pivots]
+    a = np.asarray(a) % p
+    lhs = (a[free] - mat_mul(w.basis[:, free].T, a[list(w.pivots)], p)) % p
+    return Subspace.kernel(lhs, p)
 
 
 def _image_of_power(m, k: int) -> Subspace:

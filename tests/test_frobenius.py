@@ -361,7 +361,8 @@ def test_multiplicity_quotients_refuse_before_allocating(monkeypatch):
 
 
 def test_multiplicity_quotients_stay_within_their_price(monkeypatch):
-    # the traced peak at p = 5, m = 4 (n = 1024) against the one price asked
+    # the traced peak at p = 5, m = 4 (n = 1024) against the one price asked, and
+    # against 8.87 words per n^2 entries, its peak when the kernel flag took n-wide kernels
     import frobcat.frobenius
 
     prices, check = [], frobcat.frobenius.check_budget
@@ -379,6 +380,7 @@ def test_multiplicity_quotients_stay_within_their_price(monkeypatch):
         tracemalloc.stop()
     assert [q.dim for q in quotients] == [0, 0, 0, 1]
     assert prices == [(2 * 5 + 2) * n * n * 8] and peak <= prices[0]
+    assert peak <= 8.87 * n * n * 8
 
 
 def test_frobenius_on_simple_small_values():
@@ -459,8 +461,15 @@ def test_sp_multiplicity_p3():
     two = sp_multiplicity_spaces(3, 2)
     assert two["exceptional_index"] == 2
     assert two["core_dims"] == (0, 1)
-    with pytest.raises(ValueError):
-        sp_multiplicity_spaces(7, 1)
+
+
+def test_sp_multiplicity_refusal_names_the_core_claim():
+    # the refusal is the claim C(p - 2, m - 1), wrong at p = 7, m = 3 (core 3, not 10),
+    # and not the budget: it comes before anything is built, whatever the budget
+    for p in (2, 7, 11):
+        with pytest.raises(ValueError, match=r"core dimension C\(p - 2, m - 1\)") as err:
+            sp_multiplicity_spaces(p, 1)
+        assert "budget" not in str(err.value)
 
 
 def test_sp_sign_character_p3_m2():

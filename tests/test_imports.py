@@ -26,6 +26,11 @@ before its first `check_budget` or `_price_rows` call, or call of a function
 of the module that prices, so an oversize input is refused before its copy
 exists. `as_residues`, the copy itself, is priced by its callers.
 
+The kernel layer is entered only through its public names: no module but
+`linalg` imports an underscore name from it (`from .linalg import _product`)
+or reads one off it (`linalg._product`), so every product and elimination
+outside `linalg` goes through an entry that the price check above scans.
+
 Every array remainder in `linalg` goes through `_remainder`, which picks
 how to divide: no `%=` and no call of `np.remainder`, `np.mod` or `np.fmod`
 appears in `linalg.py` outside that helper. A binary `%` of Python ints (a
@@ -397,6 +402,49 @@ def fine(a, b, p):
 
 def test_every_linalg_entry_prices_before_it_copies():
     assert copies_before_prices((PACKAGE / "linalg.py").read_text(encoding="utf-8")) == []
+
+
+def private_kernel_names(source: str) -> list[str]:
+    """Underscore names imported from `linalg` (`.linalg` or `frobcat.linalg`) or read
+    as attributes of a name `linalg`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "frobcat.linalg"):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "linalg"
+            and node.attr.startswith("_")
+        ):
+            found.append((node.lineno, node.attr))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detector_flags_a_private_kernel_name():
+    # a module reaching past the priced entries into linalg's helpers, as by
+    # importing _product into nilmod; linalg's public names and other modules'
+    # private names pass
+    src = """
+from .linalg import Subspace, _product, mat_mul
+from frobcat.linalg import _kernel_rref as kernel_rref
+from . import linalg
+from .nilmod import _type_from_ranks
+
+def stage(w, d, p):
+    return linalg._price_rows(3, 3, p), linalg.Subspace.kernel(d, p), mat_mul(d, d, p)
+"""
+    assert private_kernel_names(src) == [
+        "line 2: _product", "line 3: _kernel_rref", "line 8: _price_rows",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"],
+    ids=lambda path: path.name,
+)
+def test_only_linalg_uses_its_private_names(path):
+    assert private_kernel_names(path.read_text(encoding="utf-8")) == []
 
 
 def bare_remainders(source: str) -> list[str]:

@@ -1,5 +1,6 @@
 """Exact linear algebra over F_p: elimination, subspaces, quotients."""
 import functools
+import itertools
 import time
 import tracemalloc
 
@@ -36,6 +37,7 @@ from frobcat.linalg import (
 from frobcat.nilmod import jordan_matrix, random_nil_module
 from frobcat.seeding import rng_for
 from oracles import (
+    general_preimage,
     induced_on_subquotient,
     mat_mul_naive,
     nullspace_certificate,
@@ -835,6 +837,56 @@ def test_subspace_add_sorts_its_merge_into_the_canonical_basis(p):
         assert got == Subspace.from_rows(rows, p).add(sub)
 
 
+def test_subspace_preimage_is_the_brute_force_preimage():
+    # every x in F_p^4 at p = 2 and 3: x lies in W.preimage(a) iff a (x mod W) lies in W,
+    # and for invariant W (here Ker a^j and Im a^j) iff a x lies in W
+    n = 4
+    for p in (2, 3):
+        rng = rng_for(p, 24)
+        vecs = np.array(list(itertools.product(range(p), repeat=n)))
+        for trial in range(40):
+            a = rng.integers(0, p, size=(n, n))
+            power = mat_pow(a, int(rng.integers(0, 3)), p)
+            rows = rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n))
+            for w, invariant in (
+                (Subspace.from_rows(rows, p), False),
+                (Subspace.kernel(power, p), True),
+                (Subspace.from_rows(power.T, p), True),
+            ):
+                got = w.preimage(a)
+                moved = vecs if invariant else w.reduce(vecs)
+                inside = vecs[~w.reduce(mat_mul(moved, a.T, p)).any(axis=1)]
+                assert len(inside) == p**got.dim and got.contains_vectors(inside), (p, trial)
+                assert got.contains(w)
+
+
+def test_subspace_preimage_edges():
+    p = 7
+    a = jordan_matrix((3, 2))
+    assert Subspace.zero(p, 5).preimage(a) == Subspace.kernel(a, p)
+    full = Subspace.from_rows(np.eye(5, dtype=np.int64), p)
+    assert full.preimage(a) is full
+    # entries outside [0, p) are reduced, as every kernel reduces its input
+    ker = Subspace.kernel(a, p)
+    assert ker.preimage(a - 2 * p) == ker.preimage(a) == Subspace.kernel(mat_pow(a, 2, p), p)
+    for shape in ((5, 4), (4, 4), (6, 6)):
+        with pytest.raises(ValueError, match="operator of shape"):
+            ker.preimage(np.zeros(shape, np.int64))
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_subspace_preimage_of_invariant_subspaces_matches_the_general_preimage(p):
+    # images and kernels of powers of a conjugated nilpotent D on F_p^120: the rows of an
+    # image's basis have pivots anywhere, unlike a kernel flag's
+    m = random_nil_module(p, 6, 120, seed=24)
+    for j in range(1, 6):
+        power = mat_pow(m.D, j, p)
+        for w in (Subspace.from_rows(power.T, p), Subspace.kernel(power, p)):
+            got = w.preimage(m.D)
+            assert got == general_preimage(w, m.D), j
+            assert list(got.pivots) == sorted(got.pivots)
+
+
 def test_as_residues_copies_input_in_range_and_reduces_the_rest():
     # on both sides of _SMALL_CELLS, where input in range is copied, not divided
     p = 7
@@ -960,6 +1012,41 @@ def test_oversize_subspace_reduce_is_refused_before_the_residue_copy(monkeypatch
     sub = Subspace.from_rows(np.eye(3, 4000, dtype=np.int64), 7)
     for call in (lambda: sub.reduce(vecs), lambda: sub.contains_vectors(vecs)):
         assert refused_peak(call, "matrix product") <= 8 * 2**20
+
+
+def test_oversize_preimage_is_refused_before_its_first_copy(monkeypatch):
+    monkeypatch.setenv("FROBCAT_BUDGET_MB", "8")
+    # a zero-stride operator on F_7^2000: its gathered columns alone are 32 MB
+    a = np.broadcast_to(np.int64(1), (2000, 2000))
+    w = Subspace.from_rows(np.eye(3, 2000, dtype=np.int64), 7)
+    assert refused_peak(lambda: w.preimage(a), "row reduction") <= 8 * 2**20
+
+
+@pytest.mark.parametrize("p", (7, 65521, 2**31 - 1))
+def test_preimage_stays_within_its_price(monkeypatch, p):
+    # the traced peak of one stage against its one price, from a kernel flag's first
+    # stage (the elimination dominates) to its last (the merged rows do)
+    prices, check = [], frobcat.linalg.check_budget
+
+    def spy(nbytes, what):
+        prices.append(nbytes)
+        check(nbytes, what)
+
+    for parts in ((2,) + (1,) * 398, (5,) * 60, (12,) * 20):
+        d = jordan_matrix(parts)
+        w = Subspace.kernel(d, p)
+        while w.dim < len(d):
+            prices.clear()
+            monkeypatch.setattr(frobcat.linalg, "check_budget", spy)
+            tracemalloc.start()
+            try:
+                nxt = w.preimage(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert peak <= prices[0], (parts[0], w.dim)
+            w = nxt
 
 
 def test_oversize_random_invertible_is_refused_before_the_draw(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import kron_arrays, mat_mul, random_invertible, rref
+from frobcat.linalg import Subspace, kron_arrays, mat_mul, random_invertible, rref
 from frobcat.nilmod import (
     JordanType,
     NilModule,
@@ -32,6 +32,7 @@ from frobcat.verlinde import green_product
 from oracles import (
     _kernel_of_power,
     extension_from_phi,
+    general_preimage,
     intersected_hom_dims,
     intersected_multiplicity_space,
     intersected_subquotient,
@@ -40,6 +41,7 @@ from oracles import (
     random_extension,
     split_test,
 )
+from test_linalg import DIFF_MODULI
 
 partitions = st.lists(st.integers(1, 5), min_size=0, max_size=5).map(
     lambda ks: tuple(sorted(ks, reverse=True))
@@ -308,7 +310,8 @@ def test_functors_build_each_power_once(monkeypatch):
 
 
 def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
-    # Ker D^k is one elimination, of D reduced by Ker D^{k-1}; the denominator of M_j
+    # Ker D^k is one elimination, of the operator D induces on V / Ker D^{k-1}: square and
+    # dim V - dim Ker D^{k-1} wide, with no n-row reduction of D; the denominator of M_j
     # extends Ker D^{j-1} by D Ker D^{j+1}, eliminating only on Ker D^{j-1}'s free columns
     import frobcat.linalg
 
@@ -317,16 +320,24 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
     g, g_inv = random_invertible(p, sum(parts), rng_for(7, 0))
     d = mat_mul(mat_mul(g, jordan_matrix(parts), p), g_inv, p)
     m = nil_module(d, p, n)
-    widths = []
+    shapes, reduced, widths = [], [], []
 
     def counted(a, p):
-        widths.append(np.shape(a)[1])
+        shapes.append(np.shape(a))
         return rref(a, p)
 
+    reduce_rows = frobcat.linalg.Subspace.reduce
+
+    def spied(self, vecs):
+        reduced.append(np.shape(vecs))
+        return reduce_rows(self, vecs)
+
     monkeypatch.setattr(frobcat.linalg, "rref", counted)
+    monkeypatch.setattr(frobcat.linalg.Subspace, "reduce", spied)
     for k in range(1, n + 1):
         m.kernel(k)
-    assert len(widths) == n
+    assert [s for s in reduced if len(s) == 2 and s[0] == m.dim] == []
+    assert shapes == [(m.dim - m.kernel(k - 1).dim,) * 2 for k in range(1, n + 1)]
 
     # Subspace.add eliminates its remainder block directly, not through rref
     eliminate, depth = frobcat.linalg._eliminate, []
@@ -347,6 +358,35 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
         # blocks longer than j put D Ker D^{j+1} outside Ker D^{j-1} for j < n only
         assert len(widths) == (j < n)
         assert all(w <= m.dim - m.kernel(j - 1).dim for w in widths)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_kernel_flag_matches_powers_and_the_general_preimage(p):
+    # random conjugated modules, dim up to 100 and n up to 8, some with blocks shorter
+    # than n: every Ker D^s, and each stage's preimage (from Ker D^0 = 0 too), against
+    # the kernel of D^s and the kernel over all n columns; the induced operator's
+    # products split at the two largest moduli
+    for index, (n, dim) in enumerate(((8, 100), (5, 64), (3, 40), (2, 17), (6, 9))):
+        m = random_nil_module(p, n, dim, seed=24, index=index)
+        for s in range(1, n + 3):
+            below = m.kernel(s - 1)
+            got = below.preimage(m.D)
+            assert got == general_preimage(below, m.D), (n, dim, s)
+            assert got == m.kernel(s) == _kernel_of_power(m, s), (n, dim, s)
+
+
+def test_kernel_flag_edge_cases():
+    for p in (2, 65521):
+        empty = nil_module(np.zeros((0, 0), np.int64), p, 3)
+        assert [empty.kernel(s).dim for s in range(5)] == [0] * 5
+        zero = nil_module(np.zeros((5, 5), np.int64), p, 3)
+        assert all(zero.kernel(s) == Subspace.from_rows(np.eye(5, dtype=np.int64), p) for s in range(1, 6))
+        for n in (1, 4, 8):
+            # a single J_n: Ker D^s spans the last min(s, n) basis vectors, for s past n too
+            block = jordan_module(p, n, (n,))
+            for s in range(n + 3):
+                want = Subspace.from_rows(np.eye(n, dtype=np.int64)[n - min(s, n) :], p)
+                assert block.kernel(s) == want, (n, s)
 
 
 def test_kernel_flag_of_the_diagonal_power_module_at_n_1024():
