@@ -24,7 +24,6 @@ from .nilmod import (
     extension_survey,
     functor_B,
     functor_E,
-    functor_L_and_Eis,
     jordan_module,
     jordan_type,
     multiplicity_vector,

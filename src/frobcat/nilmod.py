@@ -39,7 +39,6 @@ __all__ = [
     "jordan_type",
     "functor_B",
     "functor_E",
-    "functor_L_and_Eis",
     "multiplicity_space",
     "multiplicity_vector",
     "extension_survey",
@@ -231,46 +230,26 @@ def functor_B(m: NilModule, i: int) -> Quotient:
     """(Ker D ∩ Im D^{i-1}) / (Ker D ∩ Im D^i); dim = multiplicity of J_i."""
     if not 1 <= i <= m.n:
         raise ValueError(f"index {i} outside [1, {m.n}]")
-    return functor_L_and_Eis(m, i - 1, j=i)
+    return Quotient.of(m.meet(1, i - 1), m.meet(1, i))
 
 
 def functor_E(m: NilModule, i: int) -> Quotient:
-    """Ker D^i / Im D^{n-i}."""
+    """Ker D^i / Im D^{n-i}; D^n = 0 puts Im D^{n-i} in Ker D^i."""
     if not 0 <= i <= m.n:
         raise ValueError(f"index {i} outside [0, {m.n}]")
     return Quotient.of(m.kernel(i), m.image(m.n - i))
-
-
-def functor_L_and_Eis(m: NilModule, i: int, j: int | None = None, s: int | None = None) -> Quotient:
-    """Intermediate subquotients.
-
-    With j: (Ker D ∩ Im D^i) / (Ker D ∩ Im D^j), i <= j.
-    With s: (Ker D^s ∩ Im D^{i-s}) / Im D^{n-s}, 0 <= s <= i; for s >= 1 and
-    i < n its dimension is that of the s-1 stage plus the L-mode quotient at
-    (i - s, n - s), which `tests/test_nilmod.py` checks.
-    """
-    if (j is None) == (s is None):
-        raise ValueError("pass exactly one of j (L mode) or s (partial-E mode)")
-    if j is not None:
-        if not 0 <= i <= j <= m.n:
-            raise ValueError("need 0 <= i <= j <= n")
-        return Quotient.of(m.meet(1, i), m.meet(1, j))
-    if not 0 <= s <= i <= m.n:
-        raise ValueError("need 0 <= s <= i <= n")
-    return Quotient.of(m.meet(s, i - s), m.image(m.n - s))
 
 
 def multiplicity_space(m: NilModule, j: int) -> Quotient:
     """M_j = Ker D^j / (D Ker D^{j+1} + Ker D^{j-1}); dim = multiplicity of J_j.
 
     D Ker D^{j+1} = Ker D^j ∩ Im D: the part of Ker D^j from longer blocks.
-    D maps Ker D^j into Ker D^{j-1}, so only the lifts of Ker D^{j+1} / Ker D^j,
-    picked by pivot as `Quotient.of` picks them, add to the denominator.
+    D maps Ker D^j into Ker D^{j-1}, so only the lifts of Ker D^{j+1} / Ker D^j
+    add to the denominator.
     """
     if not 1 <= j <= m.n:
         raise ValueError(f"index {j} outside [1, {m.n}]")
-    upper, below = m.kernel(min(j + 1, m.n)), set(m.kernel(j).pivots)  # Ker D^{j+1} = V once j = n
-    lifts = upper.basis[[k for k, c in enumerate(upper.pivots) if c not in below]]
+    lifts = Quotient.of(m.kernel(min(j + 1, m.n)), m.kernel(j)).lifts  # Ker D^{j+1} = V once j = n
     return Quotient.of(m.kernel(j), m.kernel(j - 1).add(mat_mul(lifts, m.D.T, m.p)))
 
 

@@ -13,9 +13,11 @@ the kernel/image subquotients of a nil-module with every meet taken by
 `Subspace.intersect`, and the preimage of an invariant subspace as a kernel
 over all n columns.
 
-The rest have no caller in the package: exact solving, bases of
-intertwiners, the map an array induces on a subquotient, the shift functor
-on a morphism, extensions of reps with a given coupling, and the hom and
+The rest have no caller in the package: the digit table of word indices,
+the intermediate subquotients of a nil-module's own flag
+(`functor_L_and_Eis`), exact solving, bases of intertwiners, the map an
+array induces on a subquotient, the shift functor on a morphism,
+extensions of reps with a given coupling, and the hom and
 negligible-hom counts of a nil-module; the per-trial route `extension_survey`
 is tested against (`split_test` of each `random_extension`, built by
 `extension_from_phi`); the test reps (permutation reps, the regular rep of
@@ -245,6 +247,17 @@ def iterated_image_ranks(d, n: int, p: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _word_digits(dim: int, power: int) -> np.ndarray:
+    """(power, dim^power) array: digit t of each word index, big-endian; the
+    digit string that `_shift_perm` rolls and `_factor_permutations` swaps."""
+    n = dim**power
+    idx = np.arange(n, dtype=np.int64)
+    digits = np.zeros((power, n), np.int64)
+    for t in range(power):
+        digits[t] = (idx // dim ** (power - 1 - t)) % dim
+    return digits
+
+
 def power_rep(cp: CyclicPower) -> GroupRep:
     """Dense diagonal action on the power space; budget-checked."""
     n = cp.size
@@ -397,6 +410,25 @@ def general_preimage(w: Subspace, a) -> Subspace:
 
 def _image_of_power(m, k: int) -> Subspace:
     return Subspace.from_rows(mat_pow(m.D, k, m.p).T, m.p)
+
+
+def functor_L_and_Eis(m, i: int, j: int | None = None, s: int | None = None) -> Quotient:
+    """Intermediate subquotients of the module's own kernel/image flag.
+
+    With j: (Ker D ∩ Im D^i) / (Ker D ∩ Im D^j), i <= j; `functor_B` is (i - 1, j = i).
+    With s: (Ker D^s ∩ Im D^{i-s}) / Im D^{n-s}, 0 <= s <= i; for s >= 1 and
+    i < n its dimension is that of the s-1 stage plus the L-mode quotient at
+    (i - s, n - s), which `tests/test_nilmod.py` checks.
+    """
+    if (j is None) == (s is None):
+        raise ValueError("pass exactly one of j (L mode) or s (partial-E mode)")
+    if j is not None:
+        if not 0 <= i <= j <= m.n:
+            raise ValueError("need 0 <= i <= j <= n")
+        return Quotient.of(m.meet(1, i), m.meet(1, j))
+    if not 0 <= s <= i <= m.n:
+        raise ValueError("need 0 <= s <= i <= n")
+    return Quotient.of(m.meet(s, i - s), m.image(m.n - s))
 
 
 def intersected_subquotient(m, i: int, j: int | None = None, s: int | None = None) -> Quotient:

@@ -59,6 +59,7 @@ INVOCATIONS = [
     ["hilbert", "--p", "3", "--module", "J2 + J2", "--terms", "20"],
     ["check", "--suite", "sixper", "--p", "5", "--trials", "2", "--dim-cap", "7"],
     ["green", "--p", "13"],
+    ["check", "--suite", "lemm1", "--p", "5"],
 ]
 
 

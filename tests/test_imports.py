@@ -570,7 +570,7 @@ PUBLIC = {
     "check_monoidality", "cyclic_group", "cyclic_power", "cyclic_rep",
     "decompose_cyclic", "direct_sum", "exactness_report", "extension_survey",
     "fpdim_of_F", "fpdim_simple", "frobenius_components", "frobenius_on_simple",
-    "frobenius_order_abstract", "functor_B", "functor_E", "functor_L_and_Eis",
+    "frobenius_order_abstract", "functor_B", "functor_E",
     "fusion_tensor", "growth_check", "hilbert_coeffs", "inverse_mod", "jordan_module",
     "jordan_type", "kron_arrays", "mat_mul", "mat_pow", "mix64", "multiplicity_vector",
     "nil_module", "nullspace_mod", "random_nil_module", "random_rep_extension",

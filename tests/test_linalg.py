@@ -401,8 +401,6 @@ def test_quotient_coords():
     c = q.coords(v)
     rebuilt = (c @ q.lifts + 0) % p
     assert sub.contains_vectors((v - rebuilt) % p)
-    with pytest.raises(ValueError):
-        Quotient.of(sub, sup)
 
 
 def test_quotient_rejects_outside_vectors():
@@ -857,7 +855,67 @@ def test_subspace_preimage_is_the_brute_force_preimage():
                 moved = vecs if invariant else w.reduce(vecs)
                 inside = vecs[~w.reduce(mat_mul(moved, a.T, p)).any(axis=1)]
                 assert len(inside) == p**got.dim and got.contains_vectors(inside), (p, trial)
-                assert got.contains(w)
+                assert got.contains_vectors(w.basis)
+
+
+def _nested_pair(rng, p, n):
+    """U ⊇ W in F_p^n: U spanned by random rows, W by random combinations of them."""
+    rows = rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n))
+    combos = rng.integers(0, p, size=(int(rng.integers(0, len(rows) + 1)), len(rows)))
+    return Subspace.from_rows(rows, p), Subspace.from_rows(mat_mul_naive(combos, rows, p), p)
+
+
+def _span(w: Subspace) -> set:
+    combos = np.array(list(itertools.product(range(w.p), repeat=w.dim)), np.int64).reshape(w.p**w.dim, w.dim)
+    return {tuple(v) for v in combos @ w.basis % w.p}
+
+
+def test_quotient_coords_membership_is_the_brute_force_membership():
+    # every v in F_p^4 at p = 2 and 3: coords answers exactly on the v in U, with
+    # v - c @ lifts in W, and refuses the others, alone and within a batch; the
+    # pairs include W = U, W = 0 and U = F_p^4
+    n = 4
+    for p in (2, 3):
+        rng = rng_for(p, 25)
+        vecs = np.array(list(itertools.product(range(p), repeat=n)))
+        whole, zero = Subspace.from_rows(np.eye(n, dtype=np.int64), p), Subspace.zero(p, n)
+        pairs = [(whole, zero), (whole, whole), (zero, zero)] + [_nested_pair(rng, p, n) for _ in range(30)]
+        for trial, (sup, sub) in enumerate(pairs):
+            q, inside, below = Quotient.of(sup, sub), _span(sup), _span(sub)
+            assert q.dim == sup.dim - sub.dim
+            for v in vecs:
+                if tuple(v) in inside:
+                    c = q.coords(v)
+                    assert c.shape == (q.dim,) and tuple((v - c @ q.lifts) % p) in below, (p, trial)
+                else:
+                    with pytest.raises(ValueError, match="not in the quotient numerator"):
+                        q.coords(v)
+            members = np.array(sorted(inside), np.int64)
+            assert np.array_equal(q.coords(members), [q.coords(v) for v in members])
+            if len(inside) < len(vecs):
+                with pytest.raises(ValueError, match="not in the quotient numerator"):
+                    q.coords(vecs)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_quotient_coords_membership_on_random_pairs(p):
+    # random U ⊇ W in F_p^40: combinations of U's rows get coordinates c with
+    # v - c @ lifts in W; random vectors and two of those are refused exactly when
+    # a reduction by U leaves a remainder, and one such row refuses its whole batch
+    n, rng = 40, rng_for(p, 26)
+    for trial in range(10):
+        sup, sub = _nested_pair(rng, p, n)
+        q = Quotient.of(sup, sub)
+        inside = mat_mul_naive(rng.integers(0, p, size=(12, sup.dim)), sup.basis, p)
+        c = q.coords(inside)
+        assert c.shape == (12, q.dim) and sub.contains_vectors((inside - mat_mul_naive(c, q.lifts, p)) % p)
+        vecs = np.concatenate([rng.integers(0, p, size=(4, n)), inside[:2]])
+        for v, outside in zip(vecs, sup.reduce(vecs).any(axis=1)):
+            if outside:
+                with pytest.raises(ValueError, match="not in the quotient numerator"):
+                    q.coords(np.concatenate([inside, v[None]]))
+            else:
+                assert np.array_equal(q.coords(v), sub.reduce(v)[list(q.coord_columns)])
 
 
 def test_subspace_preimage_edges():

@@ -1,11 +1,15 @@
 """Nilpotent-operator modules: Jordan data, functors, extensions."""
+import ast
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcat.linalg import Subspace, kron_arrays, mat_mul, random_invertible, rref
+import frobcat
+from frobcat.linalg import Quotient, Subspace, kron_arrays, mat_mul, random_invertible, rref
 from frobcat.nilmod import (
     JordanType,
     NilModule,
@@ -16,7 +20,6 @@ from frobcat.nilmod import (
     extension_survey,
     functor_B,
     functor_E,
-    functor_L_and_Eis,
     jordan_matrix,
     jordan_module,
     jordan_type,
@@ -32,6 +35,7 @@ from frobcat.verlinde import green_product
 from oracles import (
     _kernel_of_power,
     extension_from_phi,
+    functor_L_and_Eis,
     general_preimage,
     intersected_hom_dims,
     intersected_multiplicity_space,
@@ -404,6 +408,63 @@ def test_kernel_flag_of_the_diagonal_power_module_at_n_1024():
         assert "powers" not in mod.__dict__
         assert got.sup == want.sup and got.sub == want.sub, j
         assert got.dim == (j == p - 1) + 204 * (j == p)  # 204 J_5 blocks and one J_4
+
+
+def _quotient_callers() -> set[str]:
+    """The package's functions whose bodies call `Quotient.of`, read from the source."""
+    names = set()
+    for path in Path(frobcat.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            refs = (ref for ref in ast.walk(fn) if isinstance(ref, ast.Attribute))
+            if isinstance(fn, ast.FunctionDef) and any(ast.unparse(ref) == "Quotient.of" for ref in refs):
+                names.add(fn.name)
+    return names
+
+
+@pytest.fixture
+def nestings(monkeypatch):
+    """(caller, W ⊆ U) for each `Quotient.of(U, W)` call made while the test runs."""
+    seen, of = [], Quotient.of.__func__
+
+    def spied(cls, sup, sub):
+        seen.append((sys._getframe(1).f_code.co_name, sup.contains_vectors(sub.basis)))
+        return of(cls, sup, sub)
+
+    monkeypatch.setattr(Quotient, "of", classmethod(spied))
+    return seen
+
+
+def _every_quotient(m):
+    for i in range(m.n + 1):
+        functor_E(m, i)
+    for i in range(1, m.n + 1):
+        functor_B(m, i)
+        multiplicity_space(m, i)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_every_quotient_the_package_forms_is_nested(p, nestings):
+    # Quotient.of takes W ⊆ U from its caller's flag without a check: on conjugated
+    # modules with a block of every length up to n, and on random ones, each
+    # caller's denominator lies in its numerator
+    rng = rng_for(0x2E57, p)
+    for parts in ((8, 7, 6, 5, 4, 3, 2, 1), (5, 5, 3, 2, 1, 1), (3, 3, 2, 1), (2, 1), (6, 4, 4, 1)):
+        g, g_inv = random_invertible(p, sum(parts), rng)
+        _every_quotient(nil_module(mat_mul(mat_mul(g, jordan_matrix(parts), p), g_inv, p), p, parts[0]))
+    for index, (n, dim) in enumerate(((8, 40), (5, 24), (3, 9))):
+        _every_quotient(random_nil_module(p, n, dim, seed=25, index=index))
+    callers = {"functor_B", "functor_E", "multiplicity_space"}
+    assert {caller for caller, _ in nestings} == _quotient_callers() == callers
+    assert [caller for caller, nested in nestings if not nested] == []
+
+
+def test_every_quotient_of_the_diagonal_power_module_at_n_1024_is_nested(nestings):
+    # the lemm1 module at p = 5, m = 4, as in the kernel flag test above
+    p, m = 5, 4
+    u = np.eye(m, dtype=np.int64) + jordan_matrix((m,))
+    _every_quotient(nil_module(np.eye(m**p, dtype=np.int64) - reduce(np.kron, [u] * p), p, p))
+    assert {caller for caller, _ in nestings} == _quotient_callers()
+    assert [caller for caller, nested in nestings if not nested] == []
 
 
 def test_powers_are_read_only():
