@@ -398,8 +398,12 @@ def _trial_fpdim(p: int, seed: int, t: int, cap: int) -> list[dict]:
 def _trial_lemm1(p: int, seed: int, t: int, cap: int) -> list[dict]:
     m = t + 1
     if m <= p - 1:
-        sp_multiplicity_spaces(p, m)  # asserts the projectivity pattern
+        sp_multiplicity_spaces(p, m)  # asserts F(L_m) from the rotation cores
     return []
+
+
+# lemm1's trials by p: the m whose m^p-dimensional power space fits the default budget
+_LEMM1_M = {3: 2, 5: 4, 7: 3, 11: 2}
 
 
 @dataclass(frozen=True)
@@ -421,7 +425,7 @@ SUITES = {
     "monoidality": SuiteDef(_trial_monoidality, lambda p: DIM_CAPS[p], allowed=(2, 3, 5)),
     "greenhom": SuiteDef(_trial_greenhom, lambda p: 30, min_cap=1),
     "fpdim": SuiteDef(_trial_fpdim, lambda p: DIM_CAPS[p], allowed=(2, 3, 5, 7), min_cap=1),
-    "lemm1": SuiteDef(_trial_lemm1, lambda p: 0, allowed=(3, 5), default_trials=lambda p: p - 1),
+    "lemm1": SuiteDef(_trial_lemm1, lambda p: 0, tuple(_LEMM1_M), lambda p: _LEMM1_M.get(p, 0)),
 }
 
 

@@ -19,9 +19,9 @@ spaces themselves are built only for the honest constructions in
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .nilmod import (
     _extension_space,
     _power_list,
     jordan_matrix,
-    multiplicity_space,
+    multiplicity_spaces,
     nil_module,
 )
 from .repcat import (
@@ -55,7 +55,7 @@ from .repcat import (
     witness_type,
 )
 from .seeding import rng_for
-from .verlinde import FusionElement, _fuse_simples, fpdim_simple, simple, zero
+from .verlinde import FusionElement, _class_of, _fuse_simples, fpdim_simple, simple, zero
 
 __all__ = [
     "DIM_CAPS",
@@ -369,33 +369,28 @@ def frobenius_order_abstract(simples, factor_map, exact_set):
 # --------------------------------------------- multiplicity spaces on J_m^(x p)
 
 
-def _multiplicity_quotients(p: int, m: int) -> tuple[list[Quotient], int]:
-    """Block-multiplicity spaces M_1..M_{p-1} of the diagonal structure on J_m^(tensor p).
+def _multiplicity_quotients(p: int, m: int) -> Iterator[Quotient]:
+    """Block-multiplicity spaces M_1..M_{p-1} of the diagonal structure on J_m^(tensor p), in turn.
 
-    With u the unipotent single-block generator, Du = 1 - u^(tensor p) is
-    nilpotent of order p on the m^p-dimensional power space, and M_j is
-    `nilmod.multiplicity_space` of that module: its dimension is the number
-    of J_j blocks of Du. The module keeps Du and its kernel flag, not powers.
+    With u the unipotent single-block generator, Du = 1 - u^(tensor p) is nilpotent of order p
+    on the m^p-dimensional power space, and `nilmod.multiplicity_spaces` streams its M_j: the
+    reader holds Du, three kernel stages and the M_j it reads. dim M_j counts the J_j of Du.
     """
     if not 1 <= m <= p - 1:
         raise ValueError(f"m = {m} outside [1, {p - 1}]")
     n = m**p
-    # Du, its kernel flag and the denominators kept, and one elimination; traced peaks in
-    # words per n^2: 7.43 at p, n = 5, 1024; 11.82 at 7, 128; 9.97 at 7, 2187; 18.62 at 11, 2048
-    check_budget((2 * p + 2) * n * n * 8, "diagonal power module and its kernel flag")
+    # traced peaks of a whole lemm1 trial in words per n^2: 4.78 at p, n = 5, 1024; 6.02 at
+    # 7, 128; 5.06 at 7, 2187; 6.02 at 11, 2048
+    check_budget(52 * n * n, "diagonal power module and three stages of its kernel flag")
     # u and its Kronecker powers have 0/1 entries: residues; nil_module reduces Du mod p
     u = np.eye(m, dtype=np.int64) + jordan_matrix((m,))
     module = nil_module(np.eye(n, dtype=np.int64) - reduce(np.kron, [u] * p), p, p)
-    return [multiplicity_space(module, j) for j in range(1, p)], n
+    return multiplicity_spaces(module)
 
 
 def _permutation_induced(q: Quotient, perm: np.ndarray) -> np.ndarray:
     """Matrix of the quotient endomorphism induced by P e_b = e_{perm[b]}."""
-    if q.dim == 0:
-        return np.zeros((0, 0), np.int64)
-    inv = np.argsort(perm)
-    images = q.lifts[:, inv]
-    return q.coords(images).T
+    return q.coords(q.lifts[:, np.argsort(perm)]).T
 
 
 def _factor_permutations(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,48 +400,40 @@ def _factor_permutations(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sp_multiplicity_spaces(p: int, m: int) -> dict:
-    """Symmetric-group action on the block-multiplicity spaces of J_m^(x p).
+    """Symmetric-group action on the block-multiplicity spaces M_j of J_m^(x p), and F(L_m) read
+    off it. The rotation b = (1 2 ... p) acts on M_j as a rep of Z/p; each block J_r of its core
+    (the blocks below p) is L_r ⊠ L_j in Ver_p ⊠ Ver_p. The claim is that these sum to
+    `frobenius_on_simple(p, m)`, eps^(m+1) L_m ⊠ eps^(m+1): every M_j is projective over the
+    p-cycle but the one at j = 1 (m odd) or p - 1 (m even), whose core is one block J_r, r = m
+    (m odd) or p - m (m even); and every induced action is a rep of S_p.
 
-    Asserts the projectivity pattern: every M_j is projective over the
-    p-cycle except j = 1 (m odd) / j = p-1 (m even), where the
-    non-projective core has dimension C(p-2, m-1). That dimension is asserted
-    only at p in {3, 5}: at p = 7, m = 3 the core is 3, which agrees with
-    C(5, 2) = 10 only mod 7, so p = 7 stays off the allowlist until the claim
-    is restated from the paper.
+    r is C(p - 2, m - 1) mod p: with k = m - 1 <= p - 2, each factor p - 2 - i of
+    C(p - 2, k) = (p - 2)(p - 3)...(p - 1 - k) / k! is -(i + 2) mod p, so C(p - 2, k) is
+    (-1)^k (k + 1)! / k! = (-1)^k (k + 1) mod p. So the core has dimension C(p - 2, m - 1)
+    where that is below p, as at p = 3 and 5, but not at p = 7, m = 3 (3, where C(5, 2) = 10).
     """
-    if p not in (3, 5):
-        raise ValueError("p outside {3, 5}: core dimension C(p - 2, m - 1) is claimed only there")
-    quotients, _ = _multiplicity_quotients(p, m)
-    swap_perm, rot_perm = _factor_permutations(m, p)
-    group = symmetric_group(p)
-    comps, projective, core_dims = [], [], []
-    for q in quotients:
-        mats = (_permutation_induced(q, swap_perm), _permutation_induced(q, rot_perm))
-        rep = GroupRep(group=group, p=p, dim=q.dim, matrices=mats)
-        problems = validate(rep)
-        if problems:
-            raise AssertionError("induced action is not a representation: " + "; ".join(problems))
-        comps.append(rep)
-        t = witness_type(rep)
-        projective.append(all(k == p for k in t.parts))
-        core_dims.append(sum(k for k in t.parts if k < p))
-    exceptional = 1 if m % 2 else p - 1
-    expected_core = comb(p - 2, m - 1)
-    for j in range(1, p):
-        if j == exceptional:
-            if projective[j - 1] or core_dims[j - 1] != expected_core:
-                raise AssertionError(
-                    f"component {j} must carry a non-projective core of dim {expected_core}"
-                )
-        elif not projective[j - 1]:
-            raise AssertionError(f"component {j} must be projective")
+    if p > 64:  # _factor_permutations gives each tensor factor one numpy axis
+        raise ValueError(f"p = {p} above 64: J_m^(tensor p) is indexed by one axis per factor")
+    want = frobenius_on_simple(p, m)  # refuses p and m before anything is built
+    quotients = _multiplicity_quotients(p, m)  # priced before the power space is built
+    perms, group = _factor_permutations(m, p), symmetric_group(p)
+    # map lets go of each M_j once its two matrices are read, before the next is formed
+    actions = map(lambda q: tuple(_permutation_induced(q, perm) for perm in perms), quotients)
+    comps = tuple(GroupRep(group=group, p=p, dim=len(mats[0]), matrices=mats) for mats in actions)
+    problems = [problem for rep in comps for problem in validate(rep)]
+    if problems:
+        raise AssertionError("induced action is not a representation: " + "; ".join(problems))
+    cores = [_class_of(p, witness_type(rep)).mult for rep in comps]  # [j - 1][r - 1]: L_r ⊠ L_j
+    if tuple(FusionElement(p, column) for column in zip(*cores)) != want:
+        raise AssertionError(f"rotation cores give {cores} by j, not frobenius_on_simple({p}, {m})")
+    core_dims = tuple(sum(r * k for r, k in enumerate(core, start=1)) for core in cores)
     return {
         "p": p,
         "m": m,
-        "components": tuple(comps),
-        "projective": tuple(projective),
-        "exceptional_index": exceptional,
-        "core_dims": tuple(core_dims),
+        "components": comps,
+        "projective": tuple(d == 0 for d in core_dims),
+        "exceptional_index": 1 if m % 2 else p - 1,
+        "core_dims": core_dims,
     }
 
 

@@ -571,22 +571,25 @@ def _split_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:
-    """a^k mod p by repeated squaring, for k >= 0; a^1 costs no product.
-    Every product is n x n by n x n, so one price, from the shape before the
-    residue copy, covers them all."""
+    """a^k mod p for k >= 0, squaring from the top bit of k down: only a and the running
+    power are held, and an int64 residue array (an owner's frozen matrix) is read, not copied.
+    a^0 and a^1 cost no product and are fresh arrays. Every product is n x n by n x n, so one
+    price, from the shape before any copy, covers them all."""
     if k < 0:
         raise ValueError(f"mat_pow needs an exponent k >= 0, got {k}")
-    n = a.shape[0]
+    _check_int64_products(p)
     if k > 1:
         check_budget(_product_bytes(a.shape, a.shape, p, False), "matrix product")
-    result = None
-    base = as_residues(a, p)
-    while k:
-        if k & 1:
-            result = base if result is None else _product(result, base, p, None)
-        base = _product(base, base, p, None) if k > 1 else base
-        k >>= 1
-    return np.eye(n, dtype=np.int64) if result is None else result
+    if k < 2:
+        return np.eye(a.shape[0], dtype=np.int64) if k == 0 else as_residues(a, p)
+    in_range = a.dtype == np.int64 and (a.size == 0 or 0 <= a.min() and a.max() < p)
+    base = a if in_range else as_residues(a, p)
+    power = base
+    for bit in bin(k)[3:]:
+        power = _product(power, power, p, None)
+        if bit == "1":
+            power = _product(power, base, p, None)
+    return power
 
 
 def _inverse_or_none(a, p: int) -> np.ndarray | None:

@@ -6,9 +6,10 @@ filtrations of D, and extension splitting tests live here.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "functor_B",
     "functor_E",
     "multiplicity_space",
+    "multiplicity_spaces",
     "multiplicity_vector",
     "extension_survey",
     "random_partition",
@@ -49,8 +51,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class NilModule:
-    """F_p[D]/(D^n)-module: modulus p, nilpotency order n, operator D (read-only residues) and
-    its kernel/image flag, Ker D^s the preimage of Ker D^{s-1}; only `powers` keeps D^k, k >= 2."""
+    """F_p[D]/(D^n)-module: modulus p, nilpotency order n, operator D (read-only residues).
+    It keeps its kernel/image flag once `kernel` or `meet` is read; `kernels` walks the
+    kernel stages and keeps none. Only `powers` keeps D^k, k >= 2."""
 
     p: int
     n: int
@@ -64,9 +67,8 @@ class NilModule:
             raise ValueError("nilpotency order must be >= 1")
         if self.D.shape[0] != self.D.shape[1]:
             raise ValueError("operator must be square")
-        if mat_pow(self.D, self.n, self.p).any():
+        if mat_pow(self.D, self.n, self.p).any():  # squares the frozen D, with no copy of it
             raise ValueError(f"operator is not nilpotent of order {self.n}")
-        self._flag[0, 0] = Subspace.zero(self.p, self.dim)
 
     @property
     def dim(self) -> int:
@@ -99,13 +101,23 @@ class NilModule:
         return self._flag[s, k]
 
     def kernel(self, k: int) -> Subspace:
-        """Ker D^k, built on first use after those below: Ker D from D, each Ker D^s the preimage
-        of Ker D^{s-1} under D, from a square kernel on V / Ker D^{s-1} (`Subspace.preimage`)."""
-        for s in range(1, k + 1):
-            if (s, 0) not in self._flag:
-                below = self._flag[s - 1, 0]
-                self._flag[s, 0] = below.preimage(self.D) if s > 1 else Subspace.kernel(self.D, self.p)
-        return self._flag[k, 0]
+        """Ker D^k for k >= 0 (V past n); the stages up to Ker D^n are walked once and kept."""
+        if k < 0:
+            raise ValueError(f"kernel index {k} below 0")
+        return self._kernels[min(k, self.n)]
+
+    @cached_property
+    def _kernels(self) -> tuple[Subspace, ...]:
+        return (Subspace.zero(self.p, self.dim), *islice(self.kernels(), self.n))
+
+    def kernels(self) -> Iterator[Subspace]:
+        """Ker D, Ker D^2, ... without end, each the preimage of the one before under D, from
+        a square kernel on V / Ker D^{s-1} (`Subspace.preimage`); Ker D from D itself. The
+        walk keeps no stage."""
+        stage = Subspace.kernel(self.D, self.p)
+        while True:
+            yield stage
+            stage = stage.preimage(self.D)
 
     def image(self, k: int) -> Subspace:
         return self.meet(self.n, k)
@@ -240,17 +252,38 @@ def functor_E(m: NilModule, i: int) -> Quotient:
     return Quotient.of(m.kernel(i), m.image(m.n - i))
 
 
-def multiplicity_space(m: NilModule, j: int) -> Quotient:
-    """M_j = Ker D^j / (D Ker D^{j+1} + Ker D^{j-1}); dim = multiplicity of J_j.
+def multiplicity_space(m: NilModule, below: Subspace, at: Subspace, above: Subspace | None) -> Quotient:
+    """M_j = Ker D^j / (D Ker D^{j+1} + Ker D^{j-1}), from the stages below = Ker D^{j-1},
+    at = Ker D^j and above = Ker D^{j+1} (None for V); dim = multiplicity of J_j.
 
     D Ker D^{j+1} = Ker D^j ∩ Im D: the part of Ker D^j from longer blocks.
     D maps Ker D^j into Ker D^{j-1}, so only the lifts of Ker D^{j+1} / Ker D^j
     add to the denominator.
     """
-    if not 1 <= j <= m.n:
-        raise ValueError(f"index {j} outside [1, {m.n}]")
-    lifts = Quotient.of(m.kernel(min(j + 1, m.n)), m.kernel(j)).lifts  # Ker D^{j+1} = V once j = n
-    return Quotient.of(m.kernel(j), m.kernel(j - 1).add(mat_mul(lifts, m.D.T, m.p)))
+    return Quotient.of(at, below.add(mat_mul(_lifts(above, at), m.D.T, m.p)))
+
+
+def _lifts(above: Subspace | None, at: Subspace) -> np.ndarray:
+    """Lifts of a basis of above / at; above None stands for the whole space, which is not
+    formed: its lifts are the unit vectors on the free columns of at."""
+    if above is not None:
+        return Quotient.of(above, at).lifts
+    free = (np.bincount(np.array(at.pivots, dtype=np.intp), minlength=at.ambient) == 0).nonzero()[0]
+    lifts = np.zeros((free.size, at.ambient), np.int64)
+    lifts[np.arange(free.size), free] = 1
+    return lifts
+
+
+def multiplicity_spaces(m: NilModule) -> Iterator[Quotient]:
+    """M_1, ..., M_{n-1} in turn, from one walk of the kernel flag (`NilModule.kernels`) that
+    holds three stages: Ker D^{j-1} is let go once M_{j+1} is asked for, and M_j once its
+    reader lets go of it. Ker D^n = V is not formed: `multiplicity_space` reads None for it."""
+    below = Subspace.zero(m.p, m.dim)
+    stages = chain(islice(m.kernels(), m.n - 1), [None])
+    at = next(stages)
+    for above in stages:
+        yield multiplicity_space(m, below, at, above)
+        below, at = at, above
 
 
 def multiplicity_vector(n: int, i: int) -> tuple[int, ...]:

@@ -441,6 +441,15 @@ def intersected_subquotient(m, i: int, j: int | None = None, s: int | None = Non
     return Quotient.of(upper, _image_of_power(m, m.n - s))
 
 
+def flag_multiplicity_space(m, j: int) -> Quotient:
+    """M_j, 1 <= j <= n, from the stages the module keeps (`NilModule.kernel`), Ker D^{j+1}
+    included even where it is V: the per-index route of `nilmod.multiplicity_spaces`,
+    which streams the stages and stands the unit lifts of V / Ker D^{n-1} in for V."""
+    if not 1 <= j <= m.n:
+        raise ValueError(f"index {j} outside [1, {m.n}]")
+    return multiplicity_space(m, m.kernel(j - 1), m.kernel(j), m.kernel(j + 1))
+
+
 def intersected_multiplicity_space(m, j: int) -> Quotient:
     """M_j = Ker D^j / (Ker D^j ∩ Im D + Ker D^{j-1}) with a Zassenhaus meet;
     the sum is an elimination of the stacked bases, not `Subspace.add`."""
@@ -468,7 +477,7 @@ def rotation_classes(p: int, m: int) -> tuple[FusionElement, ...]:
     multiplicity of size-i rotation blocks, free blocks dropping out. The
     caller keeps m^p small; `power_space_image_of_simple` refuses large p.
     """
-    quotients, _ = _multiplicity_quotients(p, m)
+    quotients = _multiplicity_quotients(p, m)
     _, rot_perm = _factor_permutations(m, p)
     mults = [[0] * (p - 1) for _ in range(p - 1)]
     for j, q in enumerate(quotients, start=1):
@@ -556,7 +565,7 @@ def natfunc_hom_dims(x, i: int) -> dict:
     """
     if not 1 <= i <= x.p - 1:
         raise ValueError(f"index {i} outside [1, {x.p - 1}]")
-    q = multiplicity_space(x, i)
+    q = flag_multiplicity_space(x, i)
     b = functor_B(x, i)
     induced = induced_on_subquotient(x.powers[i - 1], q.sup, q.sub, b.sup, b.sub)
     if not (q.dim == b.dim and rank_mod(induced, x.p) == b.dim):

@@ -68,8 +68,8 @@ HOSTILE_INPUTS = {
     "modulus-too-large-for-int64": (
         ["check", "--suite", "nilmod", "--p", str(2**61 - 1), "--trials", "1"], 2, "too large", 1.0
     ),
-    # a refused run builds no trial list: lemm1's default is p - 1 trials; a
-    # list of 2^60 trials fails at once instead of filling memory
+    # a refused run builds no trial list: lemm1's default trial count is read off
+    # its table by p, so no count that grows with p is formed before p is refused
     "lemm1-default-trials-modulus-too-large": (
         ["check", "--suite", "lemm1", "--p", str(2**61 - 1)], 2, "too large", 1.0
     ),
@@ -532,10 +532,35 @@ def test_check_suites_clean_at_small_scale(capsys):
 
 
 def test_lemm1_default_trial_count(capsys):
+    import frobcat.cli
+
     assert run(["check", "--suite", "lemm1", "--p", "3", "--format", "json"]) == 0
     lines, _ = lines_of(capsys)
     report = json.loads(lines[0])
     assert report["instances"] == 2
+    # at each allowed p, the m whose m^p-dimensional power space fits the default budget
+    suite = frobcat.cli.SUITES["lemm1"]
+    assert {p: suite.default_trials(p) for p in suite.allowed} == {3: 2, 5: 4, 7: 3, 11: 2}
+
+
+def test_a_broken_closed_form_is_a_replayable_lemm1_violation(monkeypatch, tmp_path, capsys):
+    # frobenius_on_simple with L_m and L_{p-m} swapped for even m fails trials m = 2 and 4
+    import frobcat.frobenius
+    from test_frobenius import swapped_closed_form
+
+    monkeypatch.setattr(frobcat.frobenius, "frobenius_on_simple", swapped_closed_form)
+    assert run(["check", "--suite", "lemm1", "--p", "5", "--format", "json"]) == 1
+    lines, _ = lines_of(capsys)
+    report = json.loads(lines[0])
+    assert [v["trial"] for v in report["violations"]] == [1, 3]
+    assert all("rotation cores give" in v["reason"] for v in report["violations"])
+    path = tmp_path / "report.json"
+    path.write_text(lines[0])
+    assert run(["check", "--replay", str(path), "--format", "json"]) == 1
+    lines, _ = lines_of(capsys)
+    replayed = json.loads(lines[0])
+    assert replayed["replayed_trials"] == [1, 3]
+    assert replayed["violations"] == report["violations"]
 
 
 def test_replay_round_trip(tmp_path, capsys):

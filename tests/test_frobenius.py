@@ -1,5 +1,6 @@
 """Shift-power functor calculus on representations mod p."""
 import time
+from functools import reduce
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from frobcat.frobenius import (
     DIM_CAPS,
+    _factor_permutations,
     _multiplicity_quotients,
+    _permutation_induced,
     _rep_extension_space,
     _shift_perm,
     check_additivity,
@@ -48,6 +51,7 @@ from frobcat.seeding import rng_for
 from frobcat.verlinde import _fuse_simples, fpdim_simple, simple
 from oracles import (
     _word_digits,
+    flag_multiplicity_space,
     frobenius_on_morphism,
     hom_basis,
     induced_on_subquotient,
@@ -334,7 +338,7 @@ def test_frobenius_order_abstract():
 def test_multiplicity_quotients_match_dense_decomposition():
     # independent route: decompose the dense power generator directly
     for p, m in ((3, 1), (3, 2), (5, 2)):
-        quotients, n = _multiplicity_quotients(p, m)
+        quotients, n = list(_multiplicity_quotients(p, m)), m**p
         u = (np.eye(m, dtype=np.int64) + jordan_matrix((m,))) % p
         upow = np.array([[1]], np.int64)
         for _ in range(p):
@@ -346,13 +350,35 @@ def test_multiplicity_quotients_match_dense_decomposition():
         _multiplicity_quotients(5, 5)
 
 
+def _diagonal_power_module(p, m):
+    u = np.eye(m, dtype=np.int64) + jordan_matrix((m,))
+    return nil_module(np.eye(m**p, dtype=np.int64) - reduce(np.kron, [u] * p), p, p)
+
+
+def test_streamed_multiplicity_spaces_match_the_kept_flag():
+    # each streamed M_j against M_j from the module's kept flag, Ker D^p = V formed there:
+    # the same lifts, coordinate columns and denominator basis, so the same induced S_p action
+    for p in (3, 5):
+        for m in range(1, p):
+            module, perms = _diagonal_power_module(p, m), _factor_permutations(m, p)
+            streamed = list(_multiplicity_quotients(p, m))
+            assert len(streamed) == p - 1
+            for j, q in enumerate(streamed, start=1):
+                want = flag_multiplicity_space(module, j)
+                assert q.sup == want.sup and q.sub == want.sub, (p, m, j)
+                assert np.array_equal(q.lifts, want.lifts) and q.coord_columns == want.coord_columns
+                for perm in perms:
+                    got = _permutation_induced(q, perm)
+                    assert np.array_equal(got, _permutation_induced(want, perm)), (p, m, j)
+
+
 def test_multiplicity_quotients_refuse_before_allocating(monkeypatch):
-    # m = 4 at p = 5 keeps D and its kernel flag, 1024 wide: the price covers
-    # what is kept and the last elimination, so a 30 MB budget refuses up front
+    # m = 4 at p = 5 streams Du and three kernel stages, 1024 wide: priced at 6.5 words
+    # per n^2 from the shapes before Du is built, so a 30 MB budget refuses up front
     monkeypatch.setenv("FROBCAT_BUDGET_MB", "30")
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match="diagonal power module"):
+        with pytest.raises(BudgetError, match=f"diagonal power module.* needs {52 * 1024**2} bytes"):
             _multiplicity_quotients(5, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -361,27 +387,28 @@ def test_multiplicity_quotients_refuse_before_allocating(monkeypatch):
 
 
 def test_multiplicity_quotients_stay_within_their_price(monkeypatch):
-    # the traced peak at p = 5, m = 4 (n = 1024) against the one price asked, and
-    # against 7.43 words per n^2 entries, its measured peak once Quotient.of stopped
-    # reducing its denominator
+    # a whole lemm1 trial at p = 5, m = 4 (n = 1024) against the streamed price, and
+    # against 4.9 words per n^2 entries: its measured peak is 4.78
     import frobcat.frobenius
 
     prices, check = [], frobcat.frobenius.check_budget
 
     def spy(nbytes, what):
-        prices.append(nbytes)
+        prices.append((nbytes, what))
         check(nbytes, what)
 
     monkeypatch.setattr(frobcat.frobenius, "check_budget", spy)
+    n = 4**5
     tracemalloc.start()
     try:
-        quotients, n = _multiplicity_quotients(5, 4)
+        result = sp_multiplicity_spaces(5, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [q.dim for q in quotients] == [0, 0, 0, 1]
-    assert prices == [(2 * 5 + 2) * n * n * 8] and peak <= prices[0]
-    assert peak <= 7.43 * n * n * 8
+    assert [rep.dim for rep in result["components"]] == [0, 0, 0, 1]
+    price = [nbytes for nbytes, what in prices if what.startswith("diagonal power module")]
+    assert price == [52 * n * n] and peak <= price[0]
+    assert peak <= 4.9 * n * n * 8
 
 
 def test_frobenius_on_simple_small_values():
@@ -464,13 +491,55 @@ def test_sp_multiplicity_p3():
     assert two["core_dims"] == (0, 1)
 
 
-def test_sp_multiplicity_refusal_names_the_core_claim():
-    # the refusal is the claim C(p - 2, m - 1), wrong at p = 7, m = 3 (core 3, not 10),
-    # and not the budget: it comes before anything is built, whatever the budget
-    for p in (2, 7, 11):
-        with pytest.raises(ValueError, match=r"core dimension C\(p - 2, m - 1\)") as err:
-            sp_multiplicity_spaces(p, 1)
-        assert "budget" not in str(err.value)
+def test_sp_multiplicity_past_p_5():
+    # the claim is the closed form, at p = 2 and past 5 too: one core block J_r,
+    # r = m or p - m, at j = 1 or p - 1 (power spaces of 1 and 128 dimensions)
+    for p, m in ((2, 1), (7, 1), (7, 2), (11, 1), (13, 1)):
+        result = sp_multiplicity_spaces(p, m)
+        exceptional, r = (1, m) if m % 2 else (p - 1, p - m)
+        assert result["exceptional_index"] == exceptional
+        assert result["core_dims"] == tuple(r * (j == exceptional) for j in range(1, p)), (p, m)
+
+
+def test_sp_multiplicity_refusals():
+    # refused before the power space is built: a bad p or m, a p past numpy's axes,
+    # and m = 2 at p = 13 (8192 dimensions) by the streamed price
+    for p, m, error, match in (
+        (4, 1, ValueError, "not prime"),
+        (5, 0, ValueError, "outside"),
+        (5, 5, ValueError, "outside"),
+        (67, 1, ValueError, "above 64"),
+        (2147483647, 1, ValueError, "above 64"),
+        (13, 2, BudgetError, "diagonal power module"),
+    ):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=match):
+                sp_multiplicity_spaces(p, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and time.perf_counter() - start < 1.0, (p, m)
+
+
+def swapped_closed_form(p, m):
+    """`frobenius_on_simple` with L_m and L_{p-m} swapped for even m: a broken closed form."""
+    classes = list(frobenius_on_simple(p, m))
+    if m % 2 == 0:
+        classes[m - 1], classes[p - m - 1] = classes[p - m - 1], classes[m - 1]
+    return tuple(classes)
+
+
+def test_a_broken_closed_form_fails_the_core_claim(monkeypatch):
+    import frobcat.frobenius
+
+    monkeypatch.setattr(frobcat.frobenius, "frobenius_on_simple", swapped_closed_form)
+    for m in (1, 3):
+        sp_multiplicity_spaces(5, m)
+    for m in (2, 4):
+        with pytest.raises(AssertionError, match="rotation cores give"):
+            sp_multiplicity_spaces(5, m)
 
 
 def test_sp_sign_character_p3_m2():

@@ -60,6 +60,7 @@ INVOCATIONS = [
     ["check", "--suite", "sixper", "--p", "5", "--trials", "2", "--dim-cap", "7"],
     ["green", "--p", "13"],
     ["check", "--suite", "lemm1", "--p", "5"],
+    ["check", "--suite", "lemm1", "--p", "7", "--trials", "2"],
 ]
 
 

@@ -600,7 +600,6 @@ TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 KEPT = {
     "cli.main": "the `frobcat` console script; it calls `run`",
     "frobenius.exactness_report": "an acceptance criterion (exactness of the shift functors)",
-    "frobenius.frobenius_on_simple": "an acceptance criterion (the functor on the simples of Ver_p)",
     "frobenius.frobenius_order_abstract": "the order claim, kept to run on a category where F is not exact",
     "repcat.rep_to_json": "writes the `--rep-file` format that the README points at",
     "verlinde.verlinde_cone_report": "an acceptance criterion (cone coordinates of Verlinde weights)",

@@ -325,6 +325,30 @@ def test_mat_pow():
     assert mat_pow(a, 0, 7).tolist() == [[1, 0], [0, 1]]
 
 
+def test_mat_pow_squares_a_residue_array_in_place():
+    # an owner's frozen matrix is read, not copied, and only it and the running power are
+    # held: traced peaks 3.5 and 4.0 words per entry (4.5 and 5.0 with a residue copy);
+    # every exponent up to 9 against the chain of products, from any integer entries
+    rng = rng_for(0x9A7, 0)
+    for p, bound in ((7, 3.6), (65521, 4.1)):
+        a = frozen_matrix(rng.integers(0, p, size=(256, 256)), p)
+        for k in (5, 6, 7):
+            tracemalloc.start()
+            try:
+                mat_pow(a, k, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * a.size * 8, (p, k)
+        small = rng.integers(-(2**62), 2**62, size=(6, 6))
+        chain = np.eye(6, dtype=np.int64)
+        for k in range(10):
+            assert np.array_equal(mat_pow(small, k, p), chain), (p, k)
+            assert np.array_equal(mat_pow(frozen_matrix(small, p), k, p), chain), (p, k)
+            chain = mat_mul(chain, small % p, p)
+        assert mat_pow(a, 1, p) is not a and np.array_equal(mat_pow(a, 1, p), a)
+
+
 def test_mat_pow_refuses_a_negative_exponent():
     # -1 >> 1 is -1: squaring down a negative exponent would never stop
     for k in (-1, -2, -(2**40)):

@@ -15,6 +15,7 @@ from frobcat.nilmod import (
     NilModule,
     ShortExactSeq,
     _block_extension,
+    _lifts,
     _rank_sequence_arr,
     _type_from_ranks,
     extension_survey,
@@ -23,7 +24,7 @@ from frobcat.nilmod import (
     jordan_matrix,
     jordan_module,
     jordan_type,
-    multiplicity_space,
+    multiplicity_spaces,
     multiplicity_vector,
     nil_module,
     random_nil_module,
@@ -35,6 +36,7 @@ from frobcat.verlinde import green_product
 from oracles import (
     _kernel_of_power,
     extension_from_phi,
+    flag_multiplicity_space,
     functor_L_and_Eis,
     general_preimage,
     intersected_hom_dims,
@@ -283,8 +285,8 @@ def test_flag_matches_intersections(p):
                 assert _same_quotient(functor_L_and_Eis(m, i, s=s), want)
         for j in range(1, n + 1):
             assert _same_quotient(functor_B(m, j), intersected_subquotient(m, j - 1, j=j))
-            assert _same_quotient(multiplicity_space(m, j), intersected_multiplicity_space(m, j))
-            assert multiplicity_space(m, j).dim == jordan_type(m).multiplicity(j)
+            assert _same_quotient(flag_multiplicity_space(m, j), intersected_multiplicity_space(m, j))
+            assert flag_multiplicity_space(m, j).dim == jordan_type(m).multiplicity(j)
         # i = n reaches Ker D^{n+1} = V in D Ker D^{i+1}
         for i in range(1, min(n, p - 1) + 1):
             assert natfunc_hom_dims(m, i) == intersected_hom_dims(m, i)
@@ -358,7 +360,7 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
     monkeypatch.setattr(frobcat.linalg, "_eliminate", counted_block)
     for j in range(1, n + 1):
         widths.clear()
-        assert multiplicity_space(m, j).dim == 2
+        assert flag_multiplicity_space(m, j).dim == 2
         # blocks longer than j put D Ker D^{j+1} outside Ker D^{j-1} for j < n only
         assert len(widths) == (j < n)
         assert all(w <= m.dim - m.kernel(j - 1).dim for w in widths)
@@ -391,6 +393,49 @@ def test_kernel_flag_edge_cases():
             for s in range(n + 3):
                 want = Subspace.from_rows(np.eye(n, dtype=np.int64)[n - min(s, n) :], p)
                 assert block.kernel(s) == want, (n, s)
+        with pytest.raises(ValueError, match="below 0"):
+            zero.kernel(-1)
+
+
+def _modules_with_edges(p):
+    """Random conjugated modules with blocks shorter than n, and the edges: dim 0, n = 1
+    (D = 0, and Ker D^{n-1} = 0), n = 2, and D = 0 at n = 3."""
+    for index, (n, dim) in enumerate(((8, 60), (5, 33), (3, 20), (2, 9), (1, 6), (4, 1))):
+        yield random_nil_module(p, n, dim, seed=26, index=index)
+    yield nil_module(np.zeros((0, 0), np.int64), p, 3)
+    yield nil_module(np.zeros((0, 0), np.int64), p, 1)
+    yield nil_module(np.zeros((4, 4), np.int64), p, 3)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_unit_lifts_are_the_lifts_of_the_whole_space(p):
+    # V / Ker D^{n-1} without V: unit vectors on the free columns of Ker D^{n-1}
+    for m in _modules_with_edges(p):
+        below = m.kernel(m.n - 1)
+        whole = Subspace.from_rows(np.eye(m.dim, dtype=np.int64), p)
+        got, want = _lifts(None, below), Quotient.of(whole, below).lifts
+        assert got.shape == want.shape == (m.dim - below.dim, m.dim), (m.n, m.dim)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (m.n, m.dim)
+
+
+def _identical(q, r):
+    """The same subquotient with the same bases: lifts, coordinate columns and denominator."""
+    return _same_quotient(q, r) and q.coord_columns == r.coord_columns
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_streamed_multiplicity_spaces_match_the_kept_flag(p):
+    # M_1..M_{n-1} from three stages at a time against each M_j from the module's kept
+    # flag, where Ker D^{j+1} = V is formed; the stream keeps no stage on the module
+    for m in _modules_with_edges(p):
+        streamed = list(multiplicity_spaces(nil_module(m.D, p, m.n)))
+        assert len(streamed) == m.n - 1
+        for j, q in enumerate(streamed, start=1):
+            assert _identical(q, flag_multiplicity_space(m, j)), (m.n, m.dim, j)
+            assert q.dim == jordan_type(m).multiplicity(j)
+    lone = nil_module(np.zeros((3, 3), np.int64), p, 2)
+    list(multiplicity_spaces(lone))
+    assert "_kernels" not in lone.__dict__
 
 
 def test_kernel_flag_of_the_diagonal_power_module_at_n_1024():
@@ -404,7 +449,7 @@ def test_kernel_flag_of_the_diagonal_power_module_at_n_1024():
     for s in range(p + 1):
         assert mod.kernel(s) == _kernel_of_power(mod, s), s
     for j in range(1, p + 1):
-        got, want = multiplicity_space(mod, j), intersected_multiplicity_space(mod, j)
+        got, want = flag_multiplicity_space(mod, j), intersected_multiplicity_space(mod, j)
         assert "powers" not in mod.__dict__
         assert got.sup == want.sup and got.sub == want.sub, j
         assert got.dim == (j == p - 1) + 204 * (j == p)  # 204 J_5 blocks and one J_4
@@ -439,7 +484,9 @@ def _every_quotient(m):
         functor_E(m, i)
     for i in range(1, m.n + 1):
         functor_B(m, i)
-        multiplicity_space(m, i)
+        flag_multiplicity_space(m, i)
+    for _ in multiplicity_spaces(nil_module(m.D, m.p, m.n)):  # the streamed stages
+        pass
 
 
 @pytest.mark.parametrize("p", DIFF_MODULI)
@@ -453,7 +500,7 @@ def test_every_quotient_the_package_forms_is_nested(p, nestings):
         _every_quotient(nil_module(mat_mul(mat_mul(g, jordan_matrix(parts), p), g_inv, p), p, parts[0]))
     for index, (n, dim) in enumerate(((8, 40), (5, 24), (3, 9))):
         _every_quotient(random_nil_module(p, n, dim, seed=25, index=index))
-    callers = {"functor_B", "functor_E", "multiplicity_space"}
+    callers = {"functor_B", "functor_E", "multiplicity_space", "_lifts"}
     assert {caller for caller, _ in nestings} == _quotient_callers() == callers
     assert [caller for caller, nested in nestings if not nested] == []
 
@@ -476,13 +523,6 @@ def test_powers_are_read_only():
     with pytest.raises(ValueError):
         m.powers[1].fill(0)
     assert m.powers[1].tolist() == m.D.tolist()
-
-
-def test_multiplicity_space_index_errors():
-    m = jordan_module(3, 3, (2,))
-    for j in (0, 4):
-        with pytest.raises(ValueError, match="outside"):
-            multiplicity_space(m, j)
 
 
 def test_multiplicity_vector():
