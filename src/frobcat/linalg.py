@@ -1,41 +1,41 @@
 """Exact linear algebra over prime fields F_p.
 
-All matrices are numpy int64 arrays with entries reduced into [0, p).
-Every matrix product goes through `mat_mul`, in one of three exact regimes
-chosen by the bound (p-1)^2 * k on its partial sums, for inner size k: one
-float32 GEMM while the bound is below 2^24, one float64 GEMM while it is
-below 2^53, each then reduced in int64, and past that four float64 GEMMs of
-16-bit halves, recombined in int64 (`_split_mul`). Every elimination update
-x - a @ b is one fused multiply-subtract (`_product(a, b, p, x)`): one GEMM
-and one reduction of t - a @ b + x, t a multiple of p at least the product
-bound, whose regime follows from that bound plus p. Inner helpers trust
-their entries: `mat_mul` checks the modulus and converts its operands once,
-and the eliminations and `Subspace.reduce` hand `_product` int64 residues
-whose modulus they checked. Every array remainder goes
-through `_remainder`: c - (c // p) * p, which numpy runs through libdivide,
-from 512 entries, and one `%` below. `rref` computes one form, the reduced
-one, whose pivots give the rank (`rank_mod`); it splits rows recursively so
-that its work is a few such products; the recursion stacks its merged rows
-unsorted, and `rref` (past one leaf) and `Subspace.add` sort their result by
-pivot once. Blocks of at most 16 rows have three base cases: up to 196
-entries, one pivot at a time on lists of Python ints; up to 64 columns, one
-pivot at a time on the array; past that, a panel of 32 live columns at a
-time, whose row transform one product applies to the rest. The array loop
-(`_pivot_loop`) delays its reduction: an update lowers an entry by at most
-(p-1)^2, so a block of residues takes (2^63 - p) // (p-1)^2 updates exactly
-in int64, and it is reduced after that many (after each one only past p =
-2^31) and at the end. An elimination is priced once, on entry, at its
-traced peak; its own products are not priced again. Entrywise residue
-products are int64, so `as_residues`,
-which every kernel reduces its input with (input already in range is only
-copied), and `mat_mul` refuse p with (p-1)^2 >= 2^63, as `check_modulus`
-does at the CLI and owner boundary; no kernel forms products in Python-int
-arrays. The owners of matrices (group
-reps, nil-modules, exact sequences) hold them as read-only residue arrays
-from `frozen_matrix`. `rank_stack` ranks a stack of small matrices in one
-lockstep sweep. Each array is reduced mod p once, where it enters: a kernel
-reduces its input, an owner its matrices. So `kron_arrays` is exact (entries
-below p^2, within int64), and the consumer reduces it.
+All matrices are numpy int64 arrays with entries reduced into [0, p). Every
+matrix product goes through `mat_mul`, in one of three exact regimes chosen by
+the bound (p-1)^2 * k on its partial sums, for inner size k: one float32 GEMM
+while the bound is below 2^24, one float64 GEMM while it is below 2^53, each
+then reduced in int64, and past that four float64 GEMMs of 16-bit halves,
+recombined in int64 (`_split_mul`). Every elimination update x - a @ b is one
+fused multiply-subtract (`_product(a, b, p, x)`): one GEMM and one reduction of
+t - a @ b + x, t a multiple of p at least the product bound, whose regime
+follows from that bound plus p. Inner helpers trust their entries: `mat_mul`
+checks the modulus and converts its operands once, and the eliminations and
+`Subspace.reduce` hand `_product` int64 residues whose modulus they checked.
+Every array remainder goes through `_remainder`: c - (c // p) * p, which numpy
+runs through libdivide, from 512 entries, and one `%` below. `rref` computes
+one form, the reduced one, whose pivots give the rank (`rank_mod`); it splits
+rows recursively so that its work is a few such products. The recursion carries
+a reduced block (x, pivots, free), its rows R in any order with
+R[:, pivots] = I and R[:, free] = x: only x is formed, and the n-wide rows,
+sorted by pivot, are assembled once where a caller reads them (`rref`,
+`Subspace`); `restrict_to_image` reads a rank sequence's next operator off x.
+Blocks of at most 16 rows have three base cases: up to 196 entries, one pivot
+at a time on lists of Python ints; up to 64 columns, one pivot at a time on the
+array; past that, a panel of 32 live columns at a time, whose row transform one
+product applies to the rest. The array loop (`_pivot_loop`) delays its
+reduction: an update lowers an entry by at most (p-1)^2, so a block of residues
+takes (2^63 - p) // (p-1)^2 updates exactly in int64, and it is reduced after
+that many (after each one only past p = 2^31) and at the end. An elimination is
+priced once, on entry, at its traced peak; its own products are not priced
+again. `rank_stack` ranks a stack of small matrices in one lockstep sweep.
+Entrywise residue products are int64, so `as_residues`, which every kernel
+reduces its input with (input already in range is only copied), and `mat_mul`
+refuse p with (p-1)^2 >= 2^63, as `check_modulus` does at the CLI and owner
+boundary; no kernel forms products in Python-int arrays. The owners of matrices
+(group reps, nil-modules, exact sequences) hold them as read-only residue
+arrays from `frozen_matrix`. Each array is reduced mod p once, where it enters:
+a kernel reduces its input, an owner its matrices. So `kron_arrays` is exact
+(entries below p^2, within int64), and the consumer reduces it.
 """
 from __future__ import annotations
 
@@ -144,18 +144,29 @@ def frozen_matrix(a, p: int) -> np.ndarray:
     return arr
 
 
-def _price_rows(rows: int, cols: int, p: int, more: int = 0) -> None:
-    """Price a row reduction of a rows x cols block at its traced peak (the
-    residue copy, the operands of the largest products and the merged
-    result), with `more` bytes its caller holds beside it. Over `rref` of
-    shapes from 64^2 to 1024 x 2048 and 40 x 4000, and `Subspace.add` of 1
-    to 900 rows to bases of 10 to 900, that peak was at most 5.0 words per
-    entry while every product runs in one float GEMM, and 6.0 once one may
-    split (_split_mul's halves and their partial products); priced at 5.5
-    and 6.5 words. The recursion's own products are then not priced again.
+def _price_rows(rows: int, cols: int, p: int) -> None:
+    """Price a row reduction of a rows x cols block at its traced peak: the residue copy,
+    the operands of the largest products and the assembled rows. In words per entry, by
+    tracemalloc of one random and one rank-halved matrix per shape:
+
+    | shapes | p = 2 to 65521 | p = 2^31 - 1, 3037000493 |
+    |---|---|---|
+    | `rref`, 64^2 to 1024 x 2048 | 1.5-3.0 | 1.9-4.0 |
+    | `rref`, 17 to 200 rows x 4000 | 2.7-4.2 | 4.5-5.6 |
+    | `rref`, leaves of 1 to 16 rows | 1.2-4.0 | 5.8-6.0 |
+    | `Subspace.add`, 1 to 900 rows to 10 to 900 | 1.2-4.1 | 1.2-5.2 |
+    | `Subspace.preimage` on F_p^n, per n^2 | 1.0-2.7 | 1.0-3.8 |
+    | `restrict_to_image`, `inverse_mod`, 64^2 to 900^2 | 2.2-4.1 | 3.5-5.1 |
+
+    Priced at 4.5 words while every product runs in one float GEMM and 6.5 once one
+    may split (a leaf's panel product then holds _split_mul's halves and partial
+    products); blocks of a few hundred entries carry a few KiB more. The recursion's
+    own products are not priced again. A preimage on F_p^n is priced as an n x n
+    elimination, which from n = 13 holds B[:, F] beside any one of its stages: the
+    induced product, the f x f elimination or the assembly.
     """
     split = (p - 1) * (p - 1) * min(rows, cols) + p >= _FLOAT64_EXACT
-    check_budget((52 if split else 44) * rows * cols + more, "row reduction")
+    check_budget((52 if split else 36) * rows * cols, "row reduction")
 
 
 def rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -168,13 +179,24 @@ def rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     rows, cols = np.shape(a)
     _price_rows(rows, cols, p)
     arr = as_residues(a, p)
-    if arr.size == 0:
-        return np.zeros((0, cols), np.int64), ()
-    red, pivots = _eliminate(arr, p)
-    if rows > _LEAF_ROWS:  # the recursion merged its blocks unsorted
-        order = np.argsort(pivots)
-        red, pivots = red[order], pivots[order]
-    return red, tuple(pivots.tolist())
+    if rows <= _LEAF_ROWS:  # a leaf leaves its rows sorted; past one, they are assembled here
+        red, pivots = _eliminate_rows(arr, p)
+        return red, tuple(pivots.tolist())
+    return _assemble(*_eliminate(arr, p), cols)
+
+
+def _free(pivots: np.ndarray, cols: int) -> np.ndarray:
+    """The columns of [0, cols) outside `pivots`, ascending."""
+    return (np.bincount(pivots, minlength=cols) == 0).nonzero()[0]
+
+
+def _assemble(x, pivots, free, cols: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The rows of the reduced block (x, pivots, free), sorted by pivot, and their pivots."""
+    order = np.argsort(pivots)
+    red = np.zeros((order.size, cols), np.int64)
+    red[:, free] = x[order]
+    red[np.arange(order.size), pivots[order]] = 1
+    return red, tuple(pivots[order].tolist())
 
 
 # Blocks of at most this many rows are eliminated one pivot at a time: below
@@ -188,52 +210,38 @@ _PANEL_COLS = 32
 _TINY_CELLS = 196
 
 
-def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced rows and pivot array of the residue matrix a, which it may
-    overwrite; the rows are in pivot order only within a leaf.
-
-    Row-recursive: R1 = RREF(top half); the bottom half minus bottom[:, P1] @ R1
-    vanishes on the pivot columns P1, so only its other columns are eliminated,
-    recursively; R1 is then cleared on the new pivots with one more update,
-    and the rows are stacked, R1's first. Both updates are fused
-    multiply-subtracts (_product with x); the panels of _eliminate_rows are
-    plain products (_product), none priced again after rref's entry price.
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced block (x, pivots, free) of the residue matrix a, which it may overwrite:
+    its reduced rows R, in the order `pivots` lists them, have R[:, pivots] = I and
+    R[:, free] = x, the free columns ascending. Row-recursive: the top half's block, then
+    the bottom half's remainder on its free columns (_extend), by fused multiply-subtracts
+    (_product with x); none is priced again after the caller's entry price.
     """
     m = a.shape[0]
     if m <= _LEAF_ROWS:
-        return _eliminate_rows(a, p)
+        red, pivots = _eliminate_rows(a, p)
+        free = _free(pivots, a.shape[1])
+        return red[:, free], pivots, free
     h = m // 2
-    top, ptop = _eliminate(a[:h], p)
-    if not ptop.size:
+    top = _eliminate(a[:h], p)
+    if not top[1].size:
         return _eliminate(a[h:], p)
-    return _extend(top, ptop, a[h:], p)
+    return _extend(*top, a[h:], p)
 
 
-def _extend(top, ptop, bottom, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced rows and pivot array of the span of reduced rows `top` (pivots
-    `ptop`, in any order; not written to) and residue rows `bottom`.
-
-    bottom minus bottom[:, ptop] @ top vanishes on ptop, so only its rows'
-    other columns are eliminated; top is then cleared on the new pivots. The
-    rows are returned unsorted, top's first: the caller sorts its result by
-    pivot once.
-    """
-    n = top.shape[1]
-    free = np.ones(n, bool)
-    free[ptop] = False
-    rest = np.flatnonzero(free)
-    low = _product(bottom[:, ptop], top[:, rest], p, bottom[:, rest])
+def _extend(x, pivots, free, bottom, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced block of the span of the block (x, pivots, free), not written to, and
+    the residue rows `bottom`: low = bottom[:, free] - bottom[:, pivots] @ x is bottom mod
+    the block, on its free columns, and its block (x2, q, g), q and g positions in `free`,
+    gives the new pivots free[q]. The top rows are cleared on them, x[:, g] - x[:, q] @ x2,
+    and stacked over x2: nothing n wide is formed."""
+    low = _product(bottom[:, pivots], x, p, bottom[:, free])
     low = low[low.any(axis=1)]
     if not low.size:
-        return top, ptop
-    low, plow = _eliminate(low, p)
-    plow = rest[plow]
-    r1 = top.shape[0]
-    out = np.zeros((r1 + low.shape[0], n), np.int64)
-    out[:r1] = top
-    out[r1:, rest] = low
-    out[:r1, rest] = _product(top[:, plow], low, p, top[:, rest])
-    return out, np.concatenate([ptop, plow])
+        return x, pivots, free
+    x2, q, g = _eliminate(low, p)
+    top = _product(x[:, q], x2, p, x[:, g])
+    return np.concatenate([top, x2]), np.concatenate([pivots, free[q]]), free[g]
 
 
 def _eliminate_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,22 +416,32 @@ def nullspace_mod(a, p: int) -> np.ndarray:
     increasing free column, are the kernel's RREF basis, with the free
     columns as its pivots.
     """
-    return _kernel_rref(a, p)[0]
+    return Subspace.kernel(a, p).basis
 
 
-def _kernel_rref(a, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF basis and pivots of the kernel of a; see nullspace_mod."""
-    cols = np.shape(a)[1]
-    red, rpiv = rref(np.asarray(a)[:, ::-1], p)
-    rfree = (np.bincount(rpiv, minlength=cols) == 0).nonzero()[0]  # free columns of a[:, ::-1]
-    k = rfree.size
-    free = cols - 1 - rfree[::-1]  # the same columns in the original order, ascending
-    basis = np.zeros((k, cols), np.int64)
-    basis[np.arange(k), free] = 1
-    if rpiv:
-        # row i belongs to reversed free column rfree[k-1-i]
-        basis[:, cols - 1 - np.array(rpiv)] = _remainder(-red[:, rfree].T, p)[::-1]
-    return basis, tuple(free.tolist())
+def _kernel_block(rev, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced block of the kernel of a (see nullspace_mod), from rev = a[:, ::-1] as a
+    residue array, which it overwrites: with (x, piv, free) the block of rev, the vector of
+    its free column f is e_f - x[:, f] on piv, so the block is -x^T, rows reversed, on the
+    columns cols-1-piv."""
+    cols = rev.shape[1]
+    x, piv, free = _eliminate(rev, p)
+    return _remainder(-x.T[::-1], p), cols - 1 - free[::-1], cols - 1 - piv
+
+
+def restrict_to_image(a: np.ndarray, p: int) -> np.ndarray:
+    """The map v -> v a on the row space of a square residue array a, in the coordinates
+    of its reduced rows R (pivots P, free columns F): a row of that space has coordinates
+    its entries at P, so the map is R a[:, P] = a[P, P] + x a[F, P], x = R[:, F], r x r
+    for r = rank a: one fused product, r x (n - r) x r, and R is not formed. Priced once,
+    at the elimination, whose traced peak holds the rest."""
+    n = len(a)
+    _price_rows(n, n, p)
+    x, piv, free = _eliminate(as_residues(a, p), p)
+    order = np.argsort(piv)  # R's rows in pivot order: the canonical coordinates
+    x, piv = x[order], piv[order]
+    cols = a[:, piv]
+    return _product(x, _remainder(-cols[free], p), p, cols[piv])
 
 
 # A product of residues below p over inner size k has every partial sum an
@@ -660,9 +678,15 @@ class Subspace:
 
     @classmethod
     def kernel(cls, a, p: int) -> "Subspace":
-        """{x : a @ x = 0} in F_p^cols(a), from one elimination."""
-        basis, piv = _kernel_rref(a, p)
-        return cls(p=p, basis=basis, pivots=piv)
+        """{x : a @ x = 0} in F_p^cols(a), from one elimination; see nullspace_mod. The
+        block's pivots come ascending, so its rows are laid out as they are."""
+        rows, cols = np.shape(a)
+        _price_rows(rows, cols, p)
+        x, piv, free = _kernel_block(as_residues(np.asarray(a)[:, ::-1], p), p)
+        basis = np.zeros((piv.size, cols), np.int64)
+        basis[:, free] = x
+        basis[np.arange(piv.size), piv] = 1
+        return cls(p, basis, tuple(piv.tolist()))
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
@@ -694,11 +718,9 @@ class Subspace:
     def add(self, other) -> "Subspace":
         """The span of this subspace and `other`, a Subspace or rows.
 
-        The rows are reduced modulo this basis with one fused update; only
-        the remainder, on this basis's free columns, is eliminated, and the
-        merged rows are sorted by pivot once. The merged rows are priced
-        from the shapes, as an elimination of that size, before the residue
-        copy is made.
+        The rows are reduced modulo this basis with one fused update and only the remainder,
+        on its free columns, is eliminated (_extend). Priced from the shapes, as an
+        elimination of that size, before the residue copy is made.
         """
         rows = other.basis if isinstance(other, Subspace) else other
         shape = np.shape(rows)
@@ -708,41 +730,34 @@ class Subspace:
             raise ValueError(f"rows of width {shape[1]} in a subspace of F_p^{self.ambient}")
         _price_rows(self.dim + shape[0], shape[1], self.p)
         rows = as_residues(rows, self.p).reshape(shape)
-        ptop = np.array(self.pivots, dtype=np.intp)
-        basis, piv = _extend(self.basis, ptop, rows, self.p)
-        if basis is self.basis:
+        pivots = np.array(self.pivots, dtype=np.intp)
+        free = _free(pivots, self.ambient)
+        x, piv, free = _extend(self.basis[:, free], pivots, free, rows, self.p)
+        if piv.size == self.dim:
             return self
-        order = np.argsort(piv)
-        return Subspace(p=self.p, basis=basis[order], pivots=tuple(piv[order].tolist()))
+        return Subspace(self.p, *_assemble(x, piv, free, self.ambient))
 
     def preimage(self, a) -> "Subspace":
         """{x : a @ x in W} for this subspace W and a square a with aW ⊆ W (else {x : a (x mod W)
         in W}). With B the basis, pivots P and free columns F, a induces a[F, F] - B[:, F]^T a[P, F]
-        on F_p^n / W in the coordinates x[F]: one fused product, whose kernel's reduced rows (zero
-        on P) are the new rows. One fused update clears B on their pivots; one sort orders all."""
+        on F_p^n / W in the coordinates x[F]: one fused product, whose kernel's reduced block (zero
+        on P) holds the new rows. One fused update clears B on their pivots, and the new basis is
+        assembled once."""
         n, k, p, f = self.ambient, self.dim, self.p, self.ambient - self.dim
         if np.shape(a) != (n, n):
             raise ValueError(f"an operator of shape {np.shape(a)} on F_p^{n}")
         if not f:
             return self
-        # beside the elimination: the merged rows, 16 words a column of pivots, the gathered
-        # columns and their residues, B[:, F], and the fused products
-        fused = _product_bytes((f, k), (k, f), p, True) + _product_bytes((k, f), (f, f), p, True)
-        _price_rows(f, f, p, 8 * (n * (n + 16 + 2 * f) + k * f) + fused)
+        _price_rows(n, n, p)  # an n x n elimination holds each of its stages: see _price_rows
         pivots = np.array(self.pivots, dtype=np.intp)
-        free = (np.bincount(pivots, minlength=n) == 0).nonzero()[0]
-        cols = as_residues(np.asarray(a)[np.concatenate([pivots, free])[:, None], free], p)
+        free = _free(pivots, n)
+        cols = as_residues(np.asarray(a)[np.concatenate([pivots, free])[:, None], free[::-1]], p)
         bf = self.basis[:, free]
-        ker, kp = _kernel_rref(_product(bf.T, cols[:k], p, cols[k:]), p)
-        del cols  # freed before the merge: held, it kept a lemm1 pass's peak RSS 3 MB higher
-        piv = np.concatenate([pivots, free[list(kp)]])
-        rows = np.sort(piv)
-        at = rows.searchsorted(piv)[:, None]  # each row's place in pivot order
-        out = np.zeros((rows.size, n), np.int64)
-        out[at[:k, 0], pivots] = 1  # B[:, P] is the identity
-        out[at[:k], free] = _product(self.basis[:, piv[k:]], ker, p, bf)
-        out[at[k:], free] = ker
-        return Subspace(p=p, basis=out, pivots=tuple(rows.tolist()))
+        induced = _product(bf.T, cols[:k], p, cols[k:])  # its columns reversed, for _kernel_block
+        del cols  # freed before the elimination, beside which it would raise the peak
+        x, kp, kf = _kernel_block(induced, p)
+        x = np.concatenate([_product(bf[:, kp], x, p, bf[:, kf]), x])
+        return Subspace(p, *_assemble(x, np.concatenate([pivots, free[kp]]), free[kf], n))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style: kernel of [A^T | -B^T] gives the common combos."""

@@ -26,6 +26,7 @@ from .linalg import (
     random_invertible,
     rank_mod,
     rank_stack,
+    restrict_to_image,
     rref,
 )
 from .seeding import rng_for
@@ -173,22 +174,31 @@ def rank_sequence(m: NilModule) -> tuple[int, ...]:
     return _rank_sequence_arr(m.D, m.n, m.p)
 
 
+# Up to this size a step is rref's rows R and the product R a[:, P]: rref returns a leaf's
+# rows as it leaves them, which took 0.75-0.98x the time of `restrict_to_image` on 4 to 16
+# rows at p = 3, 7 and 65521, and 1.05-1.12x on 24.
+_LEAF_DIM = 16
+
+
 def _rank_sequence_arr(d: np.ndarray, n: int, p: int) -> tuple[int, ...]:
     # restriction to the image: a is the operator v -> v D^T restricted to
-    # Im D^{k-1}, in the reduced basis rows of the previous step, so it is
-    # r_{k-1} x r_{k-1} and rank a = rank D^k. With rows[:, piv] = I, a row of
-    # Im a = span(rows) has coordinates its entries at piv, so the restriction
-    # to Im a is rows @ a[:, piv], r_k x r_k; only the first step is n wide
+    # Im D^{k-1}, in the coordinates of the previous step's reduced rows, so it
+    # is r_{k-1} x r_{k-1} and rank a = rank D^k; `restrict_to_image` reads the
+    # next one, r_k x r_k, through the reduction's non-pivot block, and only
+    # the first step is n wide
     ranks = [d.shape[0]]
     a = d.T
     for k in range(1, n + 1):
-        rows, piv = rref(a, p)
-        if not piv or len(piv) == ranks[-1]:
+        if len(a) <= _LEAF_DIM:  # a last step, at rank 0 or a repeated rank, needs no product
+            rows, piv = rref(a, p)
+            a = mat_mul(rows, a[:, piv], p) if 0 < len(piv) < len(a) else rows
+        else:
+            a = restrict_to_image(a, p)
+        if not len(a) or len(a) == ranks[-1]:
             # Im D^k = 0 or Im D^{k-1}: every later power has the same rank.
             # At n = p the tail is p long; chained, it is never also a list
-            return tuple(chain(ranks, repeat(len(piv), n - k + 1)))
-        ranks.append(len(piv))
-        a = mat_mul(rows, a[:, piv], p)
+            return tuple(chain(ranks, repeat(len(a), n - k + 1)))
+        ranks.append(len(a))
     return tuple(ranks)
 
 

@@ -411,6 +411,33 @@ def test_multiplicity_quotients_stay_within_their_price(monkeypatch):
     assert peak <= 4.9 * n * n * 8
 
 
+def test_no_price_after_the_multiplicity_quotients_price_exceeds_it(monkeypatch):
+    # every request of a lemm1 trial at p = 5, m = 4 after the up-front price is at most that
+    # price, so a budget refuses before Du is built or lets the trial finish; at 56 and 60 MiB
+    # `Subspace.preimage` once asked 67556476 bytes for the first kernel stage, after Du
+    import sys
+
+    import frobcat.cli
+
+    requests, check = [], frobcat.linalg.check_budget
+
+    def spy(nbytes, what):
+        requests.append((nbytes, what))
+        check(nbytes, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frobcat") and getattr(module, "check_budget", None) is check:
+            monkeypatch.setattr(module, "check_budget", spy)
+    sp_multiplicity_spaces(5, 4)
+    first = [what for _, what in requests].index("diagonal power module and three stages of its kernel flag")
+    assert requests[first][0] == 52 * 4**10
+    assert max(nbytes for nbytes, _ in requests[first + 1 :]) <= requests[first][0]
+    monkeypatch.undo()
+    for mb in ("56", "60"):
+        monkeypatch.setenv("FROBCAT_BUDGET_MB", mb)
+        assert frobcat.cli.run(["check", "--suite", "lemm1", "--p", "5"]) == 0, mb
+
+
 def test_frobenius_on_simple_small_values():
     assert frobenius_on_simple(2, 1) == (simple(2, 1),)
     assert frobenius_on_simple(3, 1) == (simple(3, 1), simple(3, 2).scale(0))

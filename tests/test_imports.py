@@ -221,13 +221,14 @@ def test_python_int_products_only_in_mat_mul(path):
 
 
 def unfused_updates(source: str) -> list[str]:
-    """`_sub(` calls and subtractions with a `mat_mul(` or `_product(` call among their operands."""
+    """`_sub(` calls, and subtractions and additions, with a `mat_mul(` or `_product(` call
+    among their operands."""
     tree = ast.parse(source)
     found = set()
     for node in ast.walk(tree):
         if _callee(node) == "_sub":
             operands = node.args
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Sub, ast.Add)):
             operands = [node.left, node.right]
         else:
             continue
@@ -248,11 +249,14 @@ def reduce(v, coeff, basis, p):
 def clear(top, plow, low, rest, p):
     return top[:, rest] - _product(top[:, plow], low, p, None)
 
+def restrict(a, x, piv, free, p):
+    return (a[np.ix_(piv, piv)] + linalg.mat_mul(x, a[np.ix_(free, piv)], p)) % p
+
 def fine(v, coeff, basis, p):
     y = mat_mul(coeff, basis, p)
-    return _product(coeff, basis, p, v), _sub(v, y, p), v.shape[0] - 1
+    return _product(coeff, basis, p, v), _sub(v, y, p), v.shape[0] - 1, len(y) + 1
 """
-    assert unfused_updates(src) == ["line 3", "line 7", "line 10"]
+    assert unfused_updates(src) == ["line 3", "line 7", "line 10", "line 13"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)

@@ -32,6 +32,7 @@ from frobcat.linalg import (
     random_invertible,
     rank_mod,
     rank_stack,
+    restrict_to_image,
     rref,
 )
 from frobcat.nilmod import jordan_matrix, random_nil_module
@@ -533,8 +534,8 @@ def reversed_echelon(rng, p, rows, cols, rank):
 
 @pytest.mark.parametrize("p", DIFF_MODULI)
 def test_rref_sorts_its_merged_rows_into_pivot_order(p):
-    # past 16 rows the recursion merges its blocks unsorted and rref sorts
-    # the result once: the pivots come out strictly increasing
+    # past 16 rows the recursion carries its rows in any order and rref
+    # assembles them once, sorted: the pivots come out strictly increasing
     rng = rng_for(p, 6)
     for rows in (17, 31, 64, 150, 300):
         cases = [
@@ -589,6 +590,47 @@ def test_rref_leaves_match_oracle(p, monkeypatch):
     loops.clear()
     rref(rng.integers(0, p, size=(16, 64)), p)
     assert len(loops) == 1
+
+
+def branch_cases(rng, p):
+    """Blocks past one leaf for each branch of the recursion: a top half with no pivots, a
+    bottom half in the top's span (an empty remainder) or partly in it (a filtered one), a
+    top half of full column rank (no free columns left), n >> m and m >> n, and blocks of
+    17 rows and more, random and of deficient rank."""
+    no_top = rng.integers(0, p, size=(40, 60))
+    no_top[:20] = 0
+    quarter = rng.integers(0, p, size=(64, 50))
+    quarter[:16] = 0
+    top = rng.integers(0, p, size=(20, 60))
+    spanned = np.concatenate([top, mat_mul_naive(rng.integers(0, p, size=(20, 20)), top, p)])
+    partly = spanned.copy()
+    partly[30:33] = rng.integers(0, p, size=(3, 60))
+    return [
+        no_top, quarter, spanned, partly,
+        rng.integers(0, p, size=(40, 12)), thin_product(rng, p, 600, 24, 24),
+        rng.integers(0, p, size=(17, 600)), thin_product(rng, p, 24, 900, 20),
+        rng.integers(0, p, size=(300, 5)), rng.integers(0, p, size=(17, 17)),
+        rng.integers(0, p, size=(33, 40)), thin_product(rng, p, 64, 64, 40),
+        reversed_echelon(rng, p, 50, 70, 45),
+    ]
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_each_branch_of_the_recursion_matches_the_oracle(p):
+    # the RREF and the span of the halves, Subspace.add's merge, against the oracle; the
+    # kernel read off the non-pivot block, certified; and the restriction R a[:, P] of the
+    # leading square block to its row space against the oracle's R
+    rng = rng_for(p, 27)
+    for a in branch_cases(rng, p):
+        want_r, want_p = rref_naive(a, p)
+        got_r, got_p = rref(a, p)
+        assert got_p == want_p and np.array_equal(got_r, want_r)
+        got = Subspace.from_rows(a[: len(a) // 2], p).add(a[len(a) // 2 :])
+        assert got.pivots == want_p and np.array_equal(got.basis, want_r)
+        nullspace_certificate(a, p, rng)
+        square = a[: min(a.shape), : min(a.shape)]
+        red, piv = rref_naive(square, p)
+        assert np.array_equal(restrict_to_image(square, p), mat_mul_naive(red, square[:, list(piv)], p))
 
 
 # The leaf reduces its block every (2^63 - p) // (p-1)^2 updates: never
@@ -1107,7 +1149,7 @@ def test_oversize_preimage_is_refused_before_its_first_copy(monkeypatch):
 @pytest.mark.parametrize("p", (7, 65521, 2**31 - 1))
 def test_preimage_stays_within_its_price(monkeypatch, p):
     # the traced peak of one stage against its one price, from a kernel flag's first
-    # stage (the elimination dominates) to its last (the merged rows do)
+    # stage (the elimination dominates) to its last (the assembled basis does)
     prices, check = [], frobcat.linalg.check_budget
 
     def spy(nbytes, what):

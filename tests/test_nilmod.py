@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frobcat
-from frobcat.linalg import Quotient, Subspace, kron_arrays, mat_mul, random_invertible, rref
+from frobcat.linalg import Quotient, Subspace, kron_arrays, mat_mul, random_invertible, rank_mod, rref
 from frobcat.nilmod import (
     JordanType,
     NilModule,
@@ -154,6 +154,29 @@ def test_rank_sequence_at_large_p_matches_the_iterated_images(p):
     assert _type_from_ranks(ranks, top + 3).parts == parts
 
 
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_rank_sequence_matches_the_ranks_of_explicit_powers(p):
+    # dims 17 to 400: the steps past 16 rows restrict through the non-pivot block, the
+    # later ones through rref's rows, and every product splits at the two largest moduli.
+    # Each rank of D^k against rank_mod of the power itself, and against the type D was
+    # built from; with an invertible block I_m beside J the ranks stop at m, not 0
+    rng = rng_for(p, 27)
+    for dim, top, m in ((17, 3, 0), (40, 6, 9), (64, 12, 0), (150, 5, 30), (400, 20, 0)):
+        parts = random_partition(dim - m, top, rng)
+        block = np.zeros((dim, dim), np.int64)
+        block[: dim - m, : dim - m] = jordan_matrix(parts)
+        block[dim - m :, dim - m :] = np.eye(m, dtype=np.int64)
+        q, q_inv = random_invertible(p, dim, rng)
+        d = mat_mul(mat_mul(q, block, p), q_inv, p)
+        n = parts[0] + 2
+        powers = [np.eye(dim, dtype=np.int64)]
+        while len(powers) <= n:
+            powers.append(mat_mul(powers[-1], d, p))
+        want = tuple(rank_mod(power, p) for power in powers)
+        assert _rank_sequence_arr(d, n, p) == want, (dim, m)
+        assert want == tuple(r + m for r in _ranks_of_type(parts, n))
+
+
 def test_rank_sequence_of_a_nil_module_below_p():
     parts = random_partition(40, 4, rng_for(29, 0))
     m = nil_module(_jordan_conjugate(7, parts, rng_for(29, 1)), 7, 4)
@@ -162,26 +185,32 @@ def test_rank_sequence_of_a_nil_module_below_p():
 
 
 def test_rank_sequence_works_on_the_restriction_to_the_image(monkeypatch):
-    # past the first step every elimination is r_k x r_k and every product
-    # operand at most r_k wide: no step goes back to an n-wide array
+    # step k eliminates r_{k-1} x r_{k-1} and restricts with one fused product through the
+    # reduction's non-pivot block, r_k x (r_{k-1} - r_k) x r_k, the last product of its
+    # step: no step goes back to an n-wide array, and none forms the reduced rows
+    import frobcat.linalg
     import frobcat.nilmod
 
     d, _ = _tensor_case()
-    elims, products = [], []
-    real_rref, real_mul = frobcat.nilmod.rref, frobcat.nilmod.mat_mul
-    monkeypatch.setattr(
-        frobcat.nilmod, "rref", lambda a, *r, **k: elims.append(np.shape(a)) or real_rref(a, *r, **k)
-    )
-    monkeypatch.setattr(
-        frobcat.nilmod, "mat_mul",
-        lambda a, b, p: products.append((np.shape(a), np.shape(b))) or real_mul(a, b, p),
-    )
+    steps, products = [], []
+    restrict, product = frobcat.nilmod.restrict_to_image, frobcat.linalg._product
+
+    def spied_restrict(a, p):
+        products.clear()
+        out = restrict(a, p)
+        steps.append((np.shape(a), products[-1]))
+        return out
+
+    def spied_product(a, b, p, x):
+        products.append((a.shape, b.shape, x is not None))
+        return product(a, b, p, x)
+
+    monkeypatch.setattr(frobcat.nilmod, "restrict_to_image", spied_restrict)
+    monkeypatch.setattr(frobcat.linalg, "_product", spied_product)
     ranks = _rank_sequence_arr(d, 7, 7)
-    n = len(d)
-    steps = ranks.index(0)
-    assert elims == [(r, r) for r in ranks[:steps]]
-    assert products == [((ranks[k + 1], ranks[k]), (ranks[k], ranks[k + 1])) for k in range(steps - 1)]
-    assert ranks[1] < n and all(max(a + b) < n for a, b in products[1:])
+    top = ranks.index(0)
+    assert steps == [((m, m), ((r, m - r), (m - r, r), True)) for m, r in zip(ranks[:top], ranks[1 : top + 1])]
+    assert 16 < ranks[top - 1] and ranks[1] < len(d)
 
 
 @settings(max_examples=80, deadline=None)
@@ -328,9 +357,11 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
     m = nil_module(d, p, n)
     shapes, reduced, widths = [], [], []
 
+    kernel_block = frobcat.linalg._kernel_block
+
     def counted(a, p):
         shapes.append(np.shape(a))
-        return rref(a, p)
+        return kernel_block(a, p)
 
     reduce_rows = frobcat.linalg.Subspace.reduce
 
@@ -338,7 +369,7 @@ def test_kernel_flag_and_denominators_eliminate_once(monkeypatch):
         reduced.append(np.shape(vecs))
         return reduce_rows(self, vecs)
 
-    monkeypatch.setattr(frobcat.linalg, "rref", counted)
+    monkeypatch.setattr(frobcat.linalg, "_kernel_block", counted)
     monkeypatch.setattr(frobcat.linalg.Subspace, "reduce", spied)
     for k in range(1, n + 1):
         m.kernel(k)

@@ -155,8 +155,9 @@ def test_order_check_on_a_generator_of_wrong_order(rep, monkeypatch):
     monkeypatch.setattr(frobcat.linalg, "mat_pow", no_power)
     monkeypatch.setattr(frobcat.repcat, "mat_pow", no_power)
     elims = []
-    real = frobcat.nilmod.rref
-    monkeypatch.setattr(frobcat.nilmod, "rref", lambda *a, **k: elims.append(1) or real(*a, **k))
+    for name in ("rref", "restrict_to_image"):  # a restriction step takes one or the other
+        real = getattr(frobcat.nilmod, name)
+        monkeypatch.setattr(frobcat.nilmod, name, lambda *a, real=real: elims.append(1) or real(*a))
     with pytest.raises(ValueError, match="^generator does not have order dividing p; group is not Z/p$"):
         decompose_cyclic(rep)
     assert len(elims) <= rep.dim + 1
@@ -184,12 +185,20 @@ def test_order_check_after_restriction_steps(p, parts, m, monkeypatch):
     q, q_inv = random_invertible(p, dim, rng_for(dim, 0))
     d = mat_mul(mat_mul(q, block, p), q_inv, p)
     rep = unvalidated(cyclic_group(p), p, (np.eye(dim, dtype=np.int64) - d) % p)
-    products = []
-    real = frobcat.nilmod.mat_mul
-    monkeypatch.setattr(frobcat.nilmod, "mat_mul", lambda *a: products.append(1) or real(*a))
+    steps, real = [], frobcat.nilmod.restrict_to_image
+
+    def spied(a, p):
+        steps.append(real(a, p))
+        return steps[-1]
+
+    monkeypatch.setattr(frobcat.nilmod, "restrict_to_image", spied)
     with pytest.raises(ValueError, match="^generator does not have order dividing p; group is not Z/p$"):
         decompose_cyclic(rep)
-    assert len(products) == max(parts) >= 2
+    # every restriction up to the repeated rank shrinks the operator; that last step's
+    # product is empty, r_k x 0 x r_k
+    assert len(steps) == max(parts) + 1 and max(parts) >= 2
+    sizes = [len(a) for a in steps]
+    assert sizes == sorted(set(sizes[:-1]), reverse=True) + [m] and sizes[-2] == m
     with pytest.raises(ValueError, match=f"^sylow witness 'a' does not have order dividing {p}$"):
         witness_type(rep)
     ranks = frobcat.nilmod._rank_sequence_arr(d, p, p)
